@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import math
 
+from repro.core.vectorized import validate_k
+
 
 def _validate(k: int, delta: int) -> None:
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    validate_k(k)
     if delta < 0:
         raise ValueError("delta must be non-negative")
 
@@ -30,8 +31,7 @@ def algorithm2_approximation_bound(k: int, delta: int) -> float:
 
 def algorithm2_round_bound(k: int) -> int:
     """Theorem 4: Algorithm 2 terminates after 2k² rounds."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    validate_k(k)
     return 2 * k * k
 
 
@@ -49,8 +49,7 @@ def algorithm3_round_bound(k: int) -> int:
     rounds and 3 setup/teardown rounds; the formula mirrors that constant so
     benchmarks can assert measured ≤ bound.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    validate_k(k)
     return 4 * k * k + 2 * k + 3
 
 

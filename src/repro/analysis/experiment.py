@@ -54,7 +54,7 @@ from repro.core.fractional_unknown import (
 )
 from repro.core.kuhn_wattenhofer import FractionalVariant
 from repro.core.rounding import round_fractional_solution_batched
-from repro.core.vectorized import SHARDED, VECTORIZED
+from repro.core.vectorized import SHARDED, VECTORIZED, bulk_engine
 from repro.simulator.bulk import BulkGraph
 from repro.domset.validation import is_dominating_set
 from repro.graphs.utils import max_degree
@@ -173,23 +173,21 @@ def _prebuild_bulk(instance: GraphInstance, backend: str) -> BulkGraph | None:
     return None
 
 
-def _instance_executor(
+def _instance_engine(
     instance: GraphInstance,
     backend: str,
     bulk: BulkGraph | None,
     shards: int | None,
 ):
-    """One shard pool per instance for sharded sweeps (None otherwise).
+    """One engine per instance for bulk sweeps (a ``with`` context).
 
-    Forking, sharing the CSR and partitioning are paid once; the whole
-    k sweep (fractional snapshots + every rounding batch) then reuses the
-    resident workers.  Callers must close the returned driver.
+    On the sharded backend forking, sharing the CSR and partitioning are
+    paid once; the whole k sweep (fractional snapshots + every rounding
+    batch) then reuses the resident workers.
     """
-    if backend != SHARDED:
-        return None
-    from repro.simulator.sharded import ShardedDriver
-
-    return ShardedDriver(bulk if bulk is not None else instance.graph, shards)
+    return bulk_engine(
+        bulk if bulk is not None else instance.graph, backend, shards
+    )
 
 
 def _fractional_sweep(
@@ -288,14 +286,10 @@ def _sweep_fractional_instance(
     # One CSR build per instance; the whole k sweep runs as one fractional
     # execution through the snapshot engine.
     bulk = _prebuild_bulk(instance, backend)
-    executor = _instance_executor(instance, backend, bulk, shards)
-    try:
+    with _instance_engine(instance, backend, bulk, shards) as executor:
         fractional_by_k = _fractional_sweep(
             instance, k_values, variant, seed, backend, bulk, executor
         )
-    finally:
-        if executor is not None:
-            executor.close()
     for k in k_values:
         result = fractional_by_k[k]
         if variant is FractionalVariant.KNOWN_DELTA:
@@ -386,8 +380,7 @@ def _sweep_pipeline_instance(
     # is rounded under all trial seeds in one batch.  On the sharded
     # backend one resident shard pool serves all of it.
     bulk = _prebuild_bulk(instance, backend)
-    executor = _instance_executor(instance, backend, bulk, shards)
-    try:
+    with _instance_engine(instance, backend, bulk, shards) as executor:
         fractional_by_k = _fractional_sweep(
             instance, k_values, variant, seed, backend, bulk, executor
         )
@@ -403,9 +396,6 @@ def _sweep_pipeline_instance(
             )
             for k in k_values
         }
-    finally:
-        if executor is not None:
-            executor.close()
     for k in k_values:
         fractional = fractional_by_k[k]
         roundings = roundings_by_k[k]
@@ -509,8 +499,7 @@ def _sweep_tradeoff_instance(
     )
     delta = instance.max_degree
     bulk = _prebuild_bulk(instance, backend)
-    executor = _instance_executor(instance, backend, bulk, shards)
-    try:
+    with _instance_engine(instance, backend, bulk, shards) as executor:
         fractional_by_k = _fractional_sweep(
             instance, k_values, variant, seed, backend, bulk, executor
         )
@@ -526,9 +515,6 @@ def _sweep_tradeoff_instance(
             )
             for k in k_values
         }
-    finally:
-        if executor is not None:
-            executor.close()
     for k in k_values:
         fractional = fractional_by_k[k]
         roundings = roundings_by_k[k]

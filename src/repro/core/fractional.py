@@ -13,8 +13,8 @@ correspondence is annotated in :meth:`Algorithm2Program.run`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Hashable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Hashable, Sequence
 
 import networkx as nx
 
@@ -25,17 +25,15 @@ from repro.core.vectorized import (
     VECTORIZED,
     CapabilityError,
     algorithm2_exchanges,
+    bulk_engine,
     resolve_bulk_input,
-    run_algorithm2_bulk,
-    run_algorithm2_bulk_faulted,
-    run_algorithm2_bulk_multi_k,
     validate_backend,
+    validate_k,
 )
 from repro.simulator.columnar import ColumnarTrace
 from repro.graphs.utils import max_degree, validate_simple_graph
 from repro.simulator.bulk import BulkGraph
 from repro.simulator.fault_schedule import FaultSchedule, FaultSpec, FaultSummary
-from repro.simulator.message import Message
 from repro.simulator.metrics import ExecutionMetrics
 from repro.simulator.network import Network
 from repro.simulator.node import NodeContext
@@ -95,8 +93,7 @@ class Algorithm2Program(GeneratorNodeProgram):
 
     def __init__(self, k: int, delta: int) -> None:
         super().__init__()
-        if k < 1:
-            raise ValueError("k must be at least 1")
+        k = validate_k(k)
         if delta < 0:
             raise ValueError("delta must be non-negative")
         self.k = k
@@ -203,6 +200,11 @@ def _package_fractional(bulk, values, metrics, k, true_delta, trace=None, faults
     )
 
 
+def _traces_for(k: int, trace: ColumnarTrace | None):
+    """The kernels' ``traces`` argument for a one-k run (``None``: untraced)."""
+    return None if trace is None else {k: trace}
+
+
 def _resolve_fault_schedule(
     faults: "FaultSpec | None",
     schedule: "FaultSchedule | None",
@@ -224,41 +226,6 @@ def _resolve_fault_schedule(
     if not isinstance(faults, FaultSpec):
         raise TypeError("faults must be a FaultSpec")
     return faults.materialize(csr, rounds=exchanges, salt=salt)
-
-
-def _sharded_driver(bulk, shards, executor):
-    """Reuse a pipeline-provided :class:`ShardedDriver` or open a new one.
-
-    Returns ``(driver, owns)`` -- ``owns`` tells the caller whether it is
-    responsible for closing the driver.
-    """
-    if executor is not None:
-        return executor, False
-    from repro.simulator.sharded import ShardedDriver
-
-    return ShardedDriver(bulk, shards), True
-
-
-def _vectorized_fractional_result(
-    graph, k, collect_trace, run_bulk, true_delta, bulk=None,
-    algorithm="approximate_fractional_mds",
-):
-    """Shared vectorized-backend dispatch for Algorithms 2 and 3.
-
-    ``run_bulk`` is the bulk runner bound to its algorithm parameters; it
-    receives the :class:`BulkGraph` and an optional
-    :class:`~repro.simulator.columnar.ColumnarTrace` and returns
-    ``(values, metrics)``.  ``bulk`` lets the pipeline reuse one CSR build
-    across both phases; ``algorithm`` is kept for signature stability.
-    When ``collect_trace`` is set the engine fills a columnar trace (the
-    per-node programs' events in structure-of-arrays form) that lands on
-    ``FractionalResult.trace``.
-    """
-    if bulk is None:
-        bulk = BulkGraph.from_graph(graph)
-    trace = ColumnarTrace() if collect_trace else None
-    values, metrics = run_bulk(bulk, trace)
-    return _package_fractional(bulk, values, metrics, k, true_delta, trace=trace)
 
 
 def _program_factory(k: int, delta: int):
@@ -338,8 +305,7 @@ def approximate_fractional_mds(
     _bulk = resolve_bulk_input(graph, backend, _bulk)
     if _bulk is not graph:
         validate_simple_graph(graph)
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    k = validate_k(k)
     true_delta = max_degree(graph)
     if delta is None:
         delta = true_delta
@@ -348,6 +314,7 @@ def approximate_fractional_mds(
             f"delta={delta} is smaller than the true maximum degree {true_delta}"
         )
 
+    schedule = summary = None
     if faults is not None or _schedule is not None:
         if collect_trace and backend != SIMULATED:
             raise CapabilityError(
@@ -356,84 +323,33 @@ def approximate_fractional_mds(
                 backend,
                 (SIMULATED,),
             )
-        csr = _bulk if _bulk is not None else BulkGraph.from_graph(graph)
+        _bulk = _bulk if _bulk is not None else BulkGraph.from_graph(graph)
         exchanges = algorithm2_exchanges(k)
-        schedule = _resolve_fault_schedule(faults, _schedule, csr, exchanges)
+        schedule = _resolve_fault_schedule(faults, _schedule, _bulk, exchanges)
         summary = schedule.summary(exchanges)
-
-        if backend == SHARDED:
-            driver, owns = _sharded_driver(csr, shards, _executor)
-            try:
-                values, metrics = driver.run_algorithm2_faulted(k, delta, schedule)
-            finally:
-                if owns:
-                    driver.close()
-            return _package_fractional(
-                csr, values, metrics, k, true_delta, faults=summary
-            )
-
-        if backend == VECTORIZED:
-            values, metrics = run_algorithm2_bulk_faulted(csr, k, delta, schedule)
-            return _package_fractional(
-                csr, values, metrics, k, true_delta, faults=summary
-            )
-
-        network = Network(graph, _program_factory(k, delta), seed=seed)
-        runner = SynchronousRunner(
-            network,
-            fault_model=schedule.fault_model(csr.nodes),
-            max_rounds=2 * k * k + 10,
-            collect_trace=collect_trace,
-        )
-        execution = runner.run()
-        if not execution.terminated:
-            raise RuntimeError(
-                "Algorithm 2 did not terminate within its round budget"
-            )
-        # Crashed programs never reach result(); their frozen in-place
-        # state carries the x-value they died with.
-        x = {node: float(network.program(node).x) for node in csr.nodes}
-        return FractionalResult(
-            x=x,
-            objective=float(sum(x.values())),
-            rounds=execution.rounds,
-            metrics=execution.metrics,
-            trace=execution.trace,
-            k=k,
-            max_degree=true_delta,
-            faults=summary,
+    elif collect_trace and backend == SHARDED:
+        raise CapabilityError(
+            "approximate_fractional_mds",
+            "collect_trace",
+            SHARDED,
+            (SIMULATED, VECTORIZED),
         )
 
-    if backend == SHARDED:
-        if collect_trace:
-            raise CapabilityError(
-                "approximate_fractional_mds",
-                "collect_trace",
-                SHARDED,
-                (SIMULATED, VECTORIZED),
-            )
+    if backend != SIMULATED:
         bulk = _bulk if _bulk is not None else BulkGraph.from_graph(graph)
-        driver, owns = _sharded_driver(bulk, shards, _executor)
-        try:
-            values, metrics = driver.run_algorithm2_multi_k((k,), delta)[k]
-        finally:
-            if owns:
-                driver.close()
-        return _package_fractional(bulk, values, metrics, k, true_delta)
-
-    if backend == VECTORIZED:
-        return _vectorized_fractional_result(
-            graph,
-            k,
-            collect_trace,
-            lambda bulk, trace: run_algorithm2_bulk(bulk, k=k, delta=delta, trace=trace),
-            true_delta,
-            bulk=_bulk,
+        trace = ColumnarTrace() if collect_trace else None
+        with bulk_engine(bulk, backend, shards, _executor) as engine:
+            values, metrics = engine.run_algorithm2_multi_k(
+                (k,), delta, schedule=schedule, traces=_traces_for(k, trace)
+            )[k]
+        return _package_fractional(
+            bulk, values, metrics, k, true_delta, trace=trace, faults=summary
         )
 
     network = Network(graph, _program_factory(k, delta), seed=seed)
     runner = SynchronousRunner(
         network,
+        fault_model=None if schedule is None else schedule.fault_model(_bulk.nodes),
         max_rounds=2 * k * k + 10,
         collect_trace=collect_trace,
     )
@@ -441,7 +357,12 @@ def approximate_fractional_mds(
     if not execution.terminated:
         raise RuntimeError("Algorithm 2 did not terminate within its round budget")
 
-    x = {node: float(value) for node, value in execution.results.items()}
+    if schedule is None:
+        x = {node: float(value) for node, value in execution.results.items()}
+    else:
+        # Crashed programs never reach result(); their frozen in-place
+        # state carries the x-value they died with.
+        x = {node: float(network.program(node).x) for node in _bulk.nodes}
     return FractionalResult(
         x=x,
         objective=float(sum(x.values())),
@@ -450,6 +371,7 @@ def approximate_fractional_mds(
         trace=execution.trace,
         k=k,
         max_degree=true_delta,
+        faults=summary,
     )
 
 
@@ -465,9 +387,9 @@ def approximate_fractional_mds_multi_k(
 ) -> dict[int, FractionalResult]:
     """Run Algorithm 2 for a whole k sweep in one call.
 
-    On the vectorized backend this dispatches to the snapshot engine
-    (:func:`repro.core.vectorized.run_algorithm2_bulk_multi_k`): one engine
-    invocation produces the per-k x-vectors -- each bitwise identical to an
+    On the bulk backends (vectorized or sharded) one invocation of the
+    Algorithm 2 kernel (:func:`repro.core.vectorized.run_algorithm2_bulk_multi_k`)
+    produces the per-k x-vectors -- each bitwise identical to an
     independent ``approximate_fractional_mds(graph, k, ...)`` run -- while
     paying validation, the CSR build and the shared transcendental tables
     once for the sweep instead of once per k.  On the simulated backend
@@ -496,18 +418,8 @@ def approximate_fractional_mds_multi_k(
             f"delta={delta} is smaller than the true maximum degree {true_delta}"
         )
     bulk = _bulk if _bulk is not None else BulkGraph.from_graph(graph)
-    if backend == SHARDED:
-        for k in k_values:
-            if k < 1:
-                raise ValueError("k must be at least 1")
-        driver, owns = _sharded_driver(bulk, shards, _executor)
-        try:
-            snapshots = driver.run_algorithm2_multi_k(tuple(k_values), delta)
-        finally:
-            if owns:
-                driver.close()
-    else:
-        snapshots = run_algorithm2_bulk_multi_k(bulk, tuple(k_values), delta=delta)
+    with bulk_engine(bulk, backend, shards, _executor) as engine:
+        snapshots = engine.run_algorithm2_multi_k(tuple(k_values), delta)
     return {
         k: _package_fractional(bulk, values, metrics, k, true_delta)
         for k, (values, metrics) in snapshots.items()

@@ -19,7 +19,7 @@ terminates after ``4k² + O(k)`` rounds.
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence
+from typing import Sequence
 
 import networkx as nx
 
@@ -29,8 +29,7 @@ from repro.core.fractional import (
     FractionalResult,
     _package_fractional,
     _resolve_fault_schedule,
-    _sharded_driver,
-    _vectorized_fractional_result,
+    _traces_for,
 )
 from repro.core.vectorized import (
     BACKENDS,
@@ -39,14 +38,14 @@ from repro.core.vectorized import (
     VECTORIZED,
     CapabilityError,
     algorithm3_exchanges,
+    bulk_engine,
     resolve_bulk_input,
-    run_algorithm3_bulk,
-    run_algorithm3_bulk_faulted,
-    run_algorithm3_bulk_multi_k,
     validate_backend,
+    validate_k,
 )
 from repro.graphs.utils import max_degree, validate_simple_graph
 from repro.simulator.bulk import BulkGraph
+from repro.simulator.columnar import ColumnarTrace
 from repro.simulator.fault_schedule import FaultSchedule, FaultSpec
 from repro.simulator.network import Network
 from repro.simulator.node import NodeContext
@@ -65,9 +64,7 @@ class Algorithm3Program(GeneratorNodeProgram):
 
     def __init__(self, k: int) -> None:
         super().__init__()
-        if k < 1:
-            raise ValueError("k must be at least 1")
-        self.k = k
+        self.k = validate_k(k)
         # Local state exposed for tests and invariant monitors.
         self.x = 0.0
         self.color = WHITE
@@ -266,9 +263,10 @@ def approximate_fractional_mds_unknown_delta(
     _bulk = resolve_bulk_input(graph, backend, _bulk)
     if _bulk is not graph:
         validate_simple_graph(graph)
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    k = validate_k(k)
+    true_delta = max_degree(graph)
 
+    schedule = summary = None
     if faults is not None or _schedule is not None:
         if collect_trace and backend != SIMULATED:
             raise CapabilityError(
@@ -277,84 +275,33 @@ def approximate_fractional_mds_unknown_delta(
                 backend,
                 (SIMULATED,),
             )
-        csr = _bulk if _bulk is not None else BulkGraph.from_graph(graph)
+        _bulk = _bulk if _bulk is not None else BulkGraph.from_graph(graph)
         exchanges = algorithm3_exchanges(k)
-        schedule = _resolve_fault_schedule(faults, _schedule, csr, exchanges)
+        schedule = _resolve_fault_schedule(faults, _schedule, _bulk, exchanges)
         summary = schedule.summary(exchanges)
-        true_delta = max_degree(graph)
-
-        if backend == SHARDED:
-            driver, owns = _sharded_driver(csr, shards, _executor)
-            try:
-                values, metrics = driver.run_algorithm3_faulted(k, schedule)
-            finally:
-                if owns:
-                    driver.close()
-            return _package_fractional(
-                csr, values, metrics, k, true_delta, faults=summary
-            )
-
-        if backend == VECTORIZED:
-            values, metrics = run_algorithm3_bulk_faulted(csr, k, schedule)
-            return _package_fractional(
-                csr, values, metrics, k, true_delta, faults=summary
-            )
-
-        network = Network(graph, _program_factory(k), seed=seed)
-        runner = SynchronousRunner(
-            network,
-            fault_model=schedule.fault_model(csr.nodes),
-            max_rounds=4 * k * k + 6 * k + 12,
-            collect_trace=collect_trace,
-        )
-        execution = runner.run()
-        if not execution.terminated:
-            raise RuntimeError(
-                "Algorithm 3 did not terminate within its round budget"
-            )
-        x = {node: float(network.program(node).x) for node in csr.nodes}
-        return FractionalResult(
-            x=x,
-            objective=float(sum(x.values())),
-            rounds=execution.rounds,
-            metrics=execution.metrics,
-            trace=execution.trace,
-            k=k,
-            max_degree=true_delta,
-            faults=summary,
+    elif collect_trace and backend == SHARDED:
+        raise CapabilityError(
+            "approximate_fractional_mds_unknown_delta",
+            "collect_trace",
+            SHARDED,
+            (SIMULATED, VECTORIZED),
         )
 
-    if backend == SHARDED:
-        if collect_trace:
-            raise CapabilityError(
-                "approximate_fractional_mds_unknown_delta",
-                "collect_trace",
-                SHARDED,
-                (SIMULATED, VECTORIZED),
-            )
+    if backend != SIMULATED:
         bulk = _bulk if _bulk is not None else BulkGraph.from_graph(graph)
-        driver, owns = _sharded_driver(bulk, shards, _executor)
-        try:
-            values, metrics = driver.run_algorithm3_multi_k((k,))[k]
-        finally:
-            if owns:
-                driver.close()
-        return _package_fractional(bulk, values, metrics, k, max_degree(graph))
-
-    if backend == VECTORIZED:
-        return _vectorized_fractional_result(
-            graph,
-            k,
-            collect_trace,
-            lambda bulk, trace: run_algorithm3_bulk(bulk, k=k, trace=trace),
-            max_degree(graph),
-            bulk=_bulk,
-            algorithm="approximate_fractional_mds_unknown_delta",
+        trace = ColumnarTrace() if collect_trace else None
+        with bulk_engine(bulk, backend, shards, _executor) as engine:
+            values, metrics = engine.run_algorithm3_multi_k(
+                (k,), schedule=schedule, traces=_traces_for(k, trace)
+            )[k]
+        return _package_fractional(
+            bulk, values, metrics, k, true_delta, trace=trace, faults=summary
         )
 
     network = Network(graph, _program_factory(k), seed=seed)
     runner = SynchronousRunner(
         network,
+        fault_model=None if schedule is None else schedule.fault_model(_bulk.nodes),
         max_rounds=4 * k * k + 6 * k + 12,
         collect_trace=collect_trace,
     )
@@ -362,7 +309,12 @@ def approximate_fractional_mds_unknown_delta(
     if not execution.terminated:
         raise RuntimeError("Algorithm 3 did not terminate within its round budget")
 
-    x = {node: float(value) for node, value in execution.results.items()}
+    if schedule is None:
+        x = {node: float(value) for node, value in execution.results.items()}
+    else:
+        # Crashed programs never reach result(); their frozen in-place
+        # state carries the x-value they died with.
+        x = {node: float(network.program(node).x) for node in _bulk.nodes}
     return FractionalResult(
         x=x,
         objective=float(sum(x.values())),
@@ -370,7 +322,8 @@ def approximate_fractional_mds_unknown_delta(
         metrics=execution.metrics,
         trace=execution.trace,
         k=k,
-        max_degree=max_degree(graph),
+        max_degree=true_delta,
+        faults=summary,
     )
 
 
@@ -385,8 +338,8 @@ def approximate_fractional_mds_unknown_delta_multi_k(
 ) -> dict[int, FractionalResult]:
     """Run Algorithm 3 for a whole k sweep in one call.
 
-    The vectorized backend dispatches to the snapshot engine
-    (:func:`repro.core.vectorized.run_algorithm3_bulk_multi_k`), which
+    The bulk backends (vectorized or sharded) run the Algorithm 3 kernel
+    (:func:`repro.core.vectorized.run_algorithm3_bulk_multi_k`) once, which
     computes the k-independent δ⁽²⁾ prefix once and shares the
     transcendental tables across the sweep while producing per-k results
     bitwise identical to independent
@@ -410,18 +363,8 @@ def approximate_fractional_mds_unknown_delta_multi_k(
 
     true_delta = max_degree(graph)
     bulk = _bulk if _bulk is not None else BulkGraph.from_graph(graph)
-    if backend == SHARDED:
-        for k in k_values:
-            if k < 1:
-                raise ValueError("k must be at least 1")
-        driver, owns = _sharded_driver(bulk, shards, _executor)
-        try:
-            snapshots = driver.run_algorithm3_multi_k(tuple(k_values))
-        finally:
-            if owns:
-                driver.close()
-    else:
-        snapshots = run_algorithm3_bulk_multi_k(bulk, tuple(k_values))
+    with bulk_engine(bulk, backend, shards, _executor) as engine:
+        snapshots = engine.run_algorithm3_multi_k(tuple(k_values))
     return {
         k: _package_fractional(bulk, values, metrics, k, true_delta)
         for k, (values, metrics) in snapshots.items()

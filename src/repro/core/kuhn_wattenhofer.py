@@ -25,7 +25,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Hashable, Mapping
 
 import networkx as nx
 
@@ -46,8 +45,10 @@ from repro.core.vectorized import (
     CapabilityError,
     algorithm2_exchanges,
     algorithm3_exchanges,
+    bulk_engine,
     resolve_bulk_input,
     validate_backend,
+    validate_k,
 )
 from repro.simulator.bulk import BulkGraph
 from repro.simulator.fault_schedule import FaultSpec
@@ -210,10 +211,7 @@ def kuhn_wattenhofer_dominating_set(
     if _bulk is not graph:
         validate_simple_graph(graph)
     delta = max_degree(graph)
-    if k is None:
-        k = log_delta_parameter(delta)
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    k = log_delta_parameter(delta) if k is None else validate_k(k)
 
     # One CSR build serves both vectorized phases (callers running many
     # pipelines on one graph can pass theirs in).
@@ -248,13 +246,7 @@ def kuhn_wattenhofer_dominating_set(
     # One shard pool serves both phases: forking, sharing the CSR, and
     # partitioning happen once, then the fractional and rounding supersteps
     # run against the same resident workers.
-    executor = None
-    try:
-        if backend == SHARDED:
-            from repro.simulator.sharded import ShardedDriver
-
-            executor = ShardedDriver(bulk, shards)
-
+    with bulk_engine(bulk, backend, shards) as executor:
         if variant is FractionalVariant.KNOWN_DELTA:
             fractional = approximate_fractional_mds(
                 graph,
@@ -297,9 +289,6 @@ def kuhn_wattenhofer_dominating_set(
             _executor=executor,
             _schedule=rounding_schedule,
         )
-    finally:
-        if executor is not None:
-            executor.close()
 
     dominating_set = rounding.dominating_set
     repair_report = None

@@ -24,23 +24,20 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import compress
 from typing import Hashable, Mapping, Sequence
 
 import networkx as nx
 import numpy as np
 
-from repro.core.fractional import _resolve_fault_schedule, _sharded_driver
+from repro.core.fractional import _resolve_fault_schedule
 from repro.core.vectorized import (
     BACKENDS,
     ROUNDING_EXCHANGES,
-    SHARDED,
     SIMULATED,
-    VECTORIZED,
+    bulk_engine,
     resolve_bulk_input,
-    run_rounding_bulk,
-    run_rounding_bulk_batched,
-    run_rounding_bulk_faulted,
     validate_backend,
     x_array_from_mapping,
 )
@@ -218,27 +215,31 @@ def _bulk_rounding_result(
     )
 
 
-def _sharded_rounding(
+def _bulk_rounding(
     bulk: BulkGraph,
     x: Mapping[Hashable, float],
     seeds: Sequence[int | None],
     rule: RoundingRule,
+    backend: str,
     shards: int | None,
     executor,
+    schedule: FaultSchedule | None = None,
+    summary: FaultSummary | None = None,
 ) -> list[RoundingResult]:
-    """Run Algorithm 1 trials on the sharded superstep engine."""
+    """Run Algorithm 1 trials on a bulk backend (vectorized or sharded)."""
     values = x_array_from_mapping(bulk, x)
     if np.any(values < 0):
         # The same rejection the kernels perform, raised parent-side so the
         # error type matches the other backends.
         raise ValueError("fractional values must be non-negative")
-    driver, owns = _sharded_driver(bulk, shards, executor)
-    try:
-        batch = driver.run_rounding_batched(values, seeds, rule.value)
-    finally:
-        if owns:
-            driver.close()
-    return [_bulk_rounding_result(bulk, *entry) for entry in batch]
+    # A partial of a module-level function pickles, so the sharded
+    # workers receive the same multiplier the in-process kernel calls.
+    multiplier_for = partial(rounding_multiplier, rule=rule)
+    with bulk_engine(bulk, backend, shards, executor) as engine:
+        batch = engine.run_rounding_batched(
+            values, seeds, multiplier_for, schedule=schedule
+        )
+    return [_bulk_rounding_result(bulk, *entry, faults=summary) for entry in batch]
 
 
 def _program_factory(
@@ -317,93 +318,33 @@ def round_fractional_solution(
     if require_feasible:
         _check_rounding_input_feasible(graph, _bulk, x)
 
+    schedule = summary = None
     if faults is not None or _schedule is not None:
-        csr = _bulk if _bulk is not None else BulkGraph.from_graph(graph)
+        _bulk = _bulk if _bulk is not None else BulkGraph.from_graph(graph)
         schedule = _resolve_fault_schedule(
-            faults, _schedule, csr, ROUNDING_EXCHANGES
+            faults, _schedule, _bulk, ROUNDING_EXCHANGES
         )
         summary = schedule.summary(ROUNDING_EXCHANGES)
 
-        if backend == SHARDED:
-            values = x_array_from_mapping(csr, x)
-            if np.any(values < 0):
-                raise ValueError("fractional values must be non-negative")
-            driver, owns = _sharded_driver(csr, shards, _executor)
-            try:
-                arrays = driver.run_rounding_faulted(
-                    values, seed, rule.value, schedule
-                )
-            finally:
-                if owns:
-                    driver.close()
-            return _bulk_rounding_result(csr, *arrays, faults=summary)
-
-        if backend == VECTORIZED:
-            in_set, randomly, fallback, metrics = run_rounding_bulk_faulted(
-                csr,
-                x_array_from_mapping(csr, x),
-                seed=seed,
-                multiplier_for=lambda delta_two: rounding_multiplier(delta_two, rule),
-                schedule=schedule,
-            )
-            return _bulk_rounding_result(
-                csr, in_set, randomly, fallback, metrics, faults=summary
-            )
-
-        network = Network(graph, _program_factory(x, rule), seed=seed)
-        runner = SynchronousRunner(
-            network,
-            fault_model=schedule.fault_model(csr.nodes),
-            max_rounds=16,
-        )
-        execution = runner.run()
-        if not execution.terminated:
-            raise RuntimeError(
-                "Algorithm 1 did not terminate within its round budget"
-            )
-        # Crashed programs never produce a result; only survivors' final
-        # memberships count, but the joined_randomly flag of a node that
-        # died after its coin flip is still reported.
-        dominating_set = frozenset(
-            node for node, joined in execution.results.items() if joined
-        )
-        return RoundingResult(
-            dominating_set=dominating_set,
-            joined_randomly=frozenset(
-                node
-                for node in csr.nodes
-                if getattr(network.program(node), "joined_randomly", False)
-            ),
-            joined_as_fallback=frozenset(
-                node
-                for node in csr.nodes
-                if getattr(network.program(node), "joined_as_fallback", False)
-            ),
-            rounds=execution.rounds,
-            metrics=execution.metrics,
-            faults=summary,
-        )
-
-    if backend == SHARDED:
+    if backend != SIMULATED:
         bulk = _bulk if _bulk is not None else BulkGraph.from_graph(graph)
-        return _sharded_rounding(bulk, x, [seed], rule, shards, _executor)[0]
-
-    if backend == VECTORIZED:
-        bulk = _bulk if _bulk is not None else BulkGraph.from_graph(graph)
-        in_set, randomly, fallback, metrics = run_rounding_bulk(
-            bulk,
-            x_array_from_mapping(bulk, x),
-            seed=seed,
-            multiplier_for=lambda delta_two: rounding_multiplier(delta_two, rule),
-        )
-        return _bulk_rounding_result(bulk, in_set, randomly, fallback, metrics)
+        return _bulk_rounding(
+            bulk, x, [seed], rule, backend, shards, _executor, schedule, summary
+        )[0]
 
     network = Network(graph, _program_factory(x, rule), seed=seed)
-    runner = SynchronousRunner(network, max_rounds=16)
+    runner = SynchronousRunner(
+        network,
+        fault_model=None if schedule is None else schedule.fault_model(_bulk.nodes),
+        max_rounds=16,
+    )
     execution = runner.run()
     if not execution.terminated:
         raise RuntimeError("Algorithm 1 did not terminate within its round budget")
 
+    # Crashed programs never produce a result; only survivors' final
+    # memberships count, but the joined_randomly flag of a node that died
+    # after its coin flip is still reported.
     dominating_set = frozenset(
         node for node, joined in execution.results.items() if joined
     )
@@ -423,6 +364,7 @@ def round_fractional_solution(
         joined_as_fallback=joined_as_fallback,
         rounds=execution.rounds,
         metrics=execution.metrics,
+        faults=summary,
     )
 
 
@@ -463,22 +405,9 @@ def round_fractional_solution_batched(
     if require_feasible:
         _check_rounding_input_feasible(graph, _bulk, x)
 
-    if backend == SHARDED:
+    if backend != SIMULATED:
         bulk = _bulk if _bulk is not None else BulkGraph.from_graph(graph)
-        return _sharded_rounding(bulk, x, seeds, rule, shards, _executor)
-
-    if backend == VECTORIZED:
-        bulk = _bulk if _bulk is not None else BulkGraph.from_graph(graph)
-        batch = run_rounding_bulk_batched(
-            bulk,
-            x_array_from_mapping(bulk, x),
-            seeds=seeds,
-            multiplier_for=lambda delta_two: rounding_multiplier(delta_two, rule),
-        )
-        return [
-            _bulk_rounding_result(bulk, in_set, randomly, fallback, metrics)
-            for in_set, randomly, fallback, metrics in batch
-        ]
+        return _bulk_rounding(bulk, x, seeds, rule, backend, shards, _executor)
 
     return [
         round_fractional_solution(

@@ -1,10 +1,23 @@
 """Vectorized bulk-synchronous implementations of Algorithms 1-3.
 
-These functions compute the *exact* same per-node values as the
-message-passing programs in :mod:`repro.core.fractional`,
-:mod:`repro.core.fractional_unknown` and :mod:`repro.core.rounding`, but
-replace every per-message Python object with one whole-graph array
-operation over a :class:`~repro.simulator.bulk.BulkGraph`.
+One bulk kernel per algorithm computes the *exact* same per-node values as
+the message-passing programs in :mod:`repro.core.fractional`,
+:mod:`repro.core.fractional_unknown`, :mod:`repro.core.weighted` and
+:mod:`repro.core.rounding`, replacing every per-message Python object with
+one whole-graph array operation over a
+:class:`~repro.simulator.bulk.BulkGraph`:
+
+* :func:`run_algorithm2_bulk_multi_k` -- Algorithm 2 for a k sweep, with
+  an optional per-node cost scale (the weighted variant);
+* :func:`run_algorithm3_bulk_multi_k` -- Algorithm 3 for a k sweep;
+* :func:`run_rounding_bulk_batched` -- Algorithm 1 for a batch of seeds.
+
+Each also takes an optional fault schedule; a fault-free run is the *null
+schedule*, whose masks are all ``None`` (see "Fault schedules" below), so
+one loop body serves the fault-free and the faulted executions.  The
+kernels only touch the :class:`BulkGraph` operator subset that
+:class:`~repro.simulator.sharded.ShardSlab` mirrors, so the sharded
+backend runs the same three loop bodies on its slabs.
 
 Numerical equivalence is engineered, not approximate:
 
@@ -27,8 +40,10 @@ produces, with an identical per-round layout.
 
 from __future__ import annotations
 
+import numbers
 import random
-from typing import Callable, Hashable, Mapping, Sequence
+from contextlib import contextmanager
+from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -116,6 +131,19 @@ def validate_backend(
     raise ValueError(
         f"unknown backend {backend!r}; expected one of {', '.join(supported)}"
     )
+
+
+def validate_k(k) -> int:
+    """Check a locality parameter and return it as a plain ``int``.
+
+    Accepts Python and numpy integers; rejects ``bool`` (``k=True`` is not
+    a locality) and non-integral values with a ``ValueError`` naming ``k``.
+    """
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise ValueError(f"k must be an integer, got {k!r}")
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    return int(k)
 
 
 def resolve_bulk_input(graph, backend: str, bulk: BulkGraph | None = None):
@@ -242,157 +270,150 @@ class _TraceRecorder:
         )
 
 
-def _delta_two(bulk: BulkGraph, metrics: BulkMetricsBuilder) -> np.ndarray:
-    """δ⁽²⁾ per node: two degree-max exchanges, recorded in program order."""
-    metrics.record_exchange(int_payload_bits(bulk.degrees))
-    delta_one = bulk.closed_max(bulk.degrees)
-    metrics.record_exchange(int_payload_bits(delta_one))
-    return bulk.closed_max(delta_one)
+# ---------------------------------------------------------------------- #
+# Fault schedules and the null schedule                                   #
+# ---------------------------------------------------------------------- #
+#
+# Every kernel replays its algorithm's exact exchange sequence against a
+# schedule: each neighbourhood reduction is restricted to the schedule's
+# delivered edges, each exchange's metrics to its senders, and each state
+# update is gated by the alive mask of the round that performs it.  Under a
+# :class:`~repro.simulator.fault_schedule.FaultSchedule` the arrays evolve
+# exactly as the per-node programs' state does under the
+# :class:`~repro.simulator.fault_schedule.ScheduledFaults` adapter -- the
+# same x-vectors, the same colours, bit for bit.  A per-shard
+# :class:`~repro.simulator.fault_schedule.SlabScheduleView` exposes the
+# same mask interface, so the identical loop body serves the vectorized and
+# sharded backends.
+#
+# A fault-free run is the *null schedule*: every mask is ``None``, which the
+# reductions (``edge_mask=None``), the metrics (``senders=None``) and
+# :func:`_gated` all treat as "everything", so the same loop body reproduces
+# the fault-free execution bit for bit.
+#
+# Under faults the modeled metrics exclude crashed senders exchange by
+# exchange but keep the fault-free round structure (a run whose every node
+# dies early still reports the full exchange count); only the x-vectors,
+# dominating sets and drop counts are exact replicas of the simulated
+# execution.
+
+
+class _NullSchedule:
+    """The fault-free schedule: no node crashes, no message is lost."""
+
+    def alive(self, round_index: int) -> None:
+        return None
+
+    def senders(self, round_index: int) -> None:
+        return None
+
+    def delivered_edges(self, round_index: int) -> None:
+        return None
+
+
+_NO_FAULTS = _NullSchedule()
+
+
+def _gated(alive: np.ndarray | None, updated, current) -> np.ndarray:
+    """``updated`` where the node is alive, ``current`` elsewhere.
+
+    ``alive=None`` (the null schedule) means every node is alive.
+    """
+    return updated if alive is None else np.where(alive, updated, current)
+
+
+def algorithm2_exchanges(k: int) -> int:
+    """Delivery rounds of Algorithm 2 with locality ``k`` (2k²)."""
+    return 2 * k * k
+
+
+def algorithm3_exchanges(k: int) -> int:
+    """Delivery rounds of Algorithm 3 with locality ``k`` (4k² + 2k + 2)."""
+    return 4 * k * k + 2 * k + 2
+
+
+#: Delivery rounds of Algorithm 1 (degree, δ⁽¹⁾, membership).
+ROUNDING_EXCHANGES = 3
 
 
 # ---------------------------------------------------------------------- #
-# Algorithm 2 (Δ known)                                                   #
+# Algorithm 2 (Δ known; optionally weighted)                              #
 # ---------------------------------------------------------------------- #
-
-
-def run_algorithm2_bulk(
-    bulk: BulkGraph, k: int, delta: int, trace: ColumnarTrace | None = None
-) -> tuple[np.ndarray, ExecutionMetrics]:
-    """Vectorized Algorithm 2: the same 2k² exchanges as the node program.
-
-    Returns the per-node x-vector (indexed like ``bulk.nodes``) and the
-    modeled execution metrics.  When ``trace`` is given, per-iteration
-    columnar snapshots are recorded into it (the same events the node
-    program emits).  Delegates to the snapshot engine with a one-element
-    sweep, so the single-k and multi-k paths cannot drift: there is
-    exactly one copy of the loop body.
-    """
-    traces = None if trace is None else {k: trace}
-    return run_algorithm2_bulk_multi_k(bulk, (k,), delta=delta, traces=traces)[k]
-
-
-def run_weighted_algorithm2_bulk(
-    bulk: BulkGraph,
-    k: int,
-    delta: int,
-    costs: np.ndarray,
-    c_max: float,
-    trace: ColumnarTrace | None = None,
-) -> tuple[np.ndarray, ExecutionMetrics]:
-    """Vectorized weighted Algorithm 2 (remark after Theorem 4).
-
-    Identical to :func:`run_algorithm2_bulk` except for the cost-scaled
-    activity rule: node ``i`` is active when
-    ``(c_max / c_i) · δ̃_i ≥ [c_max (Δ+1)]^{ℓ/k}``.  The exchange pattern
-    (x-values, then colours; 2k² rounds) is unchanged, so the modeled
-    metrics and the per-node values are bitwise identical to the
-    message-passing :class:`~repro.core.weighted.WeightedAlgorithm2Program`.
-
-    Parameters
-    ----------
-    bulk:
-        The communication graph.
-    k:
-        Locality parameter.
-    delta:
-        Maximum degree Δ known to all nodes.
-    costs:
-        Per-node costs c_i ∈ [1, c_max], indexed like ``bulk.nodes``.
-    c_max:
-        The global maximum cost.
-    trace:
-        Optional :class:`~repro.simulator.columnar.ColumnarTrace` to fill
-        with per-iteration snapshots.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
-
-    base = delta + 1.0
-    weighted_base = float(c_max) * base
-    # The per-node program computes (c_max / cost) once at line 1 of each
-    # activity check; a single elementwise divide reproduces those floats.
-    cost_scale = float(c_max) / np.asarray(costs, dtype=np.float64)
-    x = np.zeros(bulk.n, dtype=np.float64)
-    white = np.ones(bulk.n, dtype=bool)
-    dynamic_degree = bulk.degrees + 1
-    metrics = BulkMetricsBuilder(bulk.degrees)
-    recorder = None if trace is None else _TraceRecorder(trace, bulk)
-
-    for ell in range(k - 1, -1, -1):
-        threshold = weighted_base ** (ell / k)
-        if recorder is not None:
-            recorder.outer_start(metrics.exchange_count, ell, dynamic_degree, x, white)
-        for m in range(k - 1, -1, -1):
-            # Weighted activity rule: cost-scaled dynamic degree.
-            active = cost_scale * dynamic_degree >= threshold
-            boost = 1.0 / base ** (m / k)
-            x = np.where(active, np.maximum(x, boost), x)
-            if recorder is not None:
-                recorder.inner(
-                    metrics.exchange_count, ell, m, active, x, white, dynamic_degree
-                )
-
-            # Exchange x-values; colour gray once covered.
-            metrics.record_exchange(float_payload_bits(x))
-            coverage = x + bulk.neighbor_sum(x)
-            if recorder is not None:
-                recorder.colored_gray(
-                    metrics.exchange_count, ell, m, white & (coverage >= 1.0)
-                )
-            white &= coverage < 1.0
-
-            # Exchange colours; recompute the dynamic degree.
-            metrics.record_exchange(BOOL_PAYLOAD_BITS)
-            dynamic_degree = bulk.neighbor_count(white) + white
-
-    return x, metrics.build(bulk.nodes)
 
 
 def run_algorithm2_bulk_multi_k(
     bulk: BulkGraph,
     k_values: Sequence[int],
     delta: int,
+    costs: np.ndarray | None = None,
+    c_max: float = 1.0,
+    schedule=None,
     traces: Mapping[int, ColumnarTrace] | None = None,
 ) -> dict[int, tuple[np.ndarray, ExecutionMetrics]]:
-    """Snapshot engine: Algorithm 2 for every k in one engine invocation.
+    """Algorithm 2 for every k of a sweep: the same 2k² exchanges per k.
 
-    Sweeps over the locality parameter (``bench_tradeoff_curve``,
-    ``sweep_pipeline``) previously re-entered the fractional engine once
-    per k, re-paying per-call setup and re-deriving every activity
-    threshold.  This entry point executes the whole k sweep inside one
-    invocation: the CSR state arrays are allocated once, and the
-    transcendental tables (the thresholds ``(Δ+1)^{ℓ/k}`` and boosts
-    ``(Δ+1)^{−m/k}``) are computed once per *distinct exponent quotient*
-    and shared across all k -- for k ∈ {1..6} more than half the quotients
-    recur.  Each per-k snapshot is **bitwise identical** to
-    ``run_algorithm2_bulk(bulk, k, delta)``: identical x-vectors and
-    identical modeled metrics, because every shared value is produced by
-    the exact expression the single-k engine evaluates.
+    The CSR state arrays are allocated once per k and the transcendental
+    tables (the thresholds ``(Δ+1)^{ℓ/k}`` and boosts ``(Δ+1)^{−m/k}``)
+    are memoised per distinct exponent quotient across the whole sweep --
+    for k ∈ {1..6} more than half the quotients recur.  Every shared value
+    is produced by the exact expression the per-node program evaluates, so
+    each k's x-vector and modeled metrics are bitwise those of an
+    independent run of :class:`~repro.core.fractional.Algorithm2Program`.
 
-    ``traces`` optionally maps a k to a
-    :class:`~repro.simulator.columnar.ColumnarTrace`; for those k the
-    engine records per-iteration snapshots (the per-node programs' trace
-    events, in columnar form) into the given trace.
+    Parameters
+    ----------
+    bulk:
+        The communication graph (a :class:`BulkGraph` or a shard slab).
+    k_values:
+        Locality parameters of the sweep.
+    delta:
+        Maximum degree Δ known to all nodes.
+    costs:
+        Optional per-node costs c_i ∈ [1, c_max], indexed like
+        ``bulk.nodes``: the weighted variant (remark after Theorem 4),
+        whose node ``i`` is active when
+        ``(c_max / c_i) · δ̃_i ≥ [c_max (Δ+1)]^{ℓ/k}`` -- bitwise the
+        :class:`~repro.core.weighted.WeightedAlgorithm2Program`.  ``None``
+        runs the unweighted rule.
+    c_max:
+        The global maximum cost (only read when ``costs`` is given).
+    schedule:
+        Optional fault schedule (whole-graph or slab view); ``None`` is
+        the null schedule.  Iteration ``(ℓ, m)``'s activity check runs in
+        the round that received the previous colour exchange, so it is
+        gated by that round's alive mask (the very first check runs in
+        ``on_start`` and is ungated).
+    traces:
+        Optionally maps a k to a
+        :class:`~repro.simulator.columnar.ColumnarTrace` that receives that
+        k's per-iteration snapshots (the per-node programs' trace events,
+        in columnar form).
 
     Returns ``{k: (x, metrics)}`` for every requested k.
     """
+    k_values = [validate_k(k) for k in k_values]
     if delta < 0:
         raise ValueError("delta must be non-negative")
+    schedule = _NO_FAULTS if schedule is None else schedule
     base = delta + 1.0
-    powers: dict[float, float] = {}
+    # The weighted rule scales δ̃ by (c_max / c_i) -- one elementwise
+    # divide reproduces the per-node program's floats -- and raises the
+    # threshold base to c_max (Δ+1).
+    cost_scale = None
+    threshold_base = base
+    if costs is not None:
+        cost_scale = float(c_max) / np.asarray(costs, dtype=np.float64)
+        threshold_base = float(c_max) * base
+    powers: dict[tuple[float, float], float] = {}
 
-    def base_power(quotient: float) -> float:
-        value = powers.get(quotient)
+    def power(operand: float, quotient: float) -> float:
+        value = powers.get((operand, quotient))
         if value is None:
-            value = powers[quotient] = base**quotient
+            value = powers[(operand, quotient)] = operand**quotient
         return value
 
     results: dict[int, tuple[np.ndarray, ExecutionMetrics]] = {}
     for k in k_values:
-        if k < 1:
-            raise ValueError("k must be at least 1")
         x = np.zeros(bulk.n, dtype=np.float64)
         white = np.ones(bulk.n, dtype=bool)
         dynamic_degree = bulk.degrees + 1
@@ -400,16 +421,21 @@ def run_algorithm2_bulk_multi_k(
         recorder = None
         if traces is not None and k in traces:
             recorder = _TraceRecorder(traces[k], bulk)
+        exchange = 0
+        gate = None  # alive mask of the round running the activity check
         for ell in range(k - 1, -1, -1):
-            threshold = base_power(ell / k)
+            threshold = power(threshold_base, ell / k)
             if recorder is not None:
                 recorder.outer_start(
                     metrics.exchange_count, ell, dynamic_degree, x, white
                 )
             for m in range(k - 1, -1, -1):
                 # Lines 6-8: active nodes raise their x-value.
-                active = dynamic_degree >= threshold
-                boost = 1.0 / base_power(m / k)
+                scaled = (
+                    dynamic_degree if cost_scale is None else cost_scale * dynamic_degree
+                )
+                active = _gated(gate, scaled >= threshold, False)
+                boost = 1.0 / power(base, m / k)
                 x = np.where(active, np.maximum(x, boost), x)
                 if recorder is not None:
                     recorder.inner(
@@ -417,17 +443,29 @@ def run_algorithm2_bulk_multi_k(
                     )
 
                 # Exchange x-values; colour gray once covered (lines 11-12).
-                metrics.record_exchange(float_payload_bits(x))
-                coverage = x + bulk.neighbor_sum(x)
+                metrics.record_exchange(
+                    float_payload_bits(x), senders=schedule.senders(exchange)
+                )
+                coverage = x + bulk.neighbor_sum(
+                    x, edge_mask=schedule.delivered_edges(exchange)
+                )
                 if recorder is not None:
                     recorder.colored_gray(
                         metrics.exchange_count, ell, m, white & (coverage >= 1.0)
                     )
-                white &= coverage < 1.0
+                white = _gated(schedule.alive(exchange), white & (coverage < 1.0), white)
+                exchange += 1
 
                 # Exchange colours; recompute the dynamic degree (lines 9-10).
-                metrics.record_exchange(BOOL_PAYLOAD_BITS)
-                dynamic_degree = bulk.neighbor_count(white) + white
+                metrics.record_exchange(
+                    BOOL_PAYLOAD_BITS, senders=schedule.senders(exchange)
+                )
+                gate = schedule.alive(exchange)
+                white_neighbors = bulk.neighbor_count(
+                    white, edge_mask=schedule.delivered_edges(exchange)
+                )
+                dynamic_degree = _gated(gate, white_neighbors + white, dynamic_degree)
+                exchange += 1
         results[k] = (x, metrics.build(bulk.nodes))
     return results
 
@@ -437,58 +475,56 @@ def run_algorithm2_bulk_multi_k(
 # ---------------------------------------------------------------------- #
 
 
-def run_algorithm3_bulk(
-    bulk: BulkGraph, k: int, trace: ColumnarTrace | None = None
-) -> tuple[np.ndarray, ExecutionMetrics]:
-    """Vectorized Algorithm 3: the same 4k² + 2k + 2 exchanges as the program.
-
-    Delegates to the snapshot engine with a one-element sweep -- one copy
-    of the loop body serves both the single-k and multi-k paths.  When
-    ``trace`` is given, per-iteration columnar snapshots are recorded.
-    """
-    traces = None if trace is None else {k: trace}
-    return run_algorithm3_bulk_multi_k(bulk, (k,), traces=traces)[k]
-
-
 def run_algorithm3_bulk_multi_k(
     bulk: BulkGraph,
     k_values: Sequence[int],
+    schedule=None,
     traces: Mapping[int, ColumnarTrace] | None = None,
 ) -> dict[int, tuple[np.ndarray, ExecutionMetrics]]:
-    """Snapshot engine: Algorithm 3 for every k in one engine invocation.
+    """Algorithm 3 for every k of a sweep: the same 4k² + 2k + 2 exchanges.
 
-    Beyond the shared setup of :func:`run_algorithm2_bulk_multi_k`, two
-    pieces of Algorithm 3 are genuinely k-independent and computed once
-    for the whole sweep: the δ⁽²⁾ prefix (the first two exchanges of every
-    run) and the transcendental tables ``γ^{ℓ/(ℓ+1)}`` / ``a^{−m/(m+1)}``,
-    whose (operand, exponent) pairs recur heavily across k.  Every per-k
-    snapshot is bitwise identical to ``run_algorithm3_bulk(bulk, k)`` --
-    x-vector and modeled metrics alike (each k's metrics still record the
-    shared prefix exchanges in program order).
+    Same statement-to-round mapping as
+    :class:`~repro.core.fractional_unknown.Algorithm3Program`: the δ⁽²⁾
+    prefix occupies exchanges 0-1, each inner iteration its four exchanges
+    (activity flag, a-value, x-value, colour) and each outer iteration its
+    two refresh exchanges.  Two pieces are k-independent and computed once
+    for the whole sweep: the δ⁽²⁾ prefix (replayed into every k's metrics
+    in program order) and the transcendental tables ``γ^{ℓ/(ℓ+1)}`` /
+    ``a^{−m/(m+1)}``, whose (operand, exponent) pairs recur heavily across
+    k.  Every per-k snapshot is bitwise an independent run of the program.
+
+    ``schedule`` and ``traces`` are as for
+    :func:`run_algorithm2_bulk_multi_k`; under a schedule every update is
+    gated by the alive mask of the round that performs it and, like the
+    hardened program, a node whose delivered a⁽¹⁾ stayed at 0 (every
+    witness message lost) skips the x-raise instead of evaluating
+    ``0^(−m/(m+1))``.
 
     Returns ``{k: (x, metrics)}`` for every requested k.
     """
+    k_values = [validate_k(k) for k in k_values]
+    schedule = _NO_FAULTS if schedule is None else schedule
     power_cache: dict[tuple[float, float], float] = {}
-    # The δ⁽²⁾ prefix (line 2) does not depend on k: compute it once and
-    # replay its two exchanges into every k's metrics.
-    delta_one = bulk.closed_max(bulk.degrees)
-    delta_two = bulk.closed_max(delta_one)
+    # Line 2: the δ⁽²⁾ prefix (exchanges 0 and 1).
+    degree_bits = int_payload_bits(bulk.degrees)
+    delta_one = bulk.closed_max(bulk.degrees, edge_mask=schedule.delivered_edges(0))
+    delta_one_bits = int_payload_bits(delta_one)
+    delta_two = bulk.closed_max(delta_one, edge_mask=schedule.delivered_edges(1))
     initial_gamma_two = (delta_two + 1).astype(np.float64)
 
     results: dict[int, tuple[np.ndarray, ExecutionMetrics]] = {}
     for k in k_values:
-        if k < 1:
-            raise ValueError("k must be at least 1")
         x = np.zeros(bulk.n, dtype=np.float64)
         white = np.ones(bulk.n, dtype=bool)
         metrics = BulkMetricsBuilder(bulk.degrees)
-        metrics.record_exchange(int_payload_bits(bulk.degrees))
-        metrics.record_exchange(int_payload_bits(delta_one))
+        metrics.record_exchange(degree_bits, senders=schedule.senders(0))
+        metrics.record_exchange(delta_one_bits, senders=schedule.senders(1))
         gamma_two = initial_gamma_two
         dynamic_degree = bulk.degrees + 1
         recorder = None
         if traces is not None and k in traces:
             recorder = _TraceRecorder(traces[k], bulk)
+        exchange = 2
 
         for ell in range(k - 1, -1, -1):
             if recorder is not None:
@@ -497,56 +533,94 @@ def run_algorithm3_bulk_multi_k(
                     gamma_two=gamma_two,
                 )
             for m in range(k - 1, -1, -1):
-                # Lines 7-9: activity threshold γ⁽²⁾^(ℓ/(ℓ+1)), one exchange.
+                # Lines 7-9: activity threshold γ⁽²⁾^(ℓ/(ℓ+1)), one
+                # exchange.  A dead node's stale flag is never observed:
+                # the delivered mask already excludes it as a sender, and
+                # its own downstream uses are gated.
                 threshold = _unique_powers_cached(
                     gamma_two, ell / (ell + 1), power_cache
                 )
                 active = dynamic_degree >= threshold
-                metrics.record_exchange(BOOL_PAYLOAD_BITS)
+                metrics.record_exchange(
+                    BOOL_PAYLOAD_BITS, senders=schedule.senders(exchange)
+                )
 
                 # Lines 10-11: a(v) = active nodes in N(v); 0 for gray nodes.
-                a_value = np.where(
-                    white, bulk.neighbor_count(active) + active, 0
-                ).astype(np.int64)
+                active_neighbors = bulk.neighbor_count(
+                    active, edge_mask=schedule.delivered_edges(exchange)
+                )
+                a_value = np.where(white, active_neighbors + active, 0).astype(
+                    np.int64
+                )
+                exchange += 1
 
                 # Lines 12-13: exchange a-values, closed-neighbourhood max.
-                metrics.record_exchange(int_payload_bits(a_value))
-                a_one = bulk.closed_max(a_value)
+                metrics.record_exchange(
+                    int_payload_bits(a_value), senders=schedule.senders(exchange)
+                )
+                a_one = bulk.closed_max(
+                    a_value, edge_mask=schedule.delivered_edges(exchange)
+                )
 
-                # Lines 15-17: active nodes raise x to a⁽¹⁾^(−m/(m+1));
-                # a⁽¹⁾ ≥ 1 whenever a node is active, so the power is
-                # well defined.
-                if active.any():
+                # Lines 15-17: active nodes raise x to a⁽¹⁾^(−m/(m+1)).
+                # Fault-free, a⁽¹⁾ ≥ 1 whenever a node is active.
+                raising = _gated(schedule.alive(exchange), active & (a_one >= 1), False)
+                if raising.any():
                     boost = _unique_powers_cached(
-                        a_one[active].astype(np.float64), -m / (m + 1), power_cache
+                        a_one[raising].astype(np.float64), -m / (m + 1), power_cache
                     )
-                    x[active] = np.maximum(x[active], boost)
+                    x[raising] = np.maximum(x[raising], boost)
                 if recorder is not None:
                     recorder.inner(
                         metrics.exchange_count, ell, m, active, x, white,
                         dynamic_degree, a_value=a_value, a_one=a_one,
                     )
+                exchange += 1
 
                 # Line 18: exchange x-values; line 19: colour once covered.
-                metrics.record_exchange(float_payload_bits(x))
-                coverage = x + bulk.neighbor_sum(x)
+                metrics.record_exchange(
+                    float_payload_bits(x), senders=schedule.senders(exchange)
+                )
+                coverage = x + bulk.neighbor_sum(
+                    x, edge_mask=schedule.delivered_edges(exchange)
+                )
                 if recorder is not None:
                     recorder.colored_gray(
                         metrics.exchange_count, ell, m, white & (coverage >= 1.0)
                     )
-                white &= coverage < 1.0
+                white = _gated(schedule.alive(exchange), white & (coverage < 1.0), white)
+                exchange += 1
 
                 # Lines 20-21: exchange colours, recompute dynamic degree.
-                metrics.record_exchange(BOOL_PAYLOAD_BITS)
-                dynamic_degree = bulk.neighbor_count(white) + white
+                metrics.record_exchange(
+                    BOOL_PAYLOAD_BITS, senders=schedule.senders(exchange)
+                )
+                white_neighbors = bulk.neighbor_count(
+                    white, edge_mask=schedule.delivered_edges(exchange)
+                )
+                dynamic_degree = _gated(
+                    schedule.alive(exchange), white_neighbors + white, dynamic_degree
+                )
+                exchange += 1
 
             # Lines 24-27: two exchanges refreshing γ⁽²⁾, floored at 1.
-            metrics.record_exchange(int_payload_bits(dynamic_degree))
-            gamma_one = bulk.closed_max(dynamic_degree)
-            metrics.record_exchange(int_payload_bits(gamma_one))
-            gamma_two = np.maximum(
-                bulk.closed_max(gamma_one).astype(np.float64), 1.0
+            metrics.record_exchange(
+                int_payload_bits(dynamic_degree), senders=schedule.senders(exchange)
             )
+            gamma_one = bulk.closed_max(
+                dynamic_degree, edge_mask=schedule.delivered_edges(exchange)
+            )
+            exchange += 1
+            metrics.record_exchange(
+                int_payload_bits(gamma_one), senders=schedule.senders(exchange)
+            )
+            gamma_two = np.maximum(
+                bulk.closed_max(
+                    gamma_one, edge_mask=schedule.delivered_edges(exchange)
+                ).astype(np.float64),
+                1.0,
+            )
+            exchange += 1
         results[k] = (x, metrics.build(bulk.nodes))
     return results
 
@@ -554,56 +628,6 @@ def run_algorithm3_bulk_multi_k(
 # ---------------------------------------------------------------------- #
 # Algorithm 1 (randomized rounding)                                       #
 # ---------------------------------------------------------------------- #
-
-
-def run_rounding_bulk(
-    bulk: BulkGraph,
-    x: np.ndarray,
-    seed: int | None,
-    multiplier_for: Callable[[int], float],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, ExecutionMetrics]:
-    """Vectorized Algorithm 1 with the simulator's per-node coin streams.
-
-    Parameters
-    ----------
-    bulk:
-        The communication graph.
-    x:
-        Per-node fractional values, indexed like ``bulk.nodes``.
-    seed:
-        Experiment seed; node ``v`` draws from ``Random(f"{seed}:{v}")``
-        exactly as the simulated network does, so both backends flip the
-        same coins.
-    multiplier_for:
-        ``δ⁽²⁾ -> multiplier`` for the join probability (the rounding-rule
-        specific ``ln(δ⁽²⁾+1)`` term).
-
-    Returns
-    -------
-    (in_set, joined_randomly, joined_as_fallback, metrics)
-        Three boolean arrays indexed like ``bulk.nodes`` plus the metrics.
-    """
-    if np.any(np.asarray(x) < 0):
-        # Same rejection Algorithm1Program performs per node.
-        raise ValueError("fractional values must be non-negative")
-    metrics = BulkMetricsBuilder(bulk.degrees)
-
-    # Line 1: δ⁽²⁾ via two exchanges of degree maxima.
-    delta_two = _delta_two(bulk, metrics)
-
-    # Lines 2-3: join with probability min(1, x · multiplier(δ⁽²⁾)).
-    probability = np.minimum(
-        1.0, np.asarray(x, dtype=np.float64) * _unique_map(delta_two, multiplier_for)
-    )
-    joined_randomly = _coin_draws(bulk, seed) < probability
-
-    # Line 4: announce the decision (one exchange).
-    metrics.record_exchange(BOOL_PAYLOAD_BITS)
-
-    # Lines 5-7: nodes with no dominator in their closed neighbourhood join.
-    joined_as_fallback = ~joined_randomly & ~bulk.neighbor_any(joined_randomly)
-    in_set = joined_randomly | joined_as_fallback
-    return in_set, joined_randomly, joined_as_fallback, metrics.build(bulk.nodes)
 
 
 def _coin_draws(bulk: BulkGraph, seed: int | None) -> np.ndarray:
@@ -623,41 +647,73 @@ def run_rounding_bulk_batched(
     x: np.ndarray,
     seeds: Sequence[int | None],
     multiplier_for: Callable[[int], float],
+    schedule=None,
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, ExecutionMetrics]]:
-    """Vectorized Algorithm 1 for many rounding seeds over one x-vector.
+    """Algorithm 1 for a batch of rounding seeds over one x-vector.
 
     The seed-independent work -- the two δ⁽²⁾ exchanges, the join
     probabilities, the per-exchange payload bits -- is computed once; each
-    trial then only redraws its coin column.  Trial ``t`` reproduces
-    ``run_rounding_bulk(bulk, x, seeds[t], multiplier_for)`` exactly: the
-    per-node coins come from the identical ``Random(f"{seed}:{node}")``
-    streams, so the selected sets (and the modeled metrics) match the
-    one-seed runner -- and therefore the message-passing simulator --
-    trial for trial.
+    trial then only redraws its coin column.  Node ``v`` draws from
+    ``Random(f"{seed}:{v}")``, exactly the stream the simulated network
+    hands it, so every trial selects the set the message-passing
+    :class:`~repro.core.rounding.Algorithm1Program` selects, flip for flip.
+
+    Parameters
+    ----------
+    bulk:
+        The communication graph (a :class:`BulkGraph` or a shard slab).
+    x:
+        Per-node fractional values, indexed like ``bulk.nodes``.
+    seeds:
+        One experiment seed per trial.
+    multiplier_for:
+        ``δ⁽²⁾ -> multiplier`` for the join probability (the rounding-rule
+        specific ``ln(δ⁽²⁾+1)`` term).
+    schedule:
+        Optional fault schedule; ``None`` is the null schedule.  The coin
+        is flipped in the round that received δ⁽¹⁾ (so only nodes alive at
+        round 1 can join randomly), and the final membership -- like the
+        program's ``result()`` -- is only produced by nodes alive at round
+        2: a node that joined randomly but crashed before announcing is
+        reported in ``joined_randomly`` yet not in the dominating set,
+        exactly as the simulated execution reports it.
 
     Returns one ``(in_set, joined_randomly, joined_as_fallback, metrics)``
-    tuple per seed, in seed order.
+    tuple per seed, in seed order: three boolean arrays indexed like
+    ``bulk.nodes`` plus the modeled metrics.
     """
     x = np.asarray(x, dtype=np.float64)
     if np.any(x < 0):
+        # Same rejection Algorithm1Program performs per node.
         raise ValueError("fractional values must be non-negative")
+    schedule = _NO_FAULTS if schedule is None else schedule
 
-    # Seed-independent phase: δ⁽²⁾, join probabilities, payload sizes.
+    # Line 1: δ⁽²⁾ via two exchanges of degree maxima; lines 2-3: the join
+    # probability min(1, x · multiplier(δ⁽²⁾)).
     degree_bits = int_payload_bits(bulk.degrees)
-    delta_one = bulk.closed_max(bulk.degrees)
+    delta_one = bulk.closed_max(bulk.degrees, edge_mask=schedule.delivered_edges(0))
     delta_one_bits = int_payload_bits(delta_one)
-    delta_two = bulk.closed_max(delta_one)
+    delta_two = bulk.closed_max(delta_one, edge_mask=schedule.delivered_edges(1))
     probability = np.minimum(1.0, x * _unique_map(delta_two, multiplier_for))
+    flipping, surviving = schedule.alive(1), schedule.alive(2)
+    announced = schedule.delivered_edges(2)
 
     results = []
     for seed in seeds:
-        joined_randomly = _coin_draws(bulk, seed) < probability
-        joined_as_fallback = ~joined_randomly & ~bulk.neighbor_any(joined_randomly)
-        in_set = joined_randomly | joined_as_fallback
+        joined_randomly = _gated(
+            flipping, _coin_draws(bulk, seed) < probability, False
+        )
+        # Line 4 announces the decision; lines 5-7: nodes with no
+        # dominator in their closed neighbourhood join.
+        uncovered = ~joined_randomly & ~bulk.neighbor_any(
+            joined_randomly, edge_mask=announced
+        )
+        joined_as_fallback = _gated(surviving, uncovered, False)
+        in_set = _gated(surviving, joined_randomly | joined_as_fallback, False)
         metrics = BulkMetricsBuilder(bulk.degrees)
-        metrics.record_exchange(degree_bits)
-        metrics.record_exchange(delta_one_bits)
-        metrics.record_exchange(BOOL_PAYLOAD_BITS)
+        metrics.record_exchange(degree_bits, senders=schedule.senders(0))
+        metrics.record_exchange(delta_one_bits, senders=schedule.senders(1))
+        metrics.record_exchange(BOOL_PAYLOAD_BITS, senders=schedule.senders(2))
         results.append(
             (in_set, joined_randomly, joined_as_fallback, metrics.build(bulk.nodes))
         )
@@ -665,274 +721,56 @@ def run_rounding_bulk_batched(
 
 
 # ---------------------------------------------------------------------- #
-# Faulted kernels (masked reductions over a FaultSchedule)                 #
+# Engines                                                                 #
 # ---------------------------------------------------------------------- #
-#
-# Each faulted kernel replays its algorithm's exact exchange sequence, but
-# every neighbourhood reduction is restricted to the schedule's delivered
-# edges and every state update is gated by the round's alive mask, so the
-# arrays evolve exactly as the per-node programs' state does under the
-# :class:`~repro.simulator.fault_schedule.ScheduledFaults` adapter: the
-# same x-vectors, the same colours, bit for bit.  ``schedule`` may be a
-# whole-graph :class:`~repro.simulator.fault_schedule.FaultSchedule` or a
-# per-shard :class:`~repro.simulator.fault_schedule.SlabScheduleView`; the
-# kernels only touch the shared mask interface, so the identical loop body
-# serves the vectorized and sharded backends.
-#
-# The modeled metrics exclude crashed senders exchange by exchange but keep
-# the fault-free round structure (a run whose every node dies early still
-# reports the full exchange count); only the x-vectors, dominating sets and
-# drop counts are exact replicas of the simulated execution.
-
-#: Exchange (= delivery round) counts of the faulted kernels, used to size
-#: the materialized schedules.
-def algorithm2_exchanges(k: int) -> int:
-    """Delivery rounds of Algorithm 2 with locality ``k`` (2k²)."""
-    return 2 * k * k
 
 
-def algorithm3_exchanges(k: int) -> int:
-    """Delivery rounds of Algorithm 3 with locality ``k`` (4k² + 2k + 2)."""
-    return 4 * k * k + 2 * k + 2
+class BulkKernels:
+    """The three kernels bound to one in-process graph.
 
-
-#: Delivery rounds of Algorithm 1 (degree, δ⁽¹⁾, membership).
-ROUNDING_EXCHANGES = 3
-
-
-def run_algorithm2_bulk_faulted(
-    bulk: BulkGraph, k: int, delta: int, schedule
-) -> tuple[np.ndarray, ExecutionMetrics]:
-    """Algorithm 2 under a materialized fault schedule.
-
-    Matches the per-node :class:`~repro.core.fractional.Algorithm2Program`
-    run under ``schedule.fault_model(...)`` bit for bit: iteration
-    ``(ℓ, m)``'s activity check runs in the round that received the
-    previous colour exchange, so it is gated by that round's alive mask
-    (the very first check runs in ``on_start`` and is ungated).
+    The single-process twin of
+    :class:`~repro.simulator.sharded.ShardedDriver`: the same three
+    methods, each taking its kernel's arguments minus the graph, so an
+    entry point picks its engine once (:func:`bulk_engine`) and calls it.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
-    base = delta + 1.0
-    x = np.zeros(bulk.n, dtype=np.float64)
-    white = np.ones(bulk.n, dtype=bool)
-    dynamic_degree = bulk.degrees + 1
-    metrics = BulkMetricsBuilder(bulk.degrees)
-    exchange = 0
-    gate: np.ndarray | None = None  # alive mask of the activity-check round
 
-    for ell in range(k - 1, -1, -1):
-        threshold = base ** (ell / k)
-        for m in range(k - 1, -1, -1):
-            active = dynamic_degree >= threshold
-            if gate is not None:
-                active &= gate
-            boost = 1.0 / base ** (m / k)
-            x = np.where(active, np.maximum(x, boost), x)
+    def __init__(self, bulk: BulkGraph) -> None:
+        self.bulk = bulk
 
-            # Exchange x-values; colour gray once covered.
-            metrics.record_exchange(
-                float_payload_bits(x), senders=schedule.senders(exchange)
-            )
-            coverage = x + bulk.neighbor_sum(
-                x, edge_mask=schedule.delivered_edges(exchange)
-            )
-            white = np.where(
-                schedule.alive(exchange), white & (coverage < 1.0), white
-            )
-            exchange += 1
+    def run_algorithm2_multi_k(self, *args, **kwargs):
+        return run_algorithm2_bulk_multi_k(self.bulk, *args, **kwargs)
 
-            # Exchange colours; recompute the dynamic degree.
-            metrics.record_exchange(
-                BOOL_PAYLOAD_BITS, senders=schedule.senders(exchange)
-            )
-            gate = schedule.alive(exchange)
-            dynamic_degree = np.where(
-                gate,
-                bulk.neighbor_count(
-                    white, edge_mask=schedule.delivered_edges(exchange)
-                )
-                + white,
-                dynamic_degree,
-            )
-            exchange += 1
+    def run_algorithm3_multi_k(self, *args, **kwargs):
+        return run_algorithm3_bulk_multi_k(self.bulk, *args, **kwargs)
 
-    return x, metrics.build(bulk.nodes)
+    def run_rounding_batched(self, *args, **kwargs):
+        return run_rounding_bulk_batched(self.bulk, *args, **kwargs)
 
 
-def run_algorithm3_bulk_faulted(
-    bulk: BulkGraph, k: int, schedule
-) -> tuple[np.ndarray, ExecutionMetrics]:
-    """Algorithm 3 under a materialized fault schedule.
+@contextmanager
+def bulk_engine(
+    bulk: BulkGraph | None,
+    backend: str,
+    shards: int | None = None,
+    executor=None,
+) -> Iterator:
+    """The engine one bulk call (or one multi-phase pipeline) runs on.
 
-    Same statement-to-round mapping as
-    :class:`~repro.core.fractional_unknown.Algorithm3Program`: the δ⁽²⁾
-    prefix occupies exchanges 0-1, each inner iteration its four exchanges
-    (activity flag, a-value, x-value, colour) and each outer iteration its
-    two refresh exchanges, with every update gated by the alive mask of
-    the round that performs it.  Like the hardened program, a node whose
-    delivered a⁽¹⁾ stayed at 0 (every witness message lost) skips the
-    x-raise instead of evaluating ``0^(−m/(m+1))``.
+    Yields ``executor`` unchanged when the caller already holds one (a
+    pipeline's resident shard pool); otherwise a fresh
+    :class:`~repro.simulator.sharded.ShardedDriver` over ``bulk`` for the
+    sharded backend -- closed when the block exits -- or the in-process
+    :class:`BulkKernels`.  The simulated backend never calls the engine.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    power_cache: dict[tuple[float, float], float] = {}
-    x = np.zeros(bulk.n, dtype=np.float64)
-    white = np.ones(bulk.n, dtype=bool)
-    dynamic_degree = bulk.degrees + 1
-    metrics = BulkMetricsBuilder(bulk.degrees)
+    if executor is not None:
+        yield executor
+    elif backend == SHARDED:
+        from repro.simulator.sharded import ShardedDriver
 
-    # δ⁽²⁾ prefix: exchanges 0 and 1.
-    metrics.record_exchange(
-        int_payload_bits(bulk.degrees), senders=schedule.senders(0)
-    )
-    delta_one = bulk.closed_max(
-        bulk.degrees, edge_mask=schedule.delivered_edges(0)
-    )
-    metrics.record_exchange(
-        int_payload_bits(delta_one), senders=schedule.senders(1)
-    )
-    delta_two = bulk.closed_max(delta_one, edge_mask=schedule.delivered_edges(1))
-    gamma_two = (delta_two + 1).astype(np.float64)
-    exchange = 2
-
-    for ell in range(k - 1, -1, -1):
-        for m in range(k - 1, -1, -1):
-            # Activity threshold γ⁽²⁾^(ℓ/(ℓ+1)); flag exchange.  A dead
-            # node's stale flag is never observed: the delivered mask of
-            # this exchange already excludes it as a sender, and its own
-            # downstream uses are gated.
-            threshold = _unique_powers_cached(
-                gamma_two, ell / (ell + 1), power_cache
-            )
-            active = dynamic_degree >= threshold
-            metrics.record_exchange(
-                BOOL_PAYLOAD_BITS, senders=schedule.senders(exchange)
-            )
-            a_value = np.where(
-                white,
-                bulk.neighbor_count(
-                    active, edge_mask=schedule.delivered_edges(exchange)
-                )
-                + active,
-                0,
-            ).astype(np.int64)
-            exchange += 1
-
-            # a-value exchange; active nodes raise x to a⁽¹⁾^(−m/(m+1)).
-            metrics.record_exchange(
-                int_payload_bits(a_value), senders=schedule.senders(exchange)
-            )
-            a_one = bulk.closed_max(
-                a_value, edge_mask=schedule.delivered_edges(exchange)
-            )
-            raising = active & schedule.alive(exchange) & (a_one >= 1)
-            if raising.any():
-                boost = _unique_powers_cached(
-                    a_one[raising].astype(np.float64), -m / (m + 1), power_cache
-                )
-                x[raising] = np.maximum(x[raising], boost)
-            exchange += 1
-
-            # x-value exchange; colour gray once covered.
-            metrics.record_exchange(
-                float_payload_bits(x), senders=schedule.senders(exchange)
-            )
-            coverage = x + bulk.neighbor_sum(
-                x, edge_mask=schedule.delivered_edges(exchange)
-            )
-            white = np.where(
-                schedule.alive(exchange), white & (coverage < 1.0), white
-            )
-            exchange += 1
-
-            # Colour exchange; recompute the dynamic degree.
-            metrics.record_exchange(
-                BOOL_PAYLOAD_BITS, senders=schedule.senders(exchange)
-            )
-            dynamic_degree = np.where(
-                schedule.alive(exchange),
-                bulk.neighbor_count(
-                    white, edge_mask=schedule.delivered_edges(exchange)
-                )
-                + white,
-                dynamic_degree,
-            )
-            exchange += 1
-
-        # Two exchanges refreshing γ⁽²⁾, floored at 1.
-        metrics.record_exchange(
-            int_payload_bits(dynamic_degree), senders=schedule.senders(exchange)
-        )
-        gamma_one = bulk.closed_max(
-            dynamic_degree, edge_mask=schedule.delivered_edges(exchange)
-        )
-        exchange += 1
-        metrics.record_exchange(
-            int_payload_bits(gamma_one), senders=schedule.senders(exchange)
-        )
-        gamma_two = np.maximum(
-            bulk.closed_max(
-                gamma_one, edge_mask=schedule.delivered_edges(exchange)
-            ).astype(np.float64),
-            1.0,
-        )
-        exchange += 1
-
-    return x, metrics.build(bulk.nodes)
-
-
-def run_rounding_bulk_faulted(
-    bulk: BulkGraph,
-    x: np.ndarray,
-    seed: int | None,
-    multiplier_for: Callable[[int], float],
-    schedule,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, ExecutionMetrics]:
-    """Algorithm 1 under a materialized fault schedule.
-
-    The coin is flipped in the round that received δ⁽¹⁾ (so only nodes
-    alive at round 1 can join randomly), and the final membership -- like
-    the program's ``result()`` -- is only produced by nodes alive at
-    round 2: a node that joined randomly but crashed before announcing is
-    reported in ``joined_randomly`` yet not in the dominating set, exactly
-    as the simulated execution reports it.
-    """
-    if np.any(np.asarray(x) < 0):
-        raise ValueError("fractional values must be non-negative")
-    metrics = BulkMetricsBuilder(bulk.degrees)
-
-    metrics.record_exchange(
-        int_payload_bits(bulk.degrees), senders=schedule.senders(0)
-    )
-    delta_one = bulk.closed_max(
-        bulk.degrees, edge_mask=schedule.delivered_edges(0)
-    )
-    metrics.record_exchange(
-        int_payload_bits(delta_one), senders=schedule.senders(1)
-    )
-    delta_two = bulk.closed_max(delta_one, edge_mask=schedule.delivered_edges(1))
-
-    probability = np.minimum(
-        1.0, np.asarray(x, dtype=np.float64) * _unique_map(delta_two, multiplier_for)
-    )
-    joined_randomly = (_coin_draws(bulk, seed) < probability) & schedule.alive(1)
-
-    metrics.record_exchange(
-        BOOL_PAYLOAD_BITS, senders=schedule.senders(2)
-    )
-    surviving = schedule.alive(2)
-    joined_as_fallback = (
-        surviving
-        & ~joined_randomly
-        & ~bulk.neighbor_any(
-            joined_randomly, edge_mask=schedule.delivered_edges(2)
-        )
-    )
-    in_set = (joined_randomly | joined_as_fallback) & surviving
-    return in_set, joined_randomly, joined_as_fallback, metrics.build(bulk.nodes)
+        with ShardedDriver(bulk, shards) as driver:
+            yield driver
+    else:
+        yield BulkKernels(bulk)
 
 
 def x_array_from_mapping(bulk: BulkGraph, x: Mapping[Hashable, float]) -> np.ndarray:

@@ -24,7 +24,7 @@ from typing import Hashable, Mapping
 import networkx as nx
 import numpy as np
 
-from repro.core.fractional import GRAY, WHITE, _sharded_driver
+from repro.core.fractional import GRAY, WHITE, _traces_for
 from repro.core.rounding import RoundingResult, RoundingRule, round_fractional_solution
 from repro.core.vectorized import (
     BACKENDS,
@@ -32,9 +32,10 @@ from repro.core.vectorized import (
     SIMULATED,
     VECTORIZED,
     CapabilityError,
+    bulk_engine,
     resolve_bulk_input,
-    run_weighted_algorithm2_bulk,
     validate_backend,
+    validate_k,
 )
 from repro.domset.validation import is_dominating_set
 from repro.domset.weighted import validate_weights, weighted_cost
@@ -101,8 +102,7 @@ class WeightedAlgorithm2Program(GeneratorNodeProgram):
 
     def __init__(self, k: int, delta: int, cost: float, c_max: float) -> None:
         super().__init__()
-        if k < 1:
-            raise ValueError("k must be at least 1")
+        k = validate_k(k)
         if cost < 1.0 or cost > c_max:
             raise ValueError("cost must lie in [1, c_max]")
         self.k = k
@@ -224,15 +224,14 @@ def approximate_weighted_fractional_mds(
     _bulk = resolve_bulk_input(graph, backend, _bulk)
     if _bulk is not graph:
         validate_simple_graph(graph)
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    k = validate_k(k)
     node_ids = _bulk.nodes if _bulk is graph else tuple(graph.nodes())
     c_max = float(max(weights[node] for node in node_ids))
     validate_weights(graph, weights, c_max=c_max)
     delta = max_degree(graph)
 
-    if backend == SHARDED:
-        if collect_trace:
+    if backend != SIMULATED:
+        if collect_trace and backend == SHARDED:
             raise CapabilityError(
                 "weighted-kuhn-wattenhofer",
                 "collect_trace",
@@ -243,36 +242,12 @@ def approximate_weighted_fractional_mds(
         costs = np.array(
             [float(weights[node]) for node in bulk.nodes], dtype=np.float64
         )
-        driver, owns = _sharded_driver(bulk, shards, _executor)
-        try:
-            values, metrics = driver.run_weighted_algorithm2(
-                k=k, delta=delta, costs=costs, c_max=c_max
-            )
-        finally:
-            if owns:
-                driver.close()
-        x = dict(zip(bulk.nodes, values.tolist()))
-        return WeightedFractionalResult(
-            x=x,
-            objective=float(sum(weights[node] * x[node] for node in x)),
-            unweighted_objective=float(sum(x.values())),
-            rounds=metrics.round_count,
-            metrics=metrics,
-            k=k,
-            max_degree=delta,
-            c_max=c_max,
-        )
-
-    if backend == VECTORIZED:
-        bulk = _bulk if _bulk is not None else BulkGraph.from_graph(graph)
-        costs = np.array(
-            [float(weights[node]) for node in bulk.nodes], dtype=np.float64
-        )
         trace = ColumnarTrace() if collect_trace else None
-        values, metrics = run_weighted_algorithm2_bulk(
-            bulk, k=k, delta=delta, costs=costs, c_max=c_max, trace=trace
-        )
-        x = {node: float(value) for node, value in zip(bulk.nodes, values)}
+        with bulk_engine(bulk, backend, shards, _executor) as engine:
+            values, metrics = engine.run_algorithm2_multi_k(
+                (k,), delta, costs=costs, c_max=c_max, traces=_traces_for(k, trace)
+            )[k]
+        x = dict(zip(bulk.nodes, values.tolist()))
         return WeightedFractionalResult(
             x=x,
             # The same sorted-order Python float sums the simulated path
@@ -398,12 +373,7 @@ def weighted_kuhn_wattenhofer_dominating_set(
         # One CSR build serves both phases.
         _bulk = BulkGraph.from_graph(graph)
     # As in the unweighted pipeline, one shard pool serves both phases.
-    executor = None
-    try:
-        if backend == SHARDED:
-            from repro.simulator.sharded import ShardedDriver
-
-            executor = ShardedDriver(_bulk, shards)
+    with bulk_engine(_bulk, backend, shards) as executor:
         fractional = approximate_weighted_fractional_mds(
             graph,
             weights,
@@ -424,9 +394,6 @@ def weighted_kuhn_wattenhofer_dominating_set(
             _bulk=_bulk,
             _executor=executor,
         )
-    finally:
-        if executor is not None:
-            executor.close()
     if not is_dominating_set(graph, rounding.dominating_set):
         raise RuntimeError(
             "weighted pipeline produced a non-dominating set; "

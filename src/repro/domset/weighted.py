@@ -9,6 +9,7 @@ the weighted LP optimum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping
 
@@ -22,7 +23,7 @@ from repro.lp.solver import solve_weighted_fractional_mds
 def validate_weights(
     graph: nx.Graph, weights: Mapping[Hashable, float], c_max: float | None = None
 ) -> None:
-    """Check that every node has a cost in [1, c_max].
+    """Check that every node has a finite cost in [1, c_max].
 
     The paper's weighted remark normalises costs to lie between 1 and
     c_max; enforcing that keeps the approximation formula
@@ -33,6 +34,8 @@ def validate_weights(
     if missing:
         raise ValueError(f"weights missing for nodes: {missing[:5]}")
     for node, cost in weights.items():
+        if not math.isfinite(cost):
+            raise ValueError(f"node {node!r} has non-finite cost {cost}")
         if cost < 1.0:
             raise ValueError(f"node {node!r} has cost {cost} < 1")
         if c_max is not None and cost > c_max:

@@ -58,6 +58,7 @@ from repro.core.rounding import (
     round_fractional_solution,
     solution_feasibility,
 )
+from repro.core.vectorized import bulk_engine
 from repro.domset.validation import is_dominating_set
 from repro.graphs.utils import max_degree
 from repro.simulator.bulk import BulkGraph
@@ -180,12 +181,7 @@ def _coalesced_pipeline_reports(
         if variant is FractionalVariant.KNOWN_DELTA
         else approximate_fractional_mds_unknown_delta_multi_k
     )
-    executor = None
-    try:
-        if backend == SHARDED:
-            from repro.simulator.sharded import ShardedDriver
-
-            executor = ShardedDriver(bulk, shards)
+    with bulk_engine(bulk, backend, shards) as executor:
         fractional_by_k = multi_k(
             graph,
             k_values,
@@ -233,9 +229,6 @@ def _coalesced_pipeline_reports(
                 max_degree=delta,
                 repair=None,
             )
-    finally:
-        if executor is not None:
-            executor.close()
     elapsed = time.perf_counter() - started
 
     reports = []

@@ -146,7 +146,7 @@ class FaultSchedule:
     """Materialized per-round fault masks for one graph (CSR-aligned).
 
     The schedule doubles as the whole-graph *schedule view* consumed by the
-    faulted vectorized kernels; :meth:`slab_view` produces the equivalent
+    vectorized kernels; :meth:`slab_view` produces the equivalent
     view for one shard's slab.
     """
 
@@ -312,7 +312,7 @@ class FaultSchedule:
 class SlabScheduleView:
     """One shard's slice of a :class:`FaultSchedule`.
 
-    Exposes the same mask interface the faulted kernels consume, with node
+    Exposes the same mask interface the bulk kernels consume, with node
     masks over the shard's owned vertices and edge masks over its slab
     positions -- every slab entry keeps its global CSR decision, so
     per-shard reductions stay bitwise equal to the whole-graph ones.

@@ -29,23 +29,27 @@ Equivalence with the single-process vectorized backend is engineered to be
   integer sums (messages, bits) and maxima (message size), producing the
   identical :class:`~repro.simulator.metrics.ExecutionMetrics`.
 
-The kernels in :mod:`repro.core.vectorized` run **unchanged** on each
-slab: :class:`ShardSlab` exposes the operator subset they use (``n``,
-``nodes``, ``degrees``, ``neighbor_sum``, ``neighbor_count``,
-``closed_max``, ``neighbor_any``) with the exchange embedded inside each
-operator.  Their control flow is driven only by global parameters (k, Δ)
--- the one data-dependent branch (Algorithm 3's ``active.any()`` boost)
-contains no exchange -- so all shards execute the same superstep sequence
-in lockstep, including shards that own zero vertices.
+The three kernels in :mod:`repro.core.vectorized` (one per algorithm)
+run **unchanged** on each slab: :class:`ShardSlab` exposes the operator
+subset they use (``n``, ``nodes``, ``degrees``, ``neighbor_sum``,
+``neighbor_count``, ``closed_max``, ``neighbor_any``) with the exchange
+embedded inside each operator.  Their control flow is driven only by
+global parameters (k, Δ) -- the one data-dependent branch (Algorithm 3's
+``raising.any()`` boost) contains no exchange -- so all shards execute the
+same superstep sequence in lockstep, including shards that own zero
+vertices.  :class:`ShardedDriver` has one method and one worker command
+per kernel, with the kernel's signature minus the graph.
 
-**Fault injection** rides the same machinery: the faulted kernels take a
-schedule view alongside the slab, and each worker re-materializes the
+**Fault injection** rides the same machinery: a command carries its fault
+schedule as small picklable pieces, and each worker re-materializes the
 identical :class:`~repro.simulator.fault_schedule.FaultSchedule` from the
 spec (the masks are pure functions of the seed) against the shared global
 CSR, then slices it to its slab with
 :meth:`~repro.simulator.fault_schedule.FaultSchedule.slab_view`.  Every
 slab entry keeps its global CSR position's mask decision, so the sharded
-result stays bitwise equal to the vectorized and simulated backends.
+result stays bitwise equal to the vectorized and simulated backends.  A
+fault-free command carries no schedule and the kernel runs its null
+schedule.
 
 **Crash tolerance**: the driver heartbeats its workers while collecting
 replies.  A dead worker aborts the superstep barrier (releasing its
@@ -70,8 +74,15 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
+from repro.core.vectorized import (
+    BulkKernels,
+    run_algorithm2_bulk_multi_k,
+    run_algorithm3_bulk_multi_k,
+    run_rounding_bulk_batched,
+    validate_k,
+)
 from repro.simulator.bulk import BulkGraph
-from repro.simulator.fault_schedule import FaultSchedule, FaultSpec
+from repro.simulator.fault_schedule import FaultSchedule
 from repro.simulator.metrics import ExecutionMetrics, RoundMetrics
 
 #: Fibonacci multiplicative-hash constants for the vertex -> shard map.
@@ -342,31 +353,21 @@ class ShardSlab:
 # ---------------------------------------------------------------------- #
 
 
-def _rounding_multiplier_for(rule_value: str) -> Callable[[int], float]:
-    # Imported lazily: repro.core.rounding dispatches back into this module.
-    from repro.core.rounding import RoundingRule, rounding_multiplier
-
-    rule = RoundingRule(rule_value)
-    return lambda delta_two: rounding_multiplier(delta_two, rule)
-
-
 def _slab_schedule_view(
-    slab: ShardSlab,
-    indptr: np.ndarray,
-    col: np.ndarray,
-    spec: FaultSpec,
-    salt: int,
-    rounds: int,
-    already_dead: np.ndarray | None,
+    slab: ShardSlab, indptr: np.ndarray, col: np.ndarray, pieces: tuple | None
 ):
     """Re-materialize the driver's fault schedule, sliced to this slab.
 
-    The masks are pure functions of ``(seed, salt, round)`` over the
-    global CSR, so rebuilding from the small picklable pieces (spec, salt,
-    rounds, prior-phase deaths) against the shared-memory CSR yields a
-    schedule identical to the driver's, and ``slab_view`` hands the
-    kernel exactly the global decisions for this shard's entries.
+    ``pieces`` are the schedule's small picklable parts (spec, salt,
+    rounds, prior-phase deaths; ``None`` for a fault-free command).  The
+    masks are pure functions of ``(seed, salt, round)`` over the global
+    CSR, so rebuilding them against the shared-memory CSR yields a
+    schedule identical to the driver's, and ``slab_view`` hands the kernel
+    exactly the global decisions for this shard's entries.
     """
+    if pieces is None:
+        return None
+    spec, salt, rounds, already_dead = pieces
     schedule = FaultSchedule(
         spec=spec,
         indptr=indptr,
@@ -381,48 +382,38 @@ def _slab_schedule_view(
 def _execute_command(
     slab: ShardSlab, command: tuple, indptr: np.ndarray, col: np.ndarray
 ):
-    """Run one driver command on this shard's slab (unmodified kernels)."""
-    from repro.core import vectorized
+    """Run one driver command on this shard's slab (unmodified kernels).
 
+    Each algorithm command carries its kernel's arguments minus the graph
+    (the schedule as its picklable pieces); vectors too large for a pipe
+    -- per-node costs, the x-vector to round -- arrive via the mailbox.
+    """
     op = command[0]
     if op == "alg2":
-        _, k_values, delta = command
-        return vectorized.run_algorithm2_bulk_multi_k(slab, k_values, delta=delta)
+        _, k_values, delta, weighted, c_max, pieces = command
+        costs = slab.read_mail_owned() if weighted else None
+        return run_algorithm2_bulk_multi_k(
+            slab,
+            k_values,
+            delta,
+            costs=costs,
+            c_max=c_max,
+            schedule=_slab_schedule_view(slab, indptr, col, pieces),
+        )
     if op == "alg3":
-        _, k_values = command
-        return vectorized.run_algorithm3_bulk_multi_k(slab, k_values)
-    if op == "weighted":
-        _, k, delta, c_max = command
-        costs = slab.read_mail_owned()
-        return vectorized.run_weighted_algorithm2_bulk(
-            slab, k=k, delta=delta, costs=costs, c_max=c_max
+        _, k_values, pieces = command
+        return run_algorithm3_bulk_multi_k(
+            slab, k_values, schedule=_slab_schedule_view(slab, indptr, col, pieces)
         )
     if op == "rounding":
-        _, seeds, rule_value = command
+        _, seeds, multiplier_for, pieces = command
         x = slab.read_mail_owned()
-        return vectorized.run_rounding_bulk_batched(
-            slab, x, seeds, _rounding_multiplier_for(rule_value)
-        )
-    if op == "alg2_faulted":
-        _, k, delta, spec, salt, rounds, already_dead = command
-        view = _slab_schedule_view(
-            slab, indptr, col, spec, salt, rounds, already_dead
-        )
-        return vectorized.run_algorithm2_bulk_faulted(slab, k, delta, view)
-    if op == "alg3_faulted":
-        _, k, spec, salt, rounds, already_dead = command
-        view = _slab_schedule_view(
-            slab, indptr, col, spec, salt, rounds, already_dead
-        )
-        return vectorized.run_algorithm3_bulk_faulted(slab, k, view)
-    if op == "rounding_faulted":
-        _, seed, rule_value, spec, salt, rounds, already_dead = command
-        view = _slab_schedule_view(
-            slab, indptr, col, spec, salt, rounds, already_dead
-        )
-        x = slab.read_mail_owned()
-        return vectorized.run_rounding_bulk_faulted(
-            slab, x, seed, _rounding_multiplier_for(rule_value), view
+        return run_rounding_bulk_batched(
+            slab,
+            x,
+            seeds,
+            multiplier_for,
+            schedule=_slab_schedule_view(slab, indptr, col, pieces),
         )
     if op == "rss":
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
@@ -505,6 +496,20 @@ def _merge_metrics(parts: Sequence[ExecutionMetrics]) -> ExecutionMetrics:
         merged.messages_per_node.update(part.messages_per_node)
         merged.bits_per_node.update(part.bits_per_node)
     return merged
+
+
+def _schedule_pieces(schedule: FaultSchedule | None) -> tuple | None:
+    """A schedule's picklable parts, rebuilt by :func:`_slab_schedule_view`."""
+    if schedule is None:
+        return None
+    return (schedule.spec, schedule.salt, schedule.rounds, schedule.already_dead)
+
+
+def _reject_traces(traces) -> None:
+    if traces:
+        raise ValueError(
+            "the sharded engine records no traces; use the vectorized backend"
+        )
 
 
 class ShardDegradationWarning(RuntimeWarning):
@@ -865,174 +870,96 @@ class ShardedDriver:
     # ------------------------------------------------------------------ #
     # Superstep programs                                                  #
     # ------------------------------------------------------------------ #
+    #
+    # One method per kernel of :mod:`repro.core.vectorized`, taking its
+    # arguments minus the graph.  Workers re-materialize a fault schedule
+    # from its small picklable pieces against the shared CSR, so the full
+    # per-round masks never cross the pipes.  After degradation each
+    # method runs its kernel on the whole graph in the parent.
 
-    def _run_multi_k(
-        self, command: tuple, k_values: Sequence[int]
-    ) -> dict[int, tuple[np.ndarray, ExecutionMetrics]] | None:
-        per_shard = self._request(command)
-        if per_shard is None:
-            return None
-        results: dict[int, tuple[np.ndarray, ExecutionMetrics]] = {}
-        for k in k_values:
-            values = self._gather(
-                [snapshots[k][0] for snapshots in per_shard], np.float64
+    def _snapshots(
+        self, replies: list, k_values: Sequence[int]
+    ) -> dict[int, tuple[np.ndarray, ExecutionMetrics]]:
+        """Merge per-shard ``{k: (x, metrics)}`` replies into global ones."""
+        return {
+            k: (
+                self._gather([reply[k][0] for reply in replies], np.float64),
+                _merge_metrics([reply[k][1] for reply in replies]),
             )
-            metrics = _merge_metrics([snapshots[k][1] for snapshots in per_shard])
-            results[k] = (values, metrics)
-        return results
+            for k in k_values
+        }
 
     def run_algorithm2_multi_k(
-        self, k_values: Sequence[int], delta: int
+        self,
+        k_values: Sequence[int],
+        delta: int,
+        costs: np.ndarray | None = None,
+        c_max: float = 1.0,
+        schedule: FaultSchedule | None = None,
+        traces=None,
     ) -> dict[int, tuple[np.ndarray, ExecutionMetrics]]:
-        """Algorithm 2 (Δ known) as sharded supersteps, one pass per k sweep."""
-        from repro.core import vectorized
-
-        k_values = tuple(k_values)
-        results = self._run_multi_k(("alg2", k_values, delta), k_values)
-        if results is None:
-            results = vectorized.run_algorithm2_bulk_multi_k(
-                self._bulk, k_values, delta=delta
+        """Algorithm 2 as sharded supersteps; per-node costs ride the mailbox."""
+        _reject_traces(traces)
+        k_values = tuple(validate_k(k) for k in k_values)
+        if costs is not None:
+            costs = np.asarray(costs, dtype=np.float64)
+        command = (
+            "alg2", k_values, delta, costs is not None, float(c_max),
+            _schedule_pieces(schedule),
+        )
+        replies = self._request(command, mail_payload=costs)
+        if replies is None:
+            return BulkKernels(self._bulk).run_algorithm2_multi_k(
+                k_values, delta, costs=costs, c_max=c_max, schedule=schedule
             )
-        return results
+        return self._snapshots(replies, k_values)
 
     def run_algorithm3_multi_k(
-        self, k_values: Sequence[int]
+        self,
+        k_values: Sequence[int],
+        schedule: FaultSchedule | None = None,
+        traces=None,
     ) -> dict[int, tuple[np.ndarray, ExecutionMetrics]]:
         """Algorithm 3 (Δ unknown) as sharded supersteps."""
-        from repro.core import vectorized
-
-        k_values = tuple(k_values)
-        results = self._run_multi_k(("alg3", k_values), k_values)
-        if results is None:
-            results = vectorized.run_algorithm3_bulk_multi_k(self._bulk, k_values)
-        return results
-
-    def run_weighted_algorithm2(
-        self, k: int, delta: int, costs: np.ndarray, c_max: float
-    ) -> tuple[np.ndarray, ExecutionMetrics]:
-        """Weighted Algorithm 2; per-node costs travel via the mailbox."""
-        if self._mail is None:
-            raise RuntimeError("ShardedDriver is closed")
-        costs = np.asarray(costs, dtype=np.float64)
-        per_shard = self._request(
-            ("weighted", k, delta, float(c_max)), mail_payload=costs
-        )
-        if per_shard is None:
-            from repro.core import vectorized
-
-            return vectorized.run_weighted_algorithm2_bulk(
-                self._bulk, k=k, delta=delta, costs=costs, c_max=c_max
+        _reject_traces(traces)
+        k_values = tuple(validate_k(k) for k in k_values)
+        replies = self._request(("alg3", k_values, _schedule_pieces(schedule)))
+        if replies is None:
+            return BulkKernels(self._bulk).run_algorithm3_multi_k(
+                k_values, schedule=schedule
             )
-        values = self._gather([entry[0] for entry in per_shard], np.float64)
-        metrics = _merge_metrics([entry[1] for entry in per_shard])
-        return values, metrics
+        return self._snapshots(replies, k_values)
 
     def run_rounding_batched(
-        self, x: np.ndarray, seeds: Sequence[int | None], rule_value: str
-    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, ExecutionMetrics]]:
-        """Algorithm 1 for many seeds over one x-vector (mailbox-published)."""
-        if self._mail is None:
-            raise RuntimeError("ShardedDriver is closed")
-        x = np.asarray(x, dtype=np.float64)
-        seeds = tuple(seeds)
-        per_shard = self._request(("rounding", seeds, rule_value), mail_payload=x)
-        if per_shard is None:
-            from repro.core import vectorized
-
-            return vectorized.run_rounding_bulk_batched(
-                self._bulk, x, seeds, _rounding_multiplier_for(rule_value)
-            )
-        results = []
-        for trial in range(len(seeds)):
-            in_set = self._gather(
-                [batch[trial][0] for batch in per_shard], np.bool_
-            )
-            joined_randomly = self._gather(
-                [batch[trial][1] for batch in per_shard], np.bool_
-            )
-            joined_as_fallback = self._gather(
-                [batch[trial][2] for batch in per_shard], np.bool_
-            )
-            metrics = _merge_metrics([batch[trial][3] for batch in per_shard])
-            results.append((in_set, joined_randomly, joined_as_fallback, metrics))
-        return results
-
-    # ------------------------------------------------------------------ #
-    # Faulted superstep programs                                          #
-    # ------------------------------------------------------------------ #
-    #
-    # Workers re-materialize the schedule from its small picklable pieces
-    # (spec, salt, rounds, prior-phase deaths) against the shared CSR, so
-    # the full per-round masks never cross the pipes.
-
-    @staticmethod
-    def _schedule_pieces(schedule: FaultSchedule) -> tuple:
-        return (
-            schedule.spec,
-            schedule.salt,
-            schedule.rounds,
-            schedule.already_dead,
-        )
-
-    def run_algorithm2_faulted(
-        self, k: int, delta: int, schedule: FaultSchedule
-    ) -> tuple[np.ndarray, ExecutionMetrics]:
-        """Algorithm 2 under a fault schedule, sharded (bitwise = vectorized)."""
-        command = ("alg2_faulted", int(k), int(delta), *self._schedule_pieces(schedule))
-        per_shard = self._request(command)
-        if per_shard is None:
-            from repro.core import vectorized
-
-            return vectorized.run_algorithm2_bulk_faulted(
-                self._bulk, k, delta, schedule
-            )
-        values = self._gather([entry[0] for entry in per_shard], np.float64)
-        return values, _merge_metrics([entry[1] for entry in per_shard])
-
-    def run_algorithm3_faulted(
-        self, k: int, schedule: FaultSchedule
-    ) -> tuple[np.ndarray, ExecutionMetrics]:
-        """Algorithm 3 under a fault schedule, sharded (bitwise = vectorized)."""
-        command = ("alg3_faulted", int(k), *self._schedule_pieces(schedule))
-        per_shard = self._request(command)
-        if per_shard is None:
-            from repro.core import vectorized
-
-            return vectorized.run_algorithm3_bulk_faulted(self._bulk, k, schedule)
-        values = self._gather([entry[0] for entry in per_shard], np.float64)
-        return values, _merge_metrics([entry[1] for entry in per_shard])
-
-    def run_rounding_faulted(
         self,
         x: np.ndarray,
-        seed: int | None,
-        rule_value: str,
-        schedule: FaultSchedule,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, ExecutionMetrics]:
-        """Algorithm 1 under a fault schedule (x published via the mailbox)."""
-        if self._mail is None:
-            raise RuntimeError("ShardedDriver is closed")
-        x = np.asarray(x, dtype=np.float64)
-        command = (
-            "rounding_faulted",
-            seed,
-            rule_value,
-            *self._schedule_pieces(schedule),
-        )
-        per_shard = self._request(command, mail_payload=x)
-        if per_shard is None:
-            from repro.core import vectorized
+        seeds: Sequence[int | None],
+        multiplier_for: Callable[[int], float],
+        schedule: FaultSchedule | None = None,
+    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, ExecutionMetrics]]:
+        """Algorithm 1 for many seeds over one x-vector (mailbox-published).
 
-            return vectorized.run_rounding_bulk_faulted(
-                self._bulk, x, seed, _rounding_multiplier_for(rule_value), schedule
+        ``multiplier_for`` crosses the worker pipes, so it must pickle (a
+        :func:`functools.partial` of a module-level function does).
+        """
+        x = np.asarray(x, dtype=np.float64)
+        seeds = tuple(seeds)
+        command = ("rounding", seeds, multiplier_for, _schedule_pieces(schedule))
+        replies = self._request(command, mail_payload=x)
+        if replies is None:
+            return BulkKernels(self._bulk).run_rounding_batched(
+                x, seeds, multiplier_for, schedule=schedule
             )
-        in_set = self._gather([entry[0] for entry in per_shard], np.bool_)
-        joined_randomly = self._gather([entry[1] for entry in per_shard], np.bool_)
-        joined_as_fallback = self._gather(
-            [entry[2] for entry in per_shard], np.bool_
-        )
-        metrics = _merge_metrics([entry[3] for entry in per_shard])
-        return in_set, joined_randomly, joined_as_fallback, metrics
+        return [
+            (
+                *(
+                    self._gather([reply[trial][column] for reply in replies], np.bool_)
+                    for column in range(3)
+                ),
+                _merge_metrics([reply[trial][3] for reply in replies]),
+            )
+            for trial in range(len(seeds))
+        ]
 
     def peak_rss_bytes(self) -> list[int]:
         """Per-shard worker peak RSS in bytes (``ru_maxrss``), shard order.

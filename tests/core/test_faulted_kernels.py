@@ -37,9 +37,9 @@ from repro.core.vectorized import (
     CapabilityError,
     algorithm2_exchanges,
     algorithm3_exchanges,
-    run_algorithm2_bulk_faulted,
-    run_algorithm3_bulk_faulted,
-    run_rounding_bulk_faulted,
+    run_algorithm2_bulk_multi_k,
+    run_algorithm3_bulk_multi_k,
+    run_rounding_bulk_batched,
 )
 from repro.domset.validation import is_dominating_set
 from repro.simulator.bulk import BulkGraph
@@ -85,7 +85,9 @@ class TestKernelParityWithSimulator:
             max_rounds=exchanges + 8,
         ).run()
         simulated_x = np.array([network.program(n).x for n in bulk.nodes])
-        kernel_x, _ = run_algorithm2_bulk_faulted(bulk, k, delta, schedule)
+        kernel_x, _ = run_algorithm2_bulk_multi_k(
+            bulk, (k,), delta, schedule=schedule
+        )[k]
         assert np.array_equal(simulated_x, kernel_x)
         assert execution.drops == schedule.drops_dict(exchanges)
 
@@ -102,7 +104,7 @@ class TestKernelParityWithSimulator:
             max_rounds=exchanges + 10,
         ).run()
         simulated_x = np.array([network.program(n).x for n in bulk.nodes])
-        kernel_x, _ = run_algorithm3_bulk_faulted(bulk, k, schedule)
+        kernel_x, _ = run_algorithm3_bulk_multi_k(bulk, (k,), schedule=schedule)[k]
         assert np.array_equal(simulated_x, kernel_x)
         assert execution.drops == schedule.drops_dict(exchanges)
 
@@ -125,10 +127,10 @@ class TestKernelParityWithSimulator:
         simulated_set = frozenset(
             node for node, joined in execution.results.items() if joined
         )
-        in_set, randomly, fallback, _ = run_rounding_bulk_faulted(
+        [(in_set, randomly, fallback, _)] = run_rounding_bulk_batched(
             bulk,
             np.array([x_map[n] for n in bulk.nodes]),
-            seed=42,
+            seeds=[42],
             multiplier_for=lambda d2: rounding_multiplier(d2, RoundingRule.LOG),
             schedule=schedule,
         )
@@ -239,14 +241,18 @@ class TestFaultedPipeline:
         assert raw.repair is None
         assert raw.dominating_set == raw.rounding.dominating_set
 
-    def test_faultfree_spec_changes_nothing(self, graph):
+    @pytest.mark.parametrize("variant", list(FractionalVariant))
+    @pytest.mark.parametrize("backend", ["vectorized", "sharded"])
+    def test_faultfree_spec_changes_nothing(self, graph, variant, backend):
         """A zero-probability spec must reproduce the fault-free pipeline."""
         baseline = kuhn_wattenhofer_dominating_set(
-            graph, k=2, seed=5, backend="vectorized"
+            graph, k=2, seed=5, variant=variant, backend=backend
         )
         faulted = kuhn_wattenhofer_dominating_set(
-            graph, k=2, seed=5, backend="vectorized", faults=FaultSpec()
+            graph, k=2, seed=5, variant=variant, backend=backend, faults=FaultSpec()
         )
         assert faulted.dominating_set == baseline.dominating_set
         assert faulted.fractional.x == baseline.fractional.x
+        assert faulted.fractional.metrics == baseline.fractional.metrics
+        assert faulted.rounding.metrics == baseline.rounding.metrics
         assert faulted.repair is not None and not faulted.repair.was_degraded

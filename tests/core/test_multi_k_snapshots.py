@@ -7,17 +7,14 @@ Two contracts are pinned here:
    algorithm on either backend (the shared transcendental tables and the
    shared δ⁽²⁾ prefix cannot drift a single ULP).
 2. **Single execution** -- the tradeoff/pipeline/fractional sweeps evaluate
-   all k values of an instance from *one* engine invocation: the per-k
-   engines are never entered, and the multi-k engine runs exactly once per
-   instance.
+   all k values of an instance from *one* engine invocation: the
+   algorithm's kernel runs exactly once per instance.
 """
 
 from __future__ import annotations
 
 import pytest
 
-import repro.core.fractional as fractional_module
-import repro.core.fractional_unknown as fractional_unknown_module
 import repro.core.vectorized as vectorized_module
 from repro.analysis.experiment import (
     as_instances,
@@ -115,22 +112,12 @@ class CallCounter:
 
 @pytest.fixture
 def engine_counters(monkeypatch):
-    """Count per-k engine entries and multi-k engine invocations."""
-    single2 = CallCounter(vectorized_module.run_algorithm2_bulk)
-    single3 = CallCounter(vectorized_module.run_algorithm3_bulk)
+    """Count Algorithm 2 / Algorithm 3 kernel invocations."""
     multi2 = CallCounter(vectorized_module.run_algorithm2_bulk_multi_k)
     multi3 = CallCounter(vectorized_module.run_algorithm3_bulk_multi_k)
-    monkeypatch.setattr(vectorized_module, "run_algorithm2_bulk", single2)
-    monkeypatch.setattr(vectorized_module, "run_algorithm3_bulk", single3)
-    monkeypatch.setattr(fractional_module, "run_algorithm2_bulk", single2)
-    monkeypatch.setattr(fractional_unknown_module, "run_algorithm3_bulk", single3)
-    monkeypatch.setattr(
-        fractional_module, "run_algorithm2_bulk_multi_k", multi2
-    )
-    monkeypatch.setattr(
-        fractional_unknown_module, "run_algorithm3_bulk_multi_k", multi3
-    )
-    return {"single": (single2, single3), "multi": (multi2, multi3)}
+    monkeypatch.setattr(vectorized_module, "run_algorithm2_bulk_multi_k", multi2)
+    monkeypatch.setattr(vectorized_module, "run_algorithm3_bulk_multi_k", multi3)
+    return {"multi": (multi2, multi3)}
 
 
 class TestSingleExecutionSweeps:
@@ -146,11 +133,8 @@ class TestSingleExecutionSweeps:
             variant=FractionalVariant.UNKNOWN_DELTA,
         )
         assert len(records) == len(K_VALUES)
-        single2, single3 = engine_counters["single"]
         multi2, multi3 = engine_counters["multi"]
-        # All six k values came out of one snapshot-engine invocation; the
-        # per-k engines were never entered.
-        assert single2.calls == 0 and single3.calls == 0
+        # All six k values came out of one kernel invocation.
         assert multi2.calls + multi3.calls == 1
 
     def test_fractional_and_pipeline_sweeps_share_the_engine(
@@ -170,8 +154,6 @@ class TestSingleExecutionSweeps:
             variant=FractionalVariant.UNKNOWN_DELTA,
             backend="vectorized",
         )
-        single2, single3 = engine_counters["single"]
         multi2, multi3 = engine_counters["multi"]
-        assert single2.calls == 0 and single3.calls == 0
         assert multi2.calls == 1  # the fractional sweep (known Δ)
         assert multi3.calls == 1  # the pipeline sweep (unknown Δ)

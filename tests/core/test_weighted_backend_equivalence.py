@@ -70,6 +70,23 @@ class TestWeightedFractionalEquivalence:
             )
             assert_weighted_equivalent(simulated, vectorized)
 
+    @pytest.mark.parametrize("backend", ["vectorized", "sharded"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_unit_costs_are_bitwise_unweighted(self, unit_disk, backend, k):
+        """All costs 1 (c_max = 1): the weighted rule is Algorithm 2's."""
+        from repro.core.fractional import approximate_fractional_mds
+
+        weights = {node: 1.0 for node in unit_disk.nodes()}
+        weighted = approximate_weighted_fractional_mds(
+            unit_disk, weights, k=k, backend=backend
+        )
+        unweighted = approximate_fractional_mds(unit_disk, k=k, backend=backend)
+        assert weighted.c_max == 1.0
+        assert weighted.x == unweighted.x
+        assert weighted.unweighted_objective == unweighted.objective
+        assert weighted.rounds == unweighted.rounds
+        assert weighted.metrics == unweighted.metrics
+
     def test_uniform_weights_match_unweighted(self):
         from repro.core.fractional import approximate_fractional_mds
 

@@ -3,6 +3,7 @@
 import networkx as nx
 import pytest
 
+from repro.core.weighted import approximate_weighted_fractional_mds
 from repro.domset.weighted import (
     validate_weights,
     weighted_cost,
@@ -33,6 +34,18 @@ class TestValidateWeights:
         weights[0] = 10.0
         with pytest.raises(ValueError):
             validate_weights(path, weights, c_max=4.0)
+
+    @pytest.mark.parametrize("cost", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_cost(self, path, cost):
+        weights = uniform_weights(path)
+        weights[2] = cost
+        with pytest.raises(ValueError, match="node 2 has non-finite cost"):
+            validate_weights(path, weights)
+        with pytest.raises(ValueError, match="node 2 has non-finite cost"):
+            validate_weights(path, weights, c_max=4.0)
+        # The weighted entry point rejects it up front, not in rounding.
+        with pytest.raises(ValueError, match="node 2 has non-finite cost"):
+            approximate_weighted_fractional_mds(path, weights, k=2)
 
 
 class TestWeightedCost:

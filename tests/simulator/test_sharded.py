@@ -39,7 +39,7 @@ from repro.core.weighted import (
     approximate_weighted_fractional_mds,
     weighted_kuhn_wattenhofer_dominating_set,
 )
-from repro.core.vectorized import algorithm2_exchanges, run_algorithm2_bulk_faulted
+from repro.core.vectorized import algorithm2_exchanges, run_algorithm2_bulk_multi_k
 from repro.graphs.generators import random_unit_disk_graph
 from repro.simulator.bulk import BulkGraph
 from repro.simulator.fault_schedule import FaultSpec
@@ -323,7 +323,7 @@ class TestCrashRecovery:
         delta = int(bulk.degrees.max())
         spec = FaultSpec(loss_probability=0.2, crash_probability=0.2, seed=4)
         schedule = spec.materialize(bulk, rounds=algorithm2_exchanges(2))
-        expected = run_algorithm2_bulk_faulted(bulk, 2, delta, schedule)
+        expected = run_algorithm2_bulk_multi_k(bulk, (2,), delta, schedule=schedule)[2]
         return bulk, delta, schedule, expected
 
     def test_idle_kill_is_recovered(self, crash_setup):
@@ -333,11 +333,11 @@ class TestCrashRecovery:
             with ShardedDriver(bulk, shards=3, heartbeat=0.2) as driver:
                 driver._procs[0].kill()
                 driver._procs[0].join()
-                values, metrics = driver.run_algorithm2_faulted(2, delta, schedule)
+                values, metrics = driver.run_algorithm2_multi_k((2,), delta, schedule=schedule)[2]
                 assert np.array_equal(values, expected[0])
                 assert metrics.total_messages == expected[1].total_messages
                 # The respawned pool keeps serving subsequent commands.
-                again, _ = driver.run_algorithm2_faulted(2, delta, schedule)
+                again, _ = driver.run_algorithm2_multi_k((2,), delta, schedule=schedule)[2]
                 assert np.array_equal(again, expected[0])
 
     def test_mid_command_kill_is_recovered(self, crash_setup):
@@ -348,7 +348,7 @@ class TestCrashRecovery:
                 killer = threading.Timer(0.05, driver._procs[1].kill)
                 killer.start()
                 try:
-                    values, metrics = driver.run_algorithm2_faulted(2, delta, schedule)
+                    values, metrics = driver.run_algorithm2_multi_k((2,), delta, schedule=schedule)[2]
                 finally:
                     killer.join()
                 assert np.array_equal(values, expected[0])
@@ -385,7 +385,7 @@ class TestCrashRecovery:
                         real.close()
 
                 driver._conns[0] = EOFPipe()
-                values, metrics = driver.run_algorithm2_faulted(2, delta, schedule)
+                values, metrics = driver.run_algorithm2_multi_k((2,), delta, schedule=schedule)[2]
                 assert EOFPipe.tripped
                 assert np.array_equal(values, expected[0])
                 assert metrics.total_messages == expected[1].total_messages
@@ -396,9 +396,9 @@ class TestCrashRecovery:
             driver._procs[2].kill()
             driver._procs[2].join()
             with pytest.warns(ShardDegradationWarning) as caught:
-                values, metrics = driver.run_algorithm2_faulted(2, delta, schedule)
+                values, metrics = driver.run_algorithm2_multi_k((2,), delta, schedule=schedule)[2]
             warning = caught[0].message
-            assert warning.command == "alg2_faulted"
+            assert warning.command == "alg2"
             assert 2 in warning.shard_ids
             # The fallback reproduces the sharded result exactly.
             assert np.array_equal(values, expected[0])
@@ -406,7 +406,7 @@ class TestCrashRecovery:
             # Later commands stay on the fallback without re-warning.
             with warnings.catch_warnings():
                 warnings.simplefilter("error", ShardDegradationWarning)
-                again, _ = driver.run_algorithm2_faulted(2, delta, schedule)
+                again, _ = driver.run_algorithm2_multi_k((2,), delta, schedule=schedule)[2]
             assert np.array_equal(again, expected[0])
             rss = driver.peak_rss_bytes()
             assert len(rss) == 1 and rss[0] > 0

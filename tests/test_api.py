@@ -581,6 +581,25 @@ class TestReviewRegressions:
         connect = solve("kw-connect", small_graph, seed=0)
         assert connect.params["k"] == connect.raw[1].k >= 1
 
+    @pytest.mark.parametrize("backend", [SIMULATED, VECTORIZED, SHARDED])
+    @pytest.mark.parametrize("k", [True, 2.5])
+    def test_non_integer_k_rejected(self, small_graph, backend, k):
+        # k=True used to run as k=1 and k=2.5 died in range() with a raw
+        # TypeError; both are now a ValueError naming k on every backend.
+        with pytest.raises(ValueError, match="k must be an integer"):
+            solve("kuhn-wattenhofer", small_graph, backend=backend, seed=0, k=k)
+
+    @pytest.mark.parametrize("backend", [SIMULATED, VECTORIZED, SHARDED])
+    def test_numpy_integer_k_accepted(self, small_graph, backend):
+        import numpy as np
+
+        report = solve(
+            "kuhn-wattenhofer", small_graph, backend=backend, seed=0, k=np.int64(2)
+        )
+        expected = solve("kuhn-wattenhofer", small_graph, backend=backend, seed=0, k=2)
+        assert report.dominating_set == expected.dominating_set
+        assert report.raw.k == 2
+
     def test_registry_comparisons_skip_redundant_deterministic_trials(
         self, small_graph, monkeypatch
     ):

@@ -6,6 +6,16 @@ collect per-run records, and aggregate them into the rows the paper's claims
 correspond to.  This module centralises that machinery so every benchmark
 file stays a thin declaration of *what* to measure.
 
+The three Kuhn–Wattenhofer sweeps -- :func:`sweep_fractional`
+(Theorems 4/5), :func:`sweep_pipeline` (Theorem 6) and
+:func:`sweep_tradeoff` (the k-vs-quality curve against the KMW
+lower-bound shape) -- share one per-instance runner: one CSR build, one
+engine, one multi-k fractional execution, one batched rounding per k
+under the trial seeds, and a dominating-set check on every rounded set.
+Each sweep only declares the columns it records.  :func:`sweep_faults`,
+:func:`sweep_cds` and :func:`compare_algorithms` run over
+:func:`repro.api.solve`.
+
 Two scaling features let sweeps run far past the networkx comfort zone:
 
 * instances may wrap CSR :class:`~repro.simulator.bulk.BulkGraph` objects
@@ -23,16 +33,17 @@ and impossible combinations raise the registry's single
 :class:`~repro.core.vectorized.CapabilityError`.  The algorithm
 comparison (:func:`compare_algorithms`) enumerates the registry by
 default, so newly registered algorithms join every comparison (and the
-CLI ``compare`` sub-command) without touching this module.
+CLI ``compare`` sub-command) without touching this module.  Every runner
+validates its inputs (k values, ``trials``, ``jobs``) once, before any
+LP solve or CSR build.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import networkx as nx
 
@@ -44,17 +55,13 @@ from repro.analysis.bounds import (
     pipeline_round_bound,
 )
 from repro.analysis.stats import summarize
-from repro.core.fractional import (
-    approximate_fractional_mds,
-    approximate_fractional_mds_multi_k,
-)
+from repro.core.fractional import approximate_fractional_mds_multi_k
 from repro.core.fractional_unknown import (
-    approximate_fractional_mds_unknown_delta,
     approximate_fractional_mds_unknown_delta_multi_k,
 )
 from repro.core.kuhn_wattenhofer import FractionalVariant
 from repro.core.rounding import round_fractional_solution_batched
-from repro.core.vectorized import SHARDED, VECTORIZED, bulk_engine
+from repro.core.vectorized import SHARDED, VECTORIZED, bulk_engine, validate_k
 from repro.simulator.bulk import BulkGraph
 from repro.domset.validation import is_dominating_set
 from repro.graphs.utils import max_degree
@@ -113,26 +120,27 @@ class ExperimentRecord:
         return row
 
 
-def _resolve_instance_backend(
-    instance: GraphInstance,
-    backend: str,
-    algorithm: str = "kuhn-wattenhofer",
-    shards: int | None = None,
-) -> str:
-    """Capability-based backend resolution for one sweep instance.
+def _ratio(numerator: float, denominator: float) -> float:
+    """``numerator / denominator``, NaN when the denominator is not positive."""
+    return numerator / denominator if denominator > 0 else float("nan")
 
-    Delegates to the :mod:`repro.api` registry: ``"auto"`` resolves to the
-    vectorized engine for CSR instances and large graphs, and impossible
-    combinations (a ``BulkGraph`` under ``backend="simulated"``, ...)
-    raise the registry's single
-    :class:`~repro.core.vectorized.CapabilityError`.  Imported lazily so
-    process-pool workers only pay for the registry when a sweep runs.
+
+def _checked_inputs(
+    jobs: int, trials: int = 1, k_values: Sequence[int] = (1,)
+) -> tuple[int, ...]:
+    """Validate a runner's inputs once, before any LP solve or CSR build.
+
+    Returns the k values as plain ints (see
+    :func:`~repro.core.vectorized.validate_k`).
     """
-    from repro.api import get_spec, resolve_backend
-
-    return resolve_backend(
-        get_spec(algorithm), instance.graph, backend=backend, shards=shards
-    )
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    k_values = tuple(validate_k(k) for k in k_values)
+    if not k_values:
+        raise ValueError("k_values must not be empty")
+    return k_values
 
 
 def _lp_reference(
@@ -166,63 +174,22 @@ def _lp_reference(
     ).objective
 
 
-def _prebuild_bulk(instance: GraphInstance, backend: str) -> BulkGraph | None:
-    """One CSR build per instance for bulk-engine sweeps (None otherwise)."""
-    if backend in (VECTORIZED, SHARDED) and not instance.is_bulk:
-        return BulkGraph.from_graph(instance.graph)
-    return None
-
-
-def _instance_engine(
-    instance: GraphInstance,
-    backend: str,
-    bulk: BulkGraph | None,
-    shards: int | None,
-):
-    """One engine per instance for bulk sweeps (a ``with`` context).
-
-    On the sharded backend forking, sharing the CSR and partitioning are
-    paid once; the whole k sweep (fractional snapshots + every rounding
-    batch) then reuses the resident workers.
-    """
-    return bulk_engine(
-        bulk if bulk is not None else instance.graph, backend, shards
-    )
-
-
-def _fractional_sweep(
-    instance: GraphInstance,
-    k_values: Sequence[int],
-    variant: FractionalVariant,
-    seed: int,
-    backend: str,
-    bulk: BulkGraph | None,
-    executor=None,
-):
-    """One multi-k fractional execution covering the whole k sweep.
-
-    On the bulk backends the snapshot engine runs the entire sweep in
-    a single engine invocation (per-k results bitwise equal to independent
-    runs); on the simulated backend the entry point loops per k.  Either
-    way every (instance, k) cell comes from *one* call here.
-    """
-    if variant is FractionalVariant.KNOWN_DELTA:
-        return approximate_fractional_mds_multi_k(
-            instance.graph,
-            k_values,
-            seed=seed,
-            backend=backend,
-            _bulk=bulk,
-            _executor=executor,
-        )
-    return approximate_fractional_mds_unknown_delta_multi_k(
-        instance.graph,
-        k_values,
-        seed=seed,
-        backend=backend,
-        _bulk=bulk,
-        _executor=executor,
-    )
+def _gather(
+    instances: Sequence[GraphInstance],
+    results: Sequence[Callable[[], list[ExperimentRecord]]],
+) -> list[ExperimentRecord]:
+    """Concatenate per-instance results, naming the instance that failed."""
+    records: list[ExperimentRecord] = []
+    for instance, result in zip(instances, results):
+        try:
+            records.extend(result())
+        except Exception as error:
+            error.args = (
+                f"sweep worker failed on instance {instance.name!r}: "
+                + ", ".join(str(arg) for arg in error.args),
+            )
+            raise
+    return records
 
 
 def _map_instances(
@@ -238,82 +205,178 @@ def _map_instances(
     picklable when ``jobs > 1``.
 
     The pool is never wider than the CPUs this process may actually use
-    (``os.process_cpu_count`` where available, affinity-blind
-    ``os.cpu_count`` otherwise), and a worker failure is re-raised with
-    the failing instance's name attached -- a sweep over fifty graphs
-    should say *which* one died.
+    (:func:`~repro.simulator.sharded.available_cpu_count`, which honours
+    CPU affinity), and a worker failure -- serial or pooled -- is
+    re-raised with the failing instance's name attached: a sweep over
+    fifty graphs should say *which* one died.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
     if jobs == 1 or len(instances) <= 1:
-        per_instance = [worker(instance) for instance in instances]
-    else:
-        cpus = getattr(os, "process_cpu_count", os.cpu_count)() or 1
-        workers = max(1, min(jobs, len(instances), cpus))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(worker, instance) for instance in instances]
-            per_instance = []
-            for instance, future in zip(instances, futures):
-                try:
-                    per_instance.append(future.result())
-                except Exception as error:
-                    error.args = (
-                        f"sweep worker failed on instance {instance.name!r}: "
-                        + ", ".join(str(arg) for arg in error.args),
-                    )
-                    raise
-    return [record for records in per_instance for record in records]
+        return _gather(instances, [partial(worker, instance) for instance in instances])
+    # Imported here: the pool path is the only user, and a top-level import
+    # would load the sharded engine wherever repro.analysis is imported.
+    from repro.simulator.sharded import available_cpu_count
+
+    workers = max(1, min(jobs, len(instances), available_cpu_count()))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(worker, instance) for instance in instances]
+        return _gather(instances, [future.result for future in futures])
 
 
 # ---------------------------------------------------------------------- #
-# Fractional sweep                                                        #
+# Kuhn–Wattenhofer sweeps: one runner, one column set per sweep           #
 # ---------------------------------------------------------------------- #
 
 
-def _sweep_fractional_instance(
+class _Reference(NamedTuple):
+    """Per-instance quantities every k of a KW sweep is measured against."""
+
+    variant: FractionalVariant
+    delta: int
+    lp_optimum: float
+    dual_lower_bound: float
+
+
+def _kw_instance_records(
     instance: GraphInstance,
+    columns: Callable[..., dict[str, float]],
+    algorithm: str,
     k_values: Sequence[int],
     variant: FractionalVariant,
     seed: int,
     backend: str,
-    shards: int | None = None,
+    shards: int | None,
+    trials: int = 0,
+    sparse_lp: bool = False,
+    lp_method: str = "highs",
+    lp_tol: float = 1e-3,
 ) -> list[ExperimentRecord]:
-    """All fractional records of one instance (one process-pool work unit)."""
-    backend = _resolve_instance_backend(instance, backend, shards=shards)
-    records: list[ExperimentRecord] = []
-    lp_optimum = _lp_reference(instance)
-    delta = instance.max_degree
-    # One CSR build per instance; the whole k sweep runs as one fractional
-    # execution through the snapshot engine.
-    bulk = _prebuild_bulk(instance, backend)
-    with _instance_engine(instance, backend, bulk, shards) as executor:
-        fractional_by_k = _fractional_sweep(
-            instance, k_values, variant, seed, backend, bulk, executor
+    """All records of one instance for one KW sweep (one process-pool work unit).
+
+    The fractional phase is deterministic (its seed is bookkeeping only),
+    so the whole k sweep is *one* multi-k execution -- a single
+    snapshot-engine invocation on the bulk backends, whose per-k results
+    are bitwise equal to independent runs.  With ``trials > 0`` each k's
+    solution is then rounded under the seeds ``seed .. seed + trials - 1``
+    in one batch and every rounded set is checked to dominate; the records
+    equal running the full pipeline once per (k, trial), without
+    re-paying the seed-independent phases.  The CSR is built once per
+    instance, and on the sharded backend one resident shard pool serves
+    all of it.
+
+    ``columns(reference, k, fractional, roundings)`` turns one k's results
+    into the sweep's measurements.
+    """
+    from repro.api import resolve_backend
+
+    backend = resolve_backend(
+        "kuhn-wattenhofer", instance.graph, backend=backend, shards=shards
+    )
+    reference = _Reference(
+        variant=variant,
+        delta=instance.max_degree,
+        lp_optimum=_lp_reference(instance, sparse_lp, lp_method, lp_tol),
+        # The Lemma-1 bound is what the rounded sizes are compared with.
+        dual_lower_bound=lemma1_lower_bound(instance.graph)
+        if trials
+        else float("nan"),
+    )
+    bulk = None
+    if backend in (VECTORIZED, SHARDED) and not instance.is_bulk:
+        bulk = BulkGraph.from_graph(instance.graph)
+    if variant is FractionalVariant.KNOWN_DELTA:
+        multi_k = approximate_fractional_mds_multi_k
+    else:
+        multi_k = approximate_fractional_mds_unknown_delta_multi_k
+    seeds = [seed + trial for trial in range(trials)]
+    engine_graph = instance.graph if bulk is None else bulk
+    with bulk_engine(engine_graph, backend, shards) as executor:
+        fractional_by_k = multi_k(
+            instance.graph,
+            k_values,
+            seed=seed,
+            backend=backend,
+            _bulk=bulk,
+            _executor=executor,
         )
+        roundings_by_k = {
+            k: round_fractional_solution_batched(
+                instance.graph,
+                fractional_by_k[k].x,
+                seeds=seeds,
+                require_feasible=True,  # the per-trial pipelines checked this
+                backend=backend,
+                _bulk=bulk,
+                _executor=executor,
+            )
+            for k in (k_values if seeds else ())
+        }
+    records: list[ExperimentRecord] = []
     for k in k_values:
-        result = fractional_by_k[k]
-        if variant is FractionalVariant.KNOWN_DELTA:
-            bound = algorithm2_approximation_bound(k, delta)
-        else:
-            bound = algorithm3_approximation_bound(k, delta)
-        ratio = result.objective / lp_optimum if lp_optimum > 0 else float("nan")
+        roundings = roundings_by_k.get(k, [])
+        for rounding in roundings:
+            if not is_dominating_set(instance.graph, rounding.dominating_set):
+                raise RuntimeError(
+                    f"pipeline produced a non-dominating set on {instance.name}"
+                )
         records.append(
             ExperimentRecord(
                 instance=instance.name,
-                algorithm=f"fractional[{variant.value}]",
-                parameters={"k": k, "n": instance.node_count, "delta": delta},
-                measurements={
-                    "objective": result.objective,
-                    "lp_optimum": lp_optimum,
-                    "ratio": ratio,
-                    "bound": bound,
-                    "rounds": result.rounds,
-                    "max_messages_per_node": result.metrics.max_messages_per_node,
-                    "max_message_bits": result.metrics.max_message_bits,
-                },
+                algorithm=f"{algorithm}[{variant.value}]",
+                parameters={"k": k, "n": instance.node_count, "delta": reference.delta},
+                measurements=columns(reference, k, fractional_by_k[k], roundings),
             )
         )
     return records
+
+
+def _fractional_columns(reference: _Reference, k, fractional, roundings):
+    """Theorems 4/5: fractional objective against the LP and the bound."""
+    if reference.variant is FractionalVariant.KNOWN_DELTA:
+        bound = algorithm2_approximation_bound(k, reference.delta)
+    else:
+        bound = algorithm3_approximation_bound(k, reference.delta)
+    return {
+        "objective": fractional.objective,
+        "lp_optimum": reference.lp_optimum,
+        "ratio": _ratio(fractional.objective, reference.lp_optimum),
+        "bound": bound,
+        "rounds": fractional.rounds,
+        "max_messages_per_node": fractional.metrics.max_messages_per_node,
+        "max_message_bits": fractional.metrics.max_message_bits,
+    }
+
+
+def _pipeline_columns(reference: _Reference, k, fractional, roundings):
+    """Theorem 6: mean rounded size against the LP and the expected bound."""
+    sizes = summarize([float(len(rounding.dominating_set)) for rounding in roundings])
+    rounds = [float(fractional.rounds + rounding.rounds) for rounding in roundings]
+    return {
+        "mean_size": sizes.mean,
+        "std_size": sizes.std,
+        "lp_optimum": reference.lp_optimum,
+        "dual_lower_bound": reference.dual_lower_bound,
+        "mean_ratio_vs_lp": _ratio(sizes.mean, reference.lp_optimum),
+        "bound": pipeline_expected_ratio_bound(k, reference.delta),
+        "mean_rounds": sum(rounds) / len(rounds),
+        "trials": float(len(roundings)),
+    }
+
+
+def _tradeoff_columns(reference: _Reference, k, fractional, roundings):
+    """Measured ratio between the Theorem-6 and KMW shapes, plus rounds."""
+    sizes = summarize([float(len(rounding.dominating_set)) for rounding in roundings])
+    return {
+        "mean_size": sizes.mean,
+        "lp_optimum": reference.lp_optimum,
+        "dual_lower_bound": reference.dual_lower_bound,
+        "mean_ratio_vs_lp": _ratio(sizes.mean, reference.lp_optimum),
+        "mean_ratio_vs_dual": _ratio(sizes.mean, reference.dual_lower_bound),
+        "upper_bound_thm6": pipeline_expected_ratio_bound(k, reference.delta),
+        "lower_bound_shape_kmw": kmw_lower_bound(k, reference.delta),
+        "rounds": float(fractional.rounds + roundings[0].rounds),
+        "round_bound": float(pipeline_round_bound(k)),
+        "trials": float(len(roundings)),
+    }
 
 
 def sweep_fractional(
@@ -337,98 +400,16 @@ def sweep_fractional(
     resident shard pool serves an instance's whole k sweep).
     """
     worker = partial(
-        _sweep_fractional_instance,
-        k_values=tuple(k_values),
+        _kw_instance_records,
+        columns=_fractional_columns,
+        algorithm="fractional",
+        k_values=_checked_inputs(jobs, k_values=k_values),
         variant=variant,
         seed=seed,
         backend=backend,
         shards=shards,
     )
     return _map_instances(worker, instances, jobs)
-
-
-# ---------------------------------------------------------------------- #
-# Pipeline sweep                                                          #
-# ---------------------------------------------------------------------- #
-
-
-def _sweep_pipeline_instance(
-    instance: GraphInstance,
-    k_values: Sequence[int],
-    trials: int,
-    variant: FractionalVariant,
-    seed: int,
-    backend: str,
-    shards: int | None = None,
-) -> list[ExperimentRecord]:
-    """All pipeline records of one instance (one process-pool work unit).
-
-    The fractional phase is deterministic (its seed is bookkeeping only),
-    so it -- and its feasibility check -- runs *once* per (instance, k);
-    the per-trial loop only redraws the rounding coins, through the batched
-    rounding entry point.  Record values are identical to running the full
-    pipeline once per trial, just without re-paying the seed-independent
-    phases.
-    """
-    backend = _resolve_instance_backend(instance, backend, shards=shards)
-    records: list[ExperimentRecord] = []
-    lower_bound = lemma1_lower_bound(instance.graph)
-    lp_optimum = _lp_reference(instance)
-    delta = instance.max_degree
-    # One CSR build per instance; the deterministic fractional phase of the
-    # whole k sweep is one snapshot-engine execution, and each k's solution
-    # is rounded under all trial seeds in one batch.  On the sharded
-    # backend one resident shard pool serves all of it.
-    bulk = _prebuild_bulk(instance, backend)
-    with _instance_engine(instance, backend, bulk, shards) as executor:
-        fractional_by_k = _fractional_sweep(
-            instance, k_values, variant, seed, backend, bulk, executor
-        )
-        roundings_by_k = {
-            k: round_fractional_solution_batched(
-                instance.graph,
-                fractional_by_k[k].x,
-                seeds=[seed + trial for trial in range(trials)],
-                require_feasible=True,  # the per-trial pipelines checked this
-                backend=backend,
-                _bulk=bulk,
-                _executor=executor,
-            )
-            for k in k_values
-        }
-    for k in k_values:
-        fractional = fractional_by_k[k]
-        roundings = roundings_by_k[k]
-        sizes = []
-        rounds = []
-        for rounding in roundings:
-            if not is_dominating_set(instance.graph, rounding.dominating_set):
-                raise RuntimeError(
-                    f"pipeline produced a non-dominating set on {instance.name}"
-                )
-            sizes.append(float(len(rounding.dominating_set)))
-            rounds.append(float(fractional.rounds + rounding.rounds))
-        size_summary = summarize(sizes)
-        records.append(
-            ExperimentRecord(
-                instance=instance.name,
-                algorithm=f"kuhn-wattenhofer[{variant.value}]",
-                parameters={"k": k, "n": instance.node_count, "delta": delta},
-                measurements={
-                    "mean_size": size_summary.mean,
-                    "std_size": size_summary.std,
-                    "lp_optimum": lp_optimum,
-                    "dual_lower_bound": lower_bound,
-                    "mean_ratio_vs_lp": size_summary.mean / lp_optimum
-                    if lp_optimum > 0
-                    else float("nan"),
-                    "bound": pipeline_expected_ratio_bound(k, delta),
-                    "mean_rounds": sum(rounds) / len(rounds),
-                    "trials": float(trials),
-                },
-            )
-        )
-    return records
 
 
 def sweep_pipeline(
@@ -453,102 +434,18 @@ def sweep_pipeline(
     across instances with a process pool; ``shards=N`` pins the sharded
     engine per instance.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     worker = partial(
-        _sweep_pipeline_instance,
-        k_values=tuple(k_values),
-        trials=trials,
+        _kw_instance_records,
+        columns=_pipeline_columns,
+        algorithm="kuhn-wattenhofer",
+        k_values=_checked_inputs(jobs, trials, k_values),
         variant=variant,
         seed=seed,
         backend=backend,
         shards=shards,
+        trials=trials,
     )
     return _map_instances(worker, instances, jobs)
-
-
-# ---------------------------------------------------------------------- #
-# Trade-off sweep (measured ratio vs. the paper's bound curves)           #
-# ---------------------------------------------------------------------- #
-
-
-def _sweep_tradeoff_instance(
-    instance: GraphInstance,
-    k_values: Sequence[int],
-    trials: int,
-    variant: FractionalVariant,
-    seed: int,
-    backend: str,
-    sparse_lp: bool,
-    shards: int | None = None,
-    lp_method: str = "highs",
-    lp_tol: float = 1e-3,
-) -> list[ExperimentRecord]:
-    """All trade-off records of one instance (one process-pool work unit).
-
-    Like the pipeline sweep, the deterministic fractional phase of the
-    whole k sweep is a *single* snapshot-engine execution; each record adds
-    the Theorem-6 upper bound, the KMW lower-bound shape and the round
-    bound so callers can place the measured curve between the two shapes.
-    """
-    backend = _resolve_instance_backend(instance, backend, shards=shards)
-    records: list[ExperimentRecord] = []
-    lower_bound = lemma1_lower_bound(instance.graph)
-    lp_optimum = _lp_reference(
-        instance, sparse_for_bulk=sparse_lp, lp_method=lp_method, lp_tol=lp_tol
-    )
-    delta = instance.max_degree
-    bulk = _prebuild_bulk(instance, backend)
-    with _instance_engine(instance, backend, bulk, shards) as executor:
-        fractional_by_k = _fractional_sweep(
-            instance, k_values, variant, seed, backend, bulk, executor
-        )
-        roundings_by_k = {
-            k: round_fractional_solution_batched(
-                instance.graph,
-                fractional_by_k[k].x,
-                seeds=[seed + trial for trial in range(trials)],
-                require_feasible=True,
-                backend=backend,
-                _bulk=bulk,
-                _executor=executor,
-            )
-            for k in k_values
-        }
-    for k in k_values:
-        fractional = fractional_by_k[k]
-        roundings = roundings_by_k[k]
-        sizes = []
-        for rounding in roundings:
-            if not is_dominating_set(instance.graph, rounding.dominating_set):
-                raise RuntimeError(
-                    f"pipeline produced a non-dominating set on {instance.name}"
-                )
-            sizes.append(float(len(rounding.dominating_set)))
-        size_summary = summarize(sizes)
-        reference = lp_optimum if lp_optimum > 0 else float("nan")
-        records.append(
-            ExperimentRecord(
-                instance=instance.name,
-                algorithm=f"tradeoff[{variant.value}]",
-                parameters={"k": k, "n": instance.node_count, "delta": delta},
-                measurements={
-                    "mean_size": size_summary.mean,
-                    "lp_optimum": lp_optimum,
-                    "dual_lower_bound": lower_bound,
-                    "mean_ratio_vs_lp": size_summary.mean / reference,
-                    "mean_ratio_vs_dual": size_summary.mean / lower_bound
-                    if lower_bound > 0
-                    else float("nan"),
-                    "upper_bound_thm6": pipeline_expected_ratio_bound(k, delta),
-                    "lower_bound_shape_kmw": kmw_lower_bound(k, delta),
-                    "rounds": float(fractional.rounds + roundings[0].rounds),
-                    "round_bound": float(pipeline_round_bound(k)),
-                    "trials": float(trials),
-                },
-            )
-        )
-    return records
 
 
 def sweep_tradeoff(
@@ -582,17 +479,17 @@ def sweep_tradeoff(
     denominator (relative gap ≤ ``lp_tol``) at a fraction of that cost on
     solver-bound instances.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     worker = partial(
-        _sweep_tradeoff_instance,
-        k_values=tuple(k_values),
-        trials=trials,
+        _kw_instance_records,
+        columns=_tradeoff_columns,
+        algorithm="tradeoff",
+        k_values=_checked_inputs(jobs, trials, k_values),
         variant=variant,
         seed=seed,
         backend=backend,
-        sparse_lp=sparse_lp,
         shards=shards,
+        trials=trials,
+        sparse_lp=sparse_lp,
         lp_method=lp_method,
         lp_tol=lp_tol,
     )
@@ -635,40 +532,28 @@ def _sweep_faults_instance(
     the deficit repair had to patch, the patch size, and the fault
     bookkeeping (crashed nodes, dropped messages) behind it.
     """
-    from repro.api import solve
+    from repro.api import resolve_backend, solve
     from repro.simulator.fault_schedule import FaultSpec
 
-    backend = _resolve_instance_backend(instance, backend, shards=shards)
-    baseline = solve(
+    backend = resolve_backend(
+        "kuhn-wattenhofer", instance.graph, backend=backend, shards=shards
+    )
+    run = partial(
+        solve,
         "kuhn-wattenhofer",
         instance.graph,
         backend=backend,
-        seed=seed,
         k=k,
         variant=variant,
         shards=shards,
     )
-    delta = instance.max_degree
-    mean = lambda values: sum(values) / len(values)  # noqa: E731
+    baseline = run(seed=seed)
     records: list[ExperimentRecord] = []
     for loss, crash in fault_rates:
-        raw_sizes: list[float] = []
-        repaired_sizes: list[float] = []
-        deficits: list[float] = []
-        patched: list[float] = []
-        repair_rounds: list[float] = []
-        crashed: list[float] = []
-        dropped: list[float] = []
-        degraded_trials = 0
+        samples = []
         for trial in range(trials):
-            report = solve(
-                "kuhn-wattenhofer",
-                instance.graph,
-                backend=backend,
+            report = run(
                 seed=seed + trial,
-                k=k,
-                variant=variant,
-                shards=shards,
                 faults=FaultSpec(
                     loss_probability=loss,
                     crash_probability=crash,
@@ -681,17 +566,23 @@ def _sweep_faults_instance(
                 raise RuntimeError(
                     f"faulted pipeline left an infeasible set on {instance.name}"
                 )
-            raw_sizes.append(float(repair.objective_before))
-            repaired_sizes.append(float(repair.objective_after))
-            deficits.append(float(repair.coverage_deficit))
-            patched.append(float(len(repair.patched_nodes)))
-            repair_rounds.append(float(repair.repair_rounds))
-            degraded_trials += int(repair.was_degraded)
             summaries = report.fault_summaries
-            crashed.append(float(summaries["rounding"].crashed_nodes))
-            dropped.append(
-                float(sum(summary.dropped_messages for summary in summaries.values()))
+            samples.append(
+                (
+                    repair.objective_before,
+                    repair.objective_after,
+                    repair.coverage_deficit,
+                    len(repair.patched_nodes),
+                    repair.repair_rounds,
+                    repair.was_degraded,
+                    summaries["rounding"].crashed_nodes,
+                    sum(summary.dropped_messages for summary in summaries.values()),
+                )
             )
+        # Per-column means over the trials.
+        raw, repaired, deficit, patched, repair_rounds, degraded, crashed, dropped = (
+            sum(map(float, column)) / trials for column in zip(*samples)
+        )
         records.append(
             ExperimentRecord(
                 instance=instance.name,
@@ -701,21 +592,19 @@ def _sweep_faults_instance(
                     "crash": crash,
                     "k": k,
                     "n": instance.node_count,
-                    "delta": delta,
+                    "delta": instance.max_degree,
                 },
                 measurements={
                     "baseline_size": float(baseline.size),
-                    "mean_raw_size": mean(raw_sizes),
-                    "mean_repaired_size": mean(repaired_sizes),
-                    "mean_size_vs_baseline": mean(repaired_sizes) / baseline.size
-                    if baseline.size
-                    else float("nan"),
-                    "mean_coverage_deficit": mean(deficits),
-                    "mean_patched_nodes": mean(patched),
-                    "mean_repair_rounds": mean(repair_rounds),
-                    "degraded_fraction": degraded_trials / trials,
-                    "mean_crashed_nodes": mean(crashed),
-                    "mean_dropped_messages": mean(dropped),
+                    "mean_raw_size": raw,
+                    "mean_repaired_size": repaired,
+                    "mean_size_vs_baseline": _ratio(repaired, baseline.size),
+                    "mean_coverage_deficit": deficit,
+                    "mean_patched_nodes": patched,
+                    "mean_repair_rounds": repair_rounds,
+                    "degraded_fraction": degraded,
+                    "mean_crashed_nodes": crashed,
+                    "mean_dropped_messages": dropped,
                     "trials": float(trials),
                 },
             )
@@ -748,8 +637,7 @@ def sweep_faults(
     ``backend`` (and ``shards=N``) changes only the wall-clock, never the
     records.  ``jobs`` parallelizes across instances with a process pool.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    (k,) = _checked_inputs(jobs, trials, (k,))
     for loss, crash in fault_rates:
         if not (0.0 <= loss <= 1.0 and 0.0 <= crash <= 1.0):
             raise ValueError(
@@ -790,46 +678,34 @@ def _sweep_cds_instance(
     n ≥ 20 000 scale.  Every backbone is validated as a CDS before
     reporting.
     """
-    from repro.api import solve
+    from repro.api import resolve_backend, solve
     from repro.cds.connectify import connect_dominating_set
     from repro.cds.validation import is_connected_dominating_set
 
-    backend = _resolve_instance_backend(instance, backend, algorithm="kw-connect")
+    backend = resolve_backend("kw-connect", instance.graph, backend=backend)
     graph = instance.graph
-
-    entries: list[tuple[str, frozenset, frozenset, float | None]] = []
-
-    kw_report = solve("kw-connect", graph, backend=backend, seed=seed, k=k)
-    _, pipeline = kw_report.raw
-    entries.append(
+    # Backend resolution has already forced the vectorized engine for bulk
+    # instances, so one pass-through serves both substrates.
+    run = partial(solve, graph=graph, backend=backend, seed=seed)
+    kw_report = run("kw-connect", k=k)
+    wu_li = run("wu-li")
+    wu_li_cds = wu_li.dominating_set
+    if not is_connected_dominating_set(graph, wu_li_cds):
+        wu_li_cds = connect_dominating_set(graph, wu_li_cds)
+    greedy = run("greedy").dominating_set
+    gk = run("guha-khuller").dominating_set
+    # (name, backbone, the dominating set it grew from, distributed rounds)
+    entries = [
         (
             f"kw(k={k})+connect",
             kw_report.dominating_set,
-            pipeline.dominating_set,
+            kw_report.raw[1].dominating_set,
             float(kw_report.rounds),
-        )
-    )
-
-    # Backend resolution has already forced the vectorized engine for bulk
-    # instances, so one pass-through serves both substrates.
-    wu_li_report = solve("wu-li", graph, backend=backend, seed=seed)
-    wu_li_cds = wu_li_report.dominating_set
-    if not is_connected_dominating_set(graph, wu_li_cds):
-        wu_li_cds = connect_dominating_set(graph, wu_li_report.dominating_set)
-    entries.append(
-        (
-            "wu-li(+connect)",
-            wu_li_cds,
-            wu_li_report.dominating_set,
-            float(wu_li_report.rounds),
-        )
-    )
-
-    greedy = solve("greedy", graph, backend=backend, seed=seed).dominating_set
-    entries.append(("greedy+connect", connect_dominating_set(graph, greedy), greedy, None))
-
-    gk = solve("guha-khuller", graph, backend=backend, seed=seed).dominating_set
-    entries.append(("guha-khuller (centralized)", gk, gk, None))
+        ),
+        ("wu-li(+connect)", wu_li_cds, wu_li.dominating_set, float(wu_li.rounds)),
+        ("greedy+connect", connect_dominating_set(graph, greedy), greedy, float("nan")),
+        ("guha-khuller (centralized)", gk, gk, float("nan")),
+    ]
 
     records = []
     for name, backbone, base, rounds in entries:
@@ -849,7 +725,7 @@ def _sweep_cds_instance(
                     "backbone_size": float(len(backbone)),
                     "base_size": float(len(base)),
                     "connectors_added": float(len(backbone) - len(base & backbone)),
-                    "distributed_rounds": rounds if rounds is not None else float("nan"),
+                    "distributed_rounds": rounds,
                 },
             )
         )
@@ -872,6 +748,7 @@ def sweep_cds(
     connectification, validation) runs on the bulk engine.  ``jobs``
     parallelizes across instances with a process pool.
     """
+    (k,) = _checked_inputs(jobs, k_values=(k,))
     worker = partial(_sweep_cds_instance, k=k, seed=seed, backend=backend)
     return _map_instances(worker, instances, jobs)
 
@@ -901,7 +778,6 @@ def _instance_algorithms(
     if isinstance(algorithms, Mapping):
         return algorithms
     from repro.api import comparison_algorithms, get_spec
-    from repro.core.vectorized import SHARDED
 
     resolved = comparison_algorithms(
         bulk=instance.is_bulk,
@@ -970,9 +846,7 @@ def _compare_instance(
                     "min_size": summary.minimum,
                     "max_size": summary.maximum,
                     "lp_optimum": lp_optimum,
-                    "mean_ratio_vs_lp": summary.mean / lp_optimum
-                    if lp_optimum > 0
-                    else float("nan"),
+                    "mean_ratio_vs_lp": _ratio(summary.mean, lp_optimum),
                 },
             )
         )
@@ -1040,6 +914,7 @@ def compare_algorithms(
     -------
     list[ExperimentRecord]
     """
+    _checked_inputs(jobs, trials)
     if isinstance(algorithms, Mapping):
         algorithms = dict(algorithms)
     elif algorithms is not None:

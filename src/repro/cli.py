@@ -58,6 +58,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from typing import Sequence
 
 from repro.analysis.bounds import (
@@ -131,7 +132,9 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
+def _add_table_arguments(parser: argparse.ArgumentParser) -> None:
+    """Arguments shared by the record-table commands (compare, sweep,
+    tradeoff, cds, faults)."""
     parser.add_argument(
         "--jobs",
         type=int,
@@ -152,6 +155,9 @@ def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
             "--backend auto runs xlarge vectorized and huge sharded when "
             "multiple CPUs are available)"
         ),
+    )
+    parser.add_argument(
+        "--csv", action="store_true", help="print CSV instead of a table"
     )
 
 
@@ -189,6 +195,18 @@ def _add_lp_method_arguments(parser: argparse.ArgumentParser) -> None:
             "certified relative duality gap for --lp-method pdhg/mwu "
             "(default: 1e-3; ignored by highs)"
         ),
+    )
+
+
+def _add_variant_argument(
+    parser: argparse.ArgumentParser, default: FractionalVariant | None = None
+) -> None:
+    shown = (default or FractionalVariant.UNKNOWN_DELTA).value
+    parser.add_argument(
+        "--variant",
+        choices=[variant.value for variant in FractionalVariant],
+        default=None if default is None else default.value,
+        help=f"fractional variant (default: {shown})",
     )
 
 
@@ -272,129 +290,95 @@ def _command_solve(args: argparse.Namespace) -> int:
 _CSR_SUITES = ("xlarge", "huge")
 
 
-def _reject_simulated_xlarge(args: argparse.Namespace) -> bool:
-    """Reject --backend simulated on CSR suites before paying the
-    n >= 20000 (or n >= 10^6) suite construction; the default
-    ``--backend auto`` resolves CSR instances to an array engine."""
-    suite = getattr(args, "suite", None)
-    if suite in _CSR_SUITES and args.backend == SIMULATED:
-        print(
-            f"error: --suite {suite} instances are CSR-native and cannot "
-            "run on --backend simulated; use --backend vectorized or "
-            "sharded (or the default, auto)",
-            file=sys.stderr,
-        )
-        return True
-    return False
-
-
 def _build_instances(args: argparse.Namespace):
     """One generated graph, or a whole suite when ``--suite`` is given."""
-    if getattr(args, "suite", None):
+    if args.suite:
         return as_instances(graph_suite(args.suite, seed=args.seed))
     return as_instances({"instance": _build_graph(args)})
 
 
-def _command_compare(args: argparse.Namespace) -> int:
-    if _reject_simulated_xlarge(args):
+def _table_command(args: argparse.Namespace, title: str, run) -> int:
+    """The body of every record-table command.
+
+    ``run(instances, seed=, backend=, jobs=)`` is the command's runner
+    call; its records print as a table, or as CSV with ``--csv``.
+    ``--backend simulated`` on a CSR suite is rejected before paying the
+    n >= 20000 (or n >= 10^6) suite construction, and so are invalid
+    options: runners validate their inputs before touching an instance,
+    so a dry run over no instances rejects them up front.  Capability
+    errors and invalid inputs print ``error: ...`` and exit 2 instead of
+    a traceback.
+    """
+    if args.suite in _CSR_SUITES and args.backend == SIMULATED:
+        print(
+            f"error: --suite {args.suite} instances are CSR-native and cannot "
+            "run on --backend simulated; use --backend vectorized or "
+            "sharded (or the default, auto)",
+            file=sys.stderr,
+        )
         return 2
-    instances = _build_instances(args)
+    common = {"seed": args.seed, "backend": args.backend, "jobs": args.jobs}
     try:
-        records = compare_algorithms(
-            instances,
+        run([], **common)
+        records = run(_build_instances(args), **common)
+    except (CapabilityError, ValueError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    rows = [record.as_row() for record in records]
+    print(records_to_csv(rows) if args.csv else render_table(rows, title=title))
+    return 0
+
+
+def _command_compare(args: argparse.Namespace) -> int:
+    return _table_command(
+        args,
+        "Algorithm comparison",
+        partial(
+            compare_algorithms,
             algorithms=args.algorithm or None,
             trials=args.trials,
-            seed=args.seed,
-            jobs=args.jobs,
-            backend=args.backend,
             overrides={"kuhn-wattenhofer": {"k": args.k}},
             sparse_lp=args.sparse_lp,
             lp_method=args.lp_method,
             lp_tol=args.lp_tol,
             shards=args.shards,
-        )
-    except (CapabilityError, ValueError) as error:
-        # An explicitly requested algorithm/backend combination that no
-        # engine satisfies (or invalid inputs): a CLI error, not a
-        # traceback.
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    rows = [record.as_row() for record in records]
-    if args.csv:
-        print(records_to_csv(rows))
-    else:
-        print(render_table(rows, title="Algorithm comparison"))
-    return 0
+        ),
+    )
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
-    if _reject_simulated_xlarge(args):
-        return 2
-    instances = _build_instances(args)
-    k_values = list(range(1, args.max_k + 1))
-    variant = FractionalVariant(args.variant)
-    try:
-        records = sweep_fractional(
-            instances,
-            k_values,
-            variant=variant,
-            seed=args.seed,
-            backend=args.backend,
-            jobs=args.jobs,
+    return _table_command(
+        args,
+        f"k sweep ({args.variant})",
+        partial(
+            sweep_fractional,
+            k_values=range(1, args.max_k + 1),
+            variant=FractionalVariant(args.variant),
             shards=args.shards,
-        )
-    except (CapabilityError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    rows = [record.as_row() for record in records]
-    if args.csv:
-        print(records_to_csv(rows))
-    else:
-        print(render_table(rows, title=f"k sweep ({variant.value})"))
-    return 0
+        ),
+    )
 
 
 def _command_tradeoff(args: argparse.Namespace) -> int:
-    if _reject_simulated_xlarge(args):
-        return 2
-    instances = _build_instances(args)
-    k_values = list(range(1, args.max_k + 1))
-    try:
-        records = sweep_tradeoff(
-            instances,
-            k_values,
+    return _table_command(
+        args,
+        "k-vs-quality trade-off (measured vs. Thm 6 / KMW shapes)",
+        partial(
+            sweep_tradeoff,
+            k_values=range(1, args.max_k + 1),
             trials=args.trials,
             variant=FractionalVariant(args.variant),
-            seed=args.seed,
-            backend=args.backend,
-            jobs=args.jobs,
             sparse_lp=args.sparse_lp,
             lp_method=args.lp_method,
             lp_tol=args.lp_tol,
             shards=args.shards,
-        )
-    except (CapabilityError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    rows = [record.as_row() for record in records]
-    if args.csv:
-        print(records_to_csv(rows))
-    else:
-        print(
-            render_table(
-                rows,
-                title="k-vs-quality trade-off (measured vs. Thm 6 / KMW shapes)",
-            )
-        )
-    return 0
+        ),
+    )
 
 
-def _command_cds(args: argparse.Namespace) -> int:
-    if _reject_simulated_xlarge(args):
-        return 2
-    instances = _build_instances(args)
-    # CDS experiments are only defined on connected graphs; restrict every
-    # instance to its largest component up front.
+def _largest_components(instances):
+    """Restrict every instance to its largest connected component (CDS
+    experiments are only defined on connected graphs)."""
     connected = []
     for instance in instances:
         graph = instance.graph
@@ -412,15 +396,17 @@ def _command_cds(args: argparse.Namespace) -> int:
                     graph.subgraph(component).copy()
                 )
         connected.append(type(instance)(name=instance.name, graph=graph))
-    records = sweep_cds(
-        connected, k=args.k, seed=args.seed, backend=args.backend, jobs=args.jobs
+    return connected
+
+
+def _command_cds(args: argparse.Namespace) -> int:
+    return _table_command(
+        args,
+        "Connected dominating set backbones",
+        lambda instances, **common: sweep_cds(
+            _largest_components(instances), k=args.k, **common
+        ),
     )
-    rows = [record.as_row() for record in records]
-    if args.csv:
-        print(records_to_csv(rows))
-    else:
-        print(render_table(rows, title="Connected dominating set backbones"))
-    return 0
 
 
 def _parse_fault_rates(pairs: "list[str] | None"):
@@ -440,34 +426,19 @@ def _parse_fault_rates(pairs: "list[str] | None"):
 
 
 def _command_faults(args: argparse.Namespace) -> int:
-    if _reject_simulated_xlarge(args):
-        return 2
-    try:
-        rates = _parse_fault_rates(args.rate)
-        records = sweep_faults(
-            _build_instances(args),
-            fault_rates=rates,
+    return _table_command(
+        args,
+        "Fault-injection degradation (self-healing repair on)",
+        lambda instances, **common: sweep_faults(
+            instances,
+            fault_rates=_parse_fault_rates(args.rate),
             k=args.k,
             trials=args.trials,
             variant=FractionalVariant(args.variant),
-            seed=args.seed,
-            backend=args.backend,
-            jobs=args.jobs,
             shards=args.shards,
-        )
-    except (CapabilityError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    rows = [record.as_row() for record in records]
-    if args.csv:
-        print(records_to_csv(rows))
-    else:
-        print(
-            render_table(
-                rows, title="Fault-injection degradation (self-healing repair on)"
-            )
-        )
-    return 0
+            **common,
+        ),
+    )
 
 
 def _command_certify(args: argparse.Namespace) -> int:
@@ -862,12 +833,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="registered algorithm to run (default: the paper's pipeline)",
     )
     solve.add_argument("--k", type=int, default=None, help="locality parameter")
-    solve.add_argument(
-        "--variant",
-        choices=[variant.value for variant in FractionalVariant],
-        default=None,
-        help="fractional variant (default: unknown_delta)",
-    )
+    _add_variant_argument(solve)
     solve.add_argument("--json", action="store_true", help="print JSON instead of a table")
     solve.add_argument("--show-set", action="store_true", help="print the selected nodes")
     solve.add_argument(
@@ -877,7 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = subparsers.add_parser("compare", help="compare against all baselines")
     _add_graph_arguments(compare)
-    _add_jobs_argument(compare)
+    _add_table_arguments(compare)
     _add_shards_argument(compare)
     compare.add_argument(
         "--algorithm",
@@ -901,7 +867,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_lp_method_arguments(compare)
-    compare.add_argument("--csv", action="store_true")
     compare.set_defaults(handler=_command_compare)
 
     certify = subparsers.add_parser(
@@ -919,12 +884,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="registered algorithm to certify (default: the paper's pipeline)",
     )
     certify.add_argument("--k", type=int, default=None, help="locality parameter")
-    certify.add_argument(
-        "--variant",
-        choices=[variant.value for variant in FractionalVariant],
-        default=None,
-        help="fractional variant (default: unknown_delta)",
-    )
+    _add_variant_argument(certify)
     certify.add_argument(
         "--no-lp",
         action="store_true",
@@ -938,15 +898,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = subparsers.add_parser("sweep", help="sweep the locality parameter k")
     _add_graph_arguments(sweep)
-    _add_jobs_argument(sweep)
+    _add_table_arguments(sweep)
     _add_shards_argument(sweep)
     sweep.add_argument("--max-k", type=int, default=5)
-    sweep.add_argument(
-        "--variant",
-        choices=[variant.value for variant in FractionalVariant],
-        default=FractionalVariant.KNOWN_DELTA.value,
-    )
-    sweep.add_argument("--csv", action="store_true")
+    _add_variant_argument(sweep, FractionalVariant.KNOWN_DELTA)
     sweep.set_defaults(handler=_command_sweep)
 
     tradeoff = subparsers.add_parser(
@@ -954,15 +909,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="measured k-vs-quality trade-off against the paper's bound curves",
     )
     _add_graph_arguments(tradeoff)
-    _add_jobs_argument(tradeoff)
+    _add_table_arguments(tradeoff)
     _add_shards_argument(tradeoff)
     tradeoff.add_argument("--max-k", type=int, default=6)
     tradeoff.add_argument("--trials", type=int, default=5)
-    tradeoff.add_argument(
-        "--variant",
-        choices=[variant.value for variant in FractionalVariant],
-        default=FractionalVariant.UNKNOWN_DELTA.value,
-    )
+    _add_variant_argument(tradeoff, FractionalVariant.UNKNOWN_DELTA)
     tradeoff.add_argument(
         "--sparse-lp",
         action="store_true",
@@ -973,16 +924,14 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_lp_method_arguments(tradeoff)
-    tradeoff.add_argument("--csv", action="store_true")
     tradeoff.set_defaults(handler=_command_tradeoff)
 
     cds = subparsers.add_parser(
         "cds", help="compare connected dominating set backbones"
     )
     _add_graph_arguments(cds)
-    _add_jobs_argument(cds)
+    _add_table_arguments(cds)
     cds.add_argument("--k", type=int, default=2)
-    cds.add_argument("--csv", action="store_true")
     cds.set_defaults(handler=_command_cds)
 
     faults = subparsers.add_parser(
@@ -993,7 +942,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_graph_arguments(faults)
-    _add_jobs_argument(faults)
+    _add_table_arguments(faults)
     _add_shards_argument(faults)
     faults.add_argument("--k", type=int, default=2, help="locality parameter")
     faults.add_argument(
@@ -1012,12 +961,7 @@ def build_parser() -> argparse.ArgumentParser:
             "default: a loss-only/crash-only/mixed grid)"
         ),
     )
-    faults.add_argument(
-        "--variant",
-        choices=[variant.value for variant in FractionalVariant],
-        default=FractionalVariant.UNKNOWN_DELTA.value,
-    )
-    faults.add_argument("--csv", action="store_true")
+    _add_variant_argument(faults, FractionalVariant.UNKNOWN_DELTA)
     faults.set_defaults(handler=_command_faults)
 
     trace = subparsers.add_parser(
@@ -1036,12 +980,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="trace-capable algorithm to run (default: the paper's pipeline)",
     )
     trace.add_argument("--k", type=int, default=None, help="locality parameter")
-    trace.add_argument(
-        "--variant",
-        choices=[variant.value for variant in FractionalVariant],
-        default=None,
-        help="fractional variant (default: unknown_delta)",
-    )
+    _add_variant_argument(trace)
     trace.add_argument(
         "--no-invariants",
         action="store_true",

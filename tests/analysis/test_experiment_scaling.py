@@ -9,14 +9,20 @@ vectorized backend while skipping the centralized LP columns.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import Future
 
 import pytest
 
+import repro.analysis.experiment as experiment
 from repro.analysis.experiment import (
     as_instances,
     compare_algorithms,
+    sweep_cds,
+    sweep_faults,
     sweep_fractional,
     sweep_pipeline,
+    sweep_tradeoff,
 )
 from repro.baselines.bulk_greedy import greedy_dominating_set_bulk
 from repro.core.kuhn_wattenhofer import (
@@ -56,9 +62,106 @@ class TestProcessPool:
         pooled = compare_algorithms(instances, algorithms, trials=2, jobs=2)
         assert [r.as_row() for r in serial] == [r.as_row() for r in pooled]
 
-    def test_jobs_must_be_positive(self, instances):
-        with pytest.raises(ValueError, match="jobs"):
-            sweep_fractional(instances, k_values=[1], jobs=0)
+    @pytest.mark.parametrize(
+        "run, message",
+        [
+            (lambda i: sweep_fractional(i, k_values=[1], jobs=0), "jobs"),
+            (lambda i: sweep_fractional(i, k_values=[0]), "k must be at least 1"),
+            (lambda i: sweep_fractional(i, k_values=[]), "k_values"),
+            (lambda i: sweep_fractional(i, k_values=[1, 2.5]), "integer"),
+            (lambda i: sweep_pipeline(i, k_values=[1], trials=0), "trials"),
+            (lambda i: sweep_pipeline(i, k_values=[True]), "integer"),
+            (lambda i: sweep_tradeoff(i, k_values=[1], jobs=0), "jobs"),
+            (lambda i: sweep_tradeoff(i, k_values=[-1]), "k must be at least 1"),
+            (lambda i: sweep_faults(i, k=0), "k must be at least 1"),
+            (lambda i: sweep_faults(i, trials=0), "trials"),
+            (lambda i: sweep_cds(i, k=0), "k must be at least 1"),
+            (lambda i: sweep_cds(i, jobs=0), "jobs"),
+            (lambda i: compare_algorithms(i, trials=0), "trials"),
+            (lambda i: compare_algorithms(i, jobs=0), "jobs"),
+        ],
+        ids=[
+            "fractional-jobs0",
+            "fractional-k0",
+            "fractional-no-k",
+            "fractional-k2.5",
+            "pipeline-trials0",
+            "pipeline-k-bool",
+            "tradeoff-jobs0",
+            "tradeoff-k-negative",
+            "faults-k0",
+            "faults-trials0",
+            "cds-k0",
+            "cds-jobs0",
+            "compare-trials0",
+            "compare-jobs0",
+        ],
+    )
+    def test_inputs_rejected_before_any_work(
+        self, instances, monkeypatch, run, message
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("invalid inputs reached an LP solve or engine")
+
+        monkeypatch.setattr(experiment, "solve_fractional_mds", no_work)
+        monkeypatch.setattr(experiment, "_map_instances", no_work)
+        with pytest.raises(ValueError, match=message):
+            run(instances)
+
+
+class _RecordingPool:
+    """In-process stand-in for ProcessPoolExecutor that records its width."""
+
+    widths: list = []
+
+    def __init__(self, max_workers):
+        self.widths.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as error:
+            future.set_exception(error)
+        return future
+
+
+class TestPoolSizing:
+    @pytest.fixture
+    def one_usable_cpu(self, monkeypatch):
+        # Eight CPUs on the host, but the affinity mask allows only one.
+        monkeypatch.delattr(os, "process_cpu_count", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", _RecordingPool)
+        _RecordingPool.widths = []
+        return _RecordingPool.widths
+
+    def test_pool_width_honours_cpu_affinity(self, instances, one_usable_cpu):
+        pooled = sweep_fractional(instances, k_values=[1], jobs=3)
+        assert one_usable_cpu == [1]
+        serial = sweep_fractional(instances, k_values=[1])
+        assert [r.as_row() for r in serial] == [r.as_row() for r in pooled]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failure_names_the_instance(self, monkeypatch, one_usable_cpu, jobs):
+        csr = bulk_unit_disk_graph(60, radius=0.2, seed=0)
+        failing = as_instances({"first_ok": csr, "second_bad": csr})
+
+        def fail_on_second(instance):
+            if instance.name == "second_bad":
+                raise ValueError("boom")
+            return []
+
+        with pytest.raises(ValueError, match="'second_bad': boom"):
+            experiment._map_instances(fail_on_second, failing, jobs)
+        assert one_usable_cpu == ([1] if jobs > 1 else [])
 
 
 class TestHoistedPipelineSweep:

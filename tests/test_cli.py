@@ -102,6 +102,73 @@ class TestSweepCommand:
         assert "ratio" in captured.out
 
 
+class TestTradeoffCommand:
+    ARGS = ["tradeoff", "--family", "grid", "--n", "16", "--max-k", "2", "--trials", "2"]
+
+    def test_tradeoff_prints_table(self, capsys):
+        exit_code = main(self.ARGS)
+        captured = capsys.readouterr()
+        assert exit_code == 0
+        assert "trade-off" in captured.out
+        assert "lower_bound_shape_kmw" in captured.out
+
+    def test_tradeoff_csv(self, capsys):
+        exit_code = main(self.ARGS + ["--csv"])
+        lines = capsys.readouterr().out.splitlines()
+        assert exit_code == 0
+        assert lines[0].startswith("instance,algorithm,k,")
+        assert "upper_bound_thm6" in lines[0]
+        assert len(lines) == 1 + 2  # header + one row per k
+
+
+class TestCdsCommand:
+    ARGS = ["cds", "--family", "erdos_renyi", "--n", "30", "--p", "0.2"]
+
+    def test_cds_prints_table(self, capsys):
+        exit_code = main(self.ARGS)
+        captured = capsys.readouterr()
+        assert exit_code == 0
+        assert "Connected dominating set backbones" in captured.out
+        assert "guha-khuller" in captured.out
+
+    def test_cds_csv(self, capsys):
+        exit_code = main(self.ARGS + ["--csv"])
+        lines = capsys.readouterr().out.splitlines()
+        assert exit_code == 0
+        assert lines[0].startswith("instance,algorithm,")
+        assert "backbone_size" in lines[0]
+        assert len(lines) == 1 + 4  # header + one row per backbone
+
+
+class TestTableCommandErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["cds", "--n", "20", "--k", "0"], "k must be at least 1"),
+            (["sweep", "--n", "20", "--max-k", "0"], "k_values"),
+            (["tradeoff", "--n", "20", "--trials", "0"], "trials"),
+            (["compare", "--n", "20", "--trials", "0"], "trials"),
+            (["faults", "--n", "20", "--k", "0"], "k must be at least 1"),
+            (["sweep", "--n", "20", "--jobs", "0"], "jobs"),
+        ],
+        ids=[
+            "cds-k0",
+            "sweep-max-k0",
+            "tradeoff-trials0",
+            "compare-trials0",
+            "faults-k0",
+            "sweep-jobs0",
+        ],
+    )
+    def test_invalid_options_exit_2_without_traceback(self, capsys, argv, message):
+        exit_code = main(argv)
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert captured.out == ""
+
+
 class TestBoundsCommand:
     def test_bounds_table(self, capsys):
         exit_code = main(["bounds", "--delta", "8", "--max-k", "3"])

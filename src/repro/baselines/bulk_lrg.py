@@ -15,11 +15,11 @@ approximate:
   flags, candidate-cover counts, median supports) is computed from the
   same state the node programs hold, with the distance-2 maxima masked to
   still-running senders exactly as terminated programs stop broadcasting;
-* each candidate draws its joining coin from
-  ``random.Random(f"{seed}:{node}")`` -- the stream
-  :class:`~repro.simulator.network.Network` hands that node -- and a
-  node's draws happen in the same phases, so the two backends flip
-  identical coins and select identical dominating sets;
+* each candidate draws its joining coin as ``u(key, i, c)``
+  (:mod:`repro.simulator.coins`) for its position ``i`` and its own draw
+  count ``c`` -- the stream :class:`~repro.simulator.network.Network`
+  hands that node -- and a node's draws happen in the same phases, so the
+  two backends flip identical coins and select identical dominating sets;
 * per-phase termination follows the program's local rule (covered, and
   every neighbour covered at phase start), which makes the phase counts,
   the modeled round layout and the per-node message totals match the
@@ -27,8 +27,6 @@ approximate:
 """
 
 from __future__ import annotations
-
-import random
 
 import numpy as np
 
@@ -38,6 +36,7 @@ from repro.simulator.bulk import (
     BulkMetricsBuilder,
     int_payload_bits,
 )
+from repro.simulator.coins import coin_key, u
 
 
 def _next_power_of_two_array(values: np.ndarray) -> np.ndarray:
@@ -84,8 +83,9 @@ def run_lrg_bulk(
     bulk:
         The communication graph.
     seed:
-        Experiment seed; candidate ``v`` draws its phase coins from
-        ``Random(f"{seed}:{v}")``, the simulator-identical stream.
+        Experiment seed; the candidate at position ``i`` draws its
+        ``c``-th phase coin as ``u(coin_key(seed), i, c)``, the
+        simulator-identical stream.
     max_phases:
         Hard phase cap; uncovered nodes join directly when it is reached.
     """
@@ -97,18 +97,10 @@ def run_lrg_bulk(
     running = np.ones(n, dtype=bool)
     phases_executed = np.zeros(n, dtype=np.int64)
     metrics = BulkMetricsBuilder(bulk.degrees)
-    # Lazily-created per-node coin streams; a node that never becomes a
-    # candidate never allocates (or advances) its stream, exactly like the
-    # per-node program.
-    streams: dict[int, random.Random] = {}
-
-    def coin(position: int) -> float:
-        stream = streams.get(position)
-        if stream is None:
-            node = bulk.nodes[position]
-            stream = random.Random(f"{seed}:{node}" if seed is not None else None)
-            streams[position] = stream
-        return stream.random()
+    # Per-node draw counters: only candidates advance their stream,
+    # exactly like the per-node program.
+    key = coin_key(seed)
+    draws_made = np.zeros(n, dtype=np.int64)
 
     phases = 0
     while running.any() and phases < max_phases:
@@ -169,11 +161,8 @@ def run_lrg_bulk(
                 segment[keep], own_count[members][keep], candidates.size
             )
             probability = np.minimum(1.0, 1.0 / np.maximum(medians, 1.0))
-            draws = np.fromiter(
-                (coin(int(position)) for position in candidates),
-                dtype=np.float64,
-                count=candidates.size,
-            )
+            draws = u(key, candidates, draws_made[candidates])
+            draws_made[candidates] += 1
             joined_now[candidates] = draws < probability
         in_set |= joined_now
 

@@ -152,8 +152,8 @@ def _add_table_arguments(parser: argparse.ArgumentParser) -> None:
             "run over a whole graph_suite scale instead of one generated "
             "graph; overrides --family/--n/--radius/--p/--degree "
             "(xlarge and huge instances are CSR-native; the default "
-            "--backend auto runs xlarge vectorized and huge sharded when "
-            "multiple CPUs are available)"
+            "--backend auto runs them vectorized, --shards N runs them "
+            "sharded)"
         ),
     )
     parser.add_argument(

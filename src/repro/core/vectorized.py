@@ -28,10 +28,13 @@ Numerical equivalence is engineered, not approximate:
   x-boosts ``a^(−m/(m+1))``, the rounding multipliers ``ln(δ⁽²⁾+1)``) is
   evaluated once per *distinct* operand with Python's own float power /
   ``math.log``, exactly as the per-node programs do, and broadcast back;
-* the randomized rounding draws its per-node coin from
-  ``random.Random(f"{seed}:{node}")`` -- the same stream
-  :class:`~repro.simulator.network.Network` hands each node -- so the
-  selected dominating set matches the simulated backend flip for flip.
+* the randomized rounding draws node ``i``'s coin as
+  ``u(coin_key(seed), i, 0)`` (:mod:`repro.simulator.coins`), keyed on
+  the node's position in sorted node order -- the first draw of the
+  stream :class:`~repro.simulator.network.Network` hands that node -- so
+  the selected dominating set matches the simulated backend flip for
+  flip, and a shard slab (which keys on global positions) flips the same
+  coins.
 
 Round counts and (modeled) message counts are reported through the same
 :class:`~repro.simulator.metrics.ExecutionMetrics` structure the simulator
@@ -41,7 +44,6 @@ produces, with an identical per-round layout.
 from __future__ import annotations
 
 import numbers
-import random
 from contextlib import contextmanager
 from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
@@ -54,6 +56,7 @@ from repro.simulator.bulk import (
     float_payload_bits,
     int_payload_bits,
 )
+from repro.simulator.coins import coin_key, u
 from repro.simulator.columnar import ColumnarTrace
 from repro.simulator.metrics import ExecutionMetrics
 
@@ -630,18 +633,6 @@ def run_algorithm3_bulk_multi_k(
 # ---------------------------------------------------------------------- #
 
 
-def _coin_draws(bulk: BulkGraph, seed: int | None) -> np.ndarray:
-    """Each node's rounding coin from its simulator-identical seeded stream."""
-    return np.fromiter(
-        (
-            random.Random(f"{seed}:{node}" if seed is not None else None).random()
-            for node in bulk.nodes
-        ),
-        dtype=np.float64,
-        count=bulk.n,
-    )
-
-
 def run_rounding_bulk_batched(
     bulk: BulkGraph,
     x: np.ndarray,
@@ -653,10 +644,11 @@ def run_rounding_bulk_batched(
 
     The seed-independent work -- the two δ⁽²⁾ exchanges, the join
     probabilities, the per-exchange payload bits -- is computed once; each
-    trial then only redraws its coin column.  Node ``v`` draws from
-    ``Random(f"{seed}:{v}")``, exactly the stream the simulated network
-    hands it, so every trial selects the set the message-passing
-    :class:`~repro.core.rounding.Algorithm1Program` selects, flip for flip.
+    trial then only redraws its coin column.  The node at position ``i``
+    draws ``u(coin_key(seed), i, 0)``, the first draw of the stream the
+    simulated network hands it, so every trial selects the set the
+    message-passing :class:`~repro.core.rounding.Algorithm1Program`
+    selects, flip for flip.
 
     Parameters
     ----------
@@ -665,7 +657,7 @@ def run_rounding_bulk_batched(
     x:
         Per-node fractional values, indexed like ``bulk.nodes``.
     seeds:
-        One experiment seed per trial.
+        One experiment seed per trial (``None`` draws a fresh run key).
     multiplier_for:
         ``δ⁽²⁾ -> multiplier`` for the join probability (the rounding-rule
         specific ``ln(δ⁽²⁾+1)`` term).
@@ -700,9 +692,8 @@ def run_rounding_bulk_batched(
 
     results = []
     for seed in seeds:
-        joined_randomly = _gated(
-            flipping, _coin_draws(bulk, seed) < probability, False
-        )
+        coins = u(coin_key(seed), bulk.node_index, 0)
+        joined_randomly = _gated(flipping, coins < probability, False)
         # Line 4 announces the decision; lines 5-7: nodes with no
         # dominator in their closed neighbourhood join.
         uncovered = ~joined_randomly & ~bulk.neighbor_any(

@@ -30,6 +30,8 @@ model:
 * :mod:`~repro.simulator.bulk` -- the CSR substrate of the *vectorized*
   backend: whole-graph neighbourhood operators with the simulator's
   accumulation order, plus modeled :class:`ExecutionMetrics`.
+* :mod:`~repro.simulator.coins` -- the counter-keyed coin streams every
+  backend flips: ``u(key, node_index, draw_counter)``.
 """
 
 from repro.simulator.bulk import BulkGraph, BulkMetricsBuilder

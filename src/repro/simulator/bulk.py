@@ -207,10 +207,11 @@ class BulkGraph:
         if np.any(u == v):
             raise ValueError("bulk graph must not contain self loops")
 
-        # Symmetrize, then dedupe via the flattened (row, col) key.
-        src = np.concatenate([u, v])
-        dst = np.concatenate([v, u])
-        keys = np.unique(src * np.int64(n) + dst)
+        # Symmetrize, then dedupe via the flattened (row, col) key: sort,
+        # keep each run's first key (faster than np.unique's hashing).
+        keys = np.sort(np.concatenate([u * np.int64(n) + v, v * np.int64(n) + u]))
+        if keys.size:
+            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
         row = keys // n
         col = keys % n
         indptr = np.concatenate(
@@ -229,6 +230,11 @@ class BulkGraph:
             for a, b in zip(self.row[mask], self.col[mask])
         )
         return graph
+
+    @property
+    def node_index(self) -> np.ndarray:
+        """Each row's position in sorted node order: its coin-stream index."""
+        return np.arange(self.n, dtype=np.int64)
 
     @property
     def max_degree(self) -> int:

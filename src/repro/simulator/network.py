@@ -11,11 +11,11 @@ executions are deterministic.
 
 from __future__ import annotations
 
-import random
 from typing import Callable, Iterable, Mapping
 
 import networkx as nx
 
+from repro.simulator.coins import CoinStream, coin_key
 from repro.simulator.node import NodeContext, NodeProgram
 
 ProgramFactory = Callable[[int, "Network"], NodeProgram]
@@ -36,8 +36,11 @@ class Network:
         can hand global constants (such as Δ for Algorithm 2) to programs,
         mirroring the paper's "all nodes know Δ" assumption.
     seed:
-        Seed for per-node random generators.  Each node ``v`` receives a
-        generator seeded with ``(seed, v)`` so runs are reproducible.
+        Seed for the per-node coin streams.  The seed is hashed into one
+        run key (:func:`~repro.simulator.coins.coin_key`; ``None`` draws a
+        fresh one), and the node at position ``i`` of :attr:`node_ids`
+        draws ``u(key, i, 0), u(key, i, 1), ...``, so runs are
+        reproducible and match the bulk backends flip for flip.
     """
 
     def __init__(
@@ -59,14 +62,13 @@ class Network:
         self._contexts: dict[int, NodeContext] = {}
         self._programs: dict[int, NodeProgram] = {}
 
-        for node_id in self._node_ids:
+        key = coin_key(seed)
+        for position, node_id in enumerate(self._node_ids):
             neighbors = tuple(sorted(graph.neighbors(node_id)))
-            # Each node gets its own deterministic stream derived from the
-            # experiment seed and the node id (string seeds are hashed with a
-            # stable algorithm by ``random.seed``, unlike tuple hashing).
-            rng = random.Random(f"{seed}:{node_id}" if seed is not None else None)
+            # Each node draws from the counter-keyed stream of its position
+            # in sorted node order -- the index the bulk backends use.
             self._contexts[node_id] = NodeContext(
-                node_id=node_id, neighbors=neighbors, rng=rng
+                node_id=node_id, neighbors=neighbors, rng=CoinStream(key, position)
             )
         # Programs are built after contexts so factories may inspect them.
         for node_id in self._node_ids:

@@ -17,10 +17,10 @@ program's constructor explicitly, which mirrors the paper's assumption.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Protocol, Sequence, runtime_checkable
 
+from repro.simulator.coins import CoinStream, coin_key
 from repro.simulator.message import Message, broadcast
 
 
@@ -36,14 +36,17 @@ class NodeContext:
         Identifiers of the node's direct neighbours, sorted ascending.
         The *closed* neighbourhood of the paper is ``{node_id} ∪ neighbors``.
     rng:
-        A per-node pseudo random generator.  Each node receives its own
-        generator seeded from the experiment seed and the node id, so
-        executions are reproducible yet nodes draw independent randomness.
+        The node's coin stream (:class:`~repro.simulator.coins.CoinStream`):
+        its ``c``-th ``random()`` call returns ``u(key, i, c)`` for the
+        run key derived from the experiment seed and the node's position
+        ``i`` in sorted node order, so executions are reproducible yet
+        nodes draw independent randomness.  Programs only call
+        ``random()``.  The default is a fresh unseeded stream.
     """
 
     node_id: int
     neighbors: tuple[int, ...]
-    rng: random.Random = field(default_factory=random.Random)
+    rng: CoinStream = field(default_factory=lambda: CoinStream(coin_key(None), 0))
 
     @property
     def degree(self) -> int:

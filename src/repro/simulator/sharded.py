@@ -31,9 +31,11 @@ Equivalence with the single-process vectorized backend is engineered to be
 
 The three kernels in :mod:`repro.core.vectorized` (one per algorithm)
 run **unchanged** on each slab: :class:`ShardSlab` exposes the operator
-subset they use (``n``, ``nodes``, ``degrees``, ``neighbor_sum``,
-``neighbor_count``, ``closed_max``, ``neighbor_any``) with the exchange
-embedded inside each operator.  Their control flow is driven only by
+subset they use (``n``, ``nodes``, ``node_index``, ``degrees``,
+``neighbor_sum``, ``neighbor_count``, ``closed_max``, ``neighbor_any``)
+with the exchange embedded inside each operator; ``node_index`` holds the
+owned nodes' global positions, so the rounding coins key on the same
+indices as on the whole graph.  Their control flow is driven only by
 global parameters (k, Δ) -- the one data-dependent branch (Algorithm 3's
 ``raising.any()`` boost) contains no exchange -- so all shards execute the
 same superstep sequence in lockstep, including shards that own zero
@@ -66,6 +68,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import resource
+import secrets
 import traceback
 import warnings
 from dataclasses import dataclass
@@ -234,6 +237,9 @@ class ShardSlab:
         self.layout = layout
         self.n = int(layout.owned.size)
         self.nodes: tuple[Hashable, ...] = tuple(nodes)
+        # Owned nodes' *global* positions: the coin streams key on them, so
+        # a slab flips the coins the whole graph would.
+        self.node_index = layout.owned
         self.degrees = layout.degrees
         self._mail = mail
         self._barrier = barrier
@@ -943,7 +949,9 @@ class ShardedDriver:
         :func:`functools.partial` of a module-level function does).
         """
         x = np.asarray(x, dtype=np.float64)
-        seeds = tuple(seeds)
+        # An unseeded trial gets one fresh seed for all shards (and any
+        # replay), so its coins come from one run key.
+        seeds = tuple(secrets.randbits(64) if seed is None else seed for seed in seeds)
         command = ("rounding", seeds, multiplier_for, _schedule_pieces(schedule))
         replies = self._request(command, mail_payload=x)
         if replies is None:

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graphs.bulk import (
     bulk_caterpillar_graph,
@@ -24,6 +28,46 @@ from repro.simulator.bulk import BulkGraph
 def assert_same_csr(a: BulkGraph, b: BulkGraph) -> None:
     assert np.array_equal(a.indptr, b.indptr)
     assert np.array_equal(a.col, b.col)
+
+
+def set_reference_csr(n, u, v) -> tuple[list[int], list[int]]:
+    """The CSR of an undirected edge list, built from Python sets."""
+    neighbors = [set() for _ in range(n)]
+    for a, b in zip(u, v):
+        neighbors[a].add(b)
+        neighbors[b].add(a)
+    indptr = [0]
+    col: list[int] = []
+    for row in neighbors:
+        col.extend(sorted(row))
+        indptr.append(len(col))
+    return indptr, col
+
+
+def csr_digest(bulk: BulkGraph) -> str:
+    digest = hashlib.sha256(bulk.indptr.astype("<i8").tobytes())
+    digest.update(bulk.col.astype("<i8").tobytes())
+    return digest.hexdigest()[:16]
+
+
+@st.composite
+def edge_lists(draw):
+    """Edge lists with duplicates in both orientations and isolated nodes."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                lambda pair: pair[0] != pair[1]
+            ),
+            max_size=120,
+        )
+    )
+    repeats = draw(st.lists(st.sampled_from(pairs), max_size=30)) if pairs else []
+    flipped = [(b, a) for a, b in repeats]
+    edges = draw(st.permutations(pairs + repeats + flipped))
+    u = np.array([a for a, _ in edges], dtype=np.int64)
+    v = np.array([b for _, b in edges], dtype=np.int64)
+    return n, u, v
 
 
 class TestFromEdges:
@@ -100,6 +144,71 @@ class TestFromEdges:
         assert set(map(frozenset, back.edges())) == set(
             map(frozenset, graph.edges())
         )
+
+
+class TestFromEdgesMatchesSetReference:
+    @settings(max_examples=200, deadline=None)
+    @given(edge_lists())
+    def test_random_edge_lists(self, case):
+        n, u, v = case
+        indptr, col = set_reference_csr(n, u.tolist(), v.tolist())
+        built = BulkGraph.from_edges(n, u, v)
+        assert built.indptr.dtype == np.int64 and built.col.dtype == np.int64
+        assert built.indptr.tolist() == indptr
+        assert built.col.tolist() == col
+
+    def test_empty_edge_list(self):
+        empty = np.array([], dtype=np.int64)
+        built = BulkGraph.from_edges(5, empty, empty)
+        assert built.indptr.tolist() == [0] * 6
+        assert built.col.tolist() == []
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: bulk_erdos_renyi_graph(3000, 0.003, seed=5),
+            lambda: bulk_unit_disk_graph(500, 0.08, seed=11),
+            lambda: bulk_grid_graph(7, 9),
+            lambda: bulk_caterpillar_graph(12, 3),
+        ],
+        ids=["erdos-renyi", "unit-disk", "grid", "caterpillar"],
+    )
+    def test_generators_match_set_reference(self, build, monkeypatch):
+        calls = []
+        from_edges = BulkGraph.from_edges.__func__
+
+        def recording(cls, n, u, v, nodes=None):
+            calls.append((n, np.asarray(u).tolist(), np.asarray(v).tolist()))
+            return from_edges(cls, n, u, v, nodes)
+
+        monkeypatch.setattr(BulkGraph, "from_edges", classmethod(recording))
+        built = build()
+        (n, u, v), = calls
+        assert (built.indptr.tolist(), built.col.tolist()) == set_reference_csr(n, u, v)
+
+
+#: sha256 prefixes of ``indptr`` and ``col`` (little-endian int64) of the
+#: generators' CSR for fixed seeds, recorded with ``np.unique``-based
+#: deduplication; the sort-based dedupe must reproduce them byte for byte.
+PINNED_CSR_DIGESTS = {
+    "erdos_renyi_n2000": "42ee264c53d8c45a",
+    "unit_disk_n2000": "9d015c09a3b23bd2",
+    "grid_45x45": "86f7787dc71c48c6",
+    "caterpillar_500x3": "c107a9ea6067cb8f",
+    "erdos_renyi_n3000": "86e48bd884ce54f0",
+    "unit_disk_n500": "619a982898421cd4",
+    "erdos_renyi_complete_n30": "88f4965f33193965",
+    "erdos_renyi_empty_n30": "b3ab6982980fddf4",
+}
+
+
+def test_generators_byte_identical_to_pinned_csr():
+    built = dict(bulk_graph_suite("large", seed=3))
+    built["erdos_renyi_n3000"] = bulk_erdos_renyi_graph(3000, 0.003, seed=5)
+    built["unit_disk_n500"] = bulk_unit_disk_graph(500, 0.08, seed=11)
+    built["erdos_renyi_complete_n30"] = bulk_erdos_renyi_graph(30, 1.0)
+    built["erdos_renyi_empty_n30"] = bulk_erdos_renyi_graph(30, 0.0)
+    assert {name: csr_digest(g) for name, g in built.items()} == PINNED_CSR_DIGESTS
 
 
 class TestDirectGenerators:

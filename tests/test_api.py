@@ -20,6 +20,7 @@ Four contracts are pinned here:
 import inspect
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro import api
@@ -145,6 +146,18 @@ class TestDispatch:
         # End to end, on a cheap spec.
         report = solve("greedy", graph)
         assert report.backend == VECTORIZED
+
+    def test_auto_never_picks_sharded_by_size(self, monkeypatch):
+        # Even on a many-CPU host: only backend="sharded" or shards=N shard.
+        from repro.simulator import sharded
+
+        monkeypatch.setattr(sharded, "available_cpu_count", lambda: 8)
+        n = 1_000_000
+        edgeless = BulkGraph(np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64))
+        assert resolve_backend("kuhn-wattenhofer", edgeless) == VECTORIZED
+        assert resolve_backend("kuhn-wattenhofer", nx.empty_graph(200_000)) == VECTORIZED
+        assert resolve_backend("kuhn-wattenhofer", edgeless, shards=2) == SHARDED
+        assert not hasattr(api, "AUTO_SHARD_THRESHOLD")
 
     def test_auto_respects_single_backend_specs(self, small_graph):
         graph = nx.path_graph(AUTO_VECTORIZE_THRESHOLD)

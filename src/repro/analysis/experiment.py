@@ -314,7 +314,11 @@ def _kw_instance_records(
     for k in k_values:
         roundings = roundings_by_k.get(k, [])
         for rounding in roundings:
-            if not is_dominating_set(instance.graph, rounding.dominating_set):
+            if not (
+                is_dominating_set(instance.graph, rounding.dominating_set)
+                if rounding.in_set is None
+                else is_dominating_set(engine_graph, rounding.in_set)
+            ):
                 raise RuntimeError(
                     f"pipeline produced a non-dominating set on {instance.name}"
                 )

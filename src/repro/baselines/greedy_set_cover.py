@@ -17,7 +17,7 @@ from typing import Hashable, Iterable, Mapping
 
 import networkx as nx
 
-from repro.graphs.utils import closed_neighborhoods
+from repro.graphs.utils import closed_neighborhoods, validate_simple_graph
 
 
 def greedy_set_cover(
@@ -68,6 +68,7 @@ def greedy_set_cover(
 
 def greedy_set_cover_dominating_set(graph: nx.Graph) -> frozenset:
     """Dominating set obtained by running set cover greedy on N_i sets."""
+    validate_simple_graph(graph)
     neighborhoods = {
         node: frozenset(members) for node, members in closed_neighborhoods(graph).items()
     }

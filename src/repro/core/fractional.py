@@ -14,9 +14,10 @@ correspondence is annotated in :meth:`Algorithm2Program.run`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable, Mapping, Sequence
 
 import networkx as nx
+import numpy as np
 
 from repro.core.vectorized import (
     BACKENDS,
@@ -24,6 +25,7 @@ from repro.core.vectorized import (
     SIMULATED,
     VECTORIZED,
     CapabilityError,
+    NodeValues,
     algorithm2_exchanges,
     bulk_engine,
     resolve_bulk_input,
@@ -52,7 +54,10 @@ class FractionalResult:
     Attributes
     ----------
     x:
-        Per-node fractional values (the LP_MDS solution).
+        Per-node fractional values (the LP_MDS solution).  The bulk
+        backends return a read-only
+        :class:`~repro.core.vectorized.NodeValues` view over the x-vector
+        array, whose dict is built on first access.
     objective:
         Σ_i x_i, the fractional objective.
     rounds:
@@ -67,7 +72,7 @@ class FractionalResult:
         The maximum degree Δ of the input graph.
     """
 
-    x: dict[Hashable, float]
+    x: Mapping[Hashable, float]
     objective: float
     rounds: int
     metrics: ExecutionMetrics
@@ -182,15 +187,15 @@ class Algorithm2Program(GeneratorNodeProgram):
 def _package_fractional(bulk, values, metrics, k, true_delta, trace=None, faults=None):
     """Build a :class:`FractionalResult` from bulk-engine output arrays.
 
-    The x dict is filled in ``bulk.nodes`` order via ``tolist()`` (Python
-    floats, bit-identical to per-value ``float()`` casts), so the
-    insertion-ordered ``sum`` over its values matches the per-node
-    packaging loop this replaces.
+    ``x`` is a :class:`~repro.core.vectorized.NodeValues` view over
+    ``values``.  The objective is ``np.add.accumulate``'s last entry: a
+    strictly left-to-right sum in ``bulk.nodes`` order, bitwise the
+    simulated path's ``sum(x.values())`` (``np.sum`` is pairwise and is
+    not).
     """
-    x = dict(zip(bulk.nodes, values.tolist()))
     return FractionalResult(
-        x=x,
-        objective=float(sum(x.values())),
+        x=NodeValues(bulk.nodes, values),
+        objective=float(np.add.accumulate(values)[-1]),
         rounds=metrics.round_count,
         metrics=metrics,
         trace=trace if trace is not None else ExecutionTrace(),

@@ -293,7 +293,12 @@ def kuhn_wattenhofer_dominating_set(
     dominating_set = rounding.dominating_set
     repair_report = None
     if faults is None:
-        if not is_dominating_set(graph, dominating_set):
+        # The bulk backends validate the rounding's membership mask.
+        if not (
+            is_dominating_set(graph, dominating_set)
+            if rounding.in_set is None
+            else is_dominating_set(bulk, rounding.in_set)
+        ):
             raise RuntimeError(
                 "rounding phase returned a non-dominating set; "
                 "this indicates a bug in Algorithm 1's fallback step"

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import compress
 from typing import Hashable, Mapping, Sequence
@@ -102,6 +102,9 @@ class RoundingResult:
     metrics: ExecutionMetrics
     #: What the fault schedule did to this run (``None`` for fault-free runs).
     faults: FaultSummary | None = None
+    #: ``dominating_set`` as a read-only bool mask in ``bulk.nodes`` order
+    #: (bulk backends only; ``None`` on the simulated backend).
+    in_set: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -205,6 +208,7 @@ def _bulk_rounding_result(
     n ≥ 10⁶ (this is serial time both the vectorized and sharded backends
     pay per trial).
     """
+    in_set.flags.writeable = False
     return RoundingResult(
         dominating_set=frozenset(compress(bulk.nodes, in_set.tolist())),
         joined_randomly=frozenset(compress(bulk.nodes, randomly.tolist())),
@@ -212,6 +216,7 @@ def _bulk_rounding_result(
         rounds=metrics.round_count,
         metrics=metrics,
         faults=faults,
+        in_set=in_set,
     )
 
 

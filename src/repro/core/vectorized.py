@@ -325,6 +325,19 @@ def _gated(alive: np.ndarray | None, updated, current) -> np.ndarray:
     return updated if alive is None else np.where(alive, updated, current)
 
 
+def _degree_maxima(bulk: BulkGraph, schedule) -> tuple[np.ndarray, np.ndarray]:
+    """δ⁽¹⁾ and δ⁽²⁾ over exchanges 0 and 1 of ``schedule``.
+
+    With both exchanges fault-free they are the graph's cached
+    :meth:`~repro.simulator.bulk.BulkGraph.degree_maxima`.
+    """
+    first, second = schedule.delivered_edges(0), schedule.delivered_edges(1)
+    if first is None and second is None:
+        return bulk.degree_maxima()
+    delta_one = bulk.closed_max(bulk.degrees, edge_mask=first)
+    return delta_one, bulk.closed_max(delta_one, edge_mask=second)
+
+
 def algorithm2_exchanges(k: int) -> int:
     """Delivery rounds of Algorithm 2 with locality ``k`` (2k²)."""
     return 2 * k * k
@@ -510,9 +523,8 @@ def run_algorithm3_bulk_multi_k(
     power_cache: dict[tuple[float, float], float] = {}
     # Line 2: the δ⁽²⁾ prefix (exchanges 0 and 1).
     degree_bits = int_payload_bits(bulk.degrees)
-    delta_one = bulk.closed_max(bulk.degrees, edge_mask=schedule.delivered_edges(0))
+    delta_one, delta_two = _degree_maxima(bulk, schedule)
     delta_one_bits = int_payload_bits(delta_one)
-    delta_two = bulk.closed_max(delta_one, edge_mask=schedule.delivered_edges(1))
     initial_gamma_two = (delta_two + 1).astype(np.float64)
 
     results: dict[int, tuple[np.ndarray, ExecutionMetrics]] = {}
@@ -535,14 +547,13 @@ def run_algorithm3_bulk_multi_k(
                     metrics.exchange_count, ell, dynamic_degree, x, white,
                     gamma_two=gamma_two,
                 )
+            # Lines 7-9: the activity threshold γ⁽²⁾^(ℓ/(ℓ+1)) is fixed for
+            # the whole inner loop.
+            threshold = _unique_powers_cached(gamma_two, ell / (ell + 1), power_cache)
             for m in range(k - 1, -1, -1):
-                # Lines 7-9: activity threshold γ⁽²⁾^(ℓ/(ℓ+1)), one
-                # exchange.  A dead node's stale flag is never observed:
-                # the delivered mask already excludes it as a sender, and
-                # its own downstream uses are gated.
-                threshold = _unique_powers_cached(
-                    gamma_two, ell / (ell + 1), power_cache
-                )
+                # One exchange of activity flags.  A dead node's stale flag
+                # is never observed: the delivered mask already excludes it
+                # as a sender, and its own downstream uses are gated.
                 active = dynamic_degree >= threshold
                 metrics.record_exchange(
                     BOOL_PAYLOAD_BITS, senders=schedule.senders(exchange)
@@ -606,7 +617,9 @@ def run_algorithm3_bulk_multi_k(
                 )
                 exchange += 1
 
-            # Lines 24-27: two exchanges refreshing γ⁽²⁾, floored at 1.
+            # Lines 24-27: two exchanges refreshing γ⁽²⁾, floored at 1.  The
+            # last outer iteration still sends γ⁽¹⁾, but nothing reads the
+            # γ⁽²⁾ it would produce.
             metrics.record_exchange(
                 int_payload_bits(dynamic_degree), senders=schedule.senders(exchange)
             )
@@ -617,12 +630,13 @@ def run_algorithm3_bulk_multi_k(
             metrics.record_exchange(
                 int_payload_bits(gamma_one), senders=schedule.senders(exchange)
             )
-            gamma_two = np.maximum(
-                bulk.closed_max(
-                    gamma_one, edge_mask=schedule.delivered_edges(exchange)
-                ).astype(np.float64),
-                1.0,
-            )
+            if ell > 0:
+                gamma_two = np.maximum(
+                    bulk.closed_max(
+                        gamma_one, edge_mask=schedule.delivered_edges(exchange)
+                    ).astype(np.float64),
+                    1.0,
+                )
             exchange += 1
         results[k] = (x, metrics.build(bulk.nodes))
     return results
@@ -683,9 +697,8 @@ def run_rounding_bulk_batched(
     # Line 1: δ⁽²⁾ via two exchanges of degree maxima; lines 2-3: the join
     # probability min(1, x · multiplier(δ⁽²⁾)).
     degree_bits = int_payload_bits(bulk.degrees)
-    delta_one = bulk.closed_max(bulk.degrees, edge_mask=schedule.delivered_edges(0))
+    delta_one, delta_two = _degree_maxima(bulk, schedule)
     delta_one_bits = int_payload_bits(delta_one)
-    delta_two = bulk.closed_max(delta_one, edge_mask=schedule.delivered_edges(1))
     probability = np.minimum(1.0, x * _unique_map(delta_two, multiplier_for))
     flipping, surviving = schedule.alive(1), schedule.alive(2)
     announced = schedule.delivered_edges(2)
@@ -764,8 +777,54 @@ def bulk_engine(
         yield BulkKernels(bulk)
 
 
+class NodeValues(Mapping):
+    """Read-only ``node -> value`` view of an array in ``nodes`` order.
+
+    The bulk fractional results hand their x-vector over as this view:
+    rounding and validation read the array itself
+    (:func:`x_array_from_mapping`), and the dict is only built, once, when
+    a caller reads the mapping.  The array is frozen read-only.
+    """
+
+    def __init__(self, nodes: Sequence[Hashable], values: np.ndarray) -> None:
+        values.flags.writeable = False
+        self.nodes = nodes
+        self.array = values
+        self._dict: dict[Hashable, float] | None = None
+
+    def _mapping(self) -> dict[Hashable, float]:
+        if self._dict is None:
+            # tolist() yields Python floats, bit-identical to float() casts.
+            self._dict = dict(zip(self.nodes, self.array.tolist()))
+        return self._dict
+
+    def __getitem__(self, node: Hashable) -> float:
+        return self._mapping()[node]
+
+    def __iter__(self) -> Iterator[Hashable]:
+        return iter(self.nodes)
+
+    def items(self):
+        return self._mapping().items()
+
+    def values(self):
+        return self._mapping().values()
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    def __repr__(self) -> str:
+        return f"NodeValues({self._mapping()!r})"
+
+
 def x_array_from_mapping(bulk: BulkGraph, x: Mapping[Hashable, float]) -> np.ndarray:
-    """Convert a node -> value mapping into a ``bulk.nodes``-indexed array."""
+    """Convert a node -> value mapping into a ``bulk.nodes``-indexed array.
+
+    A :class:`NodeValues` view over ``bulk``'s nodes returns its (read-only)
+    array without a copy.
+    """
+    if isinstance(x, NodeValues) and (x.nodes is bulk.nodes or x.nodes == bulk.nodes):
+        return x.array
     if len(x) == bulk.n:
         # Fast path for complete mappings (the common pipeline case at
         # n >= 10⁶): fromiter over __getitem__ skips a per-node float()

@@ -21,8 +21,14 @@ def is_dominating_set(graph: nx.Graph, candidate: Iterable[Hashable]) -> bool:
 
     Nodes in ``candidate`` that are not part of the graph are rejected with
     ``ValueError`` -- passing a stale set from a different graph is always a
-    bug worth surfacing immediately.
+    bug worth surfacing immediately.  On a CSR graph ``candidate`` may also
+    be a bool membership mask in ``graph.nodes`` order.
     """
+    mask = isinstance(candidate, np.ndarray) and candidate.dtype == bool
+    if mask and is_bulk_graph(graph):
+        if candidate.shape != (graph.n,):
+            raise ValueError("a membership mask needs one bool per graph node")
+        return graph.is_dominating_set(candidate)
     members = set(candidate)
     if is_bulk_graph(graph):
         unknown = members - set(graph.nodes)

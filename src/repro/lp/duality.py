@@ -26,13 +26,13 @@ from repro.lp.formulation import DominatingSetLP, build_lp
 def lemma1_dual_solution(graph: nx.Graph) -> dict[Hashable, float]:
     """The Lemma-1 dual assignment y_i = 1 / (δ⁽¹⁾_i + 1).
 
-    CSR :class:`~repro.simulator.bulk.BulkGraph` inputs compute δ⁽¹⁾ with
-    one ``closed_max`` sweep instead of n closed-neighbourhood scans.
+    CSR :class:`~repro.simulator.bulk.BulkGraph` inputs read δ⁽¹⁾ from the
+    graph's cached degree maxima instead of n closed-neighbourhood scans.
     """
     from repro.graphs.utils import is_bulk_graph
 
     if is_bulk_graph(graph):
-        delta_one_array = graph.closed_max(graph.degrees)
+        delta_one_array = graph.degree_maxima()[0]
         return {
             node: 1.0 / (int(value) + 1.0)
             for node, value in zip(graph.nodes, delta_one_array)

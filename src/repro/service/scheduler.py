@@ -209,7 +209,11 @@ def _coalesced_pipeline_reports(
                 _bulk=bulk,
                 _executor=executor,
             )
-            if not is_dominating_set(graph, rounding.dominating_set):
+            if not (
+                is_dominating_set(graph, rounding.dominating_set)
+                if rounding.in_set is None
+                else is_dominating_set(bulk, rounding.in_set)
+            ):
                 raise RuntimeError(
                     "rounding phase returned a non-dominating set; "
                     "this indicates a bug in Algorithm 1's fallback step"

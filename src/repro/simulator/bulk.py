@@ -14,10 +14,19 @@ numerically interchangeable:
 * **Ordering.**  :class:`BulkGraph` stores nodes in sorted order and each
   adjacency row in ascending neighbour order -- exactly the order in which
   :class:`~repro.simulator.network.Network` sorts neighbours and the runner
-  delivers messages.  :meth:`BulkGraph.neighbor_sum` accumulates every row
-  left to right in that order (``numpy.bincount`` iterates its input
-  sequentially), so floating-point sums are *bitwise identical* to the
-  ``sum(inbox_by_sender(...).values())`` loops in the node programs.
+  delivers messages.  :meth:`BulkGraph.neighbor_sum` is scipy's
+  ``csr_matvec`` over the cached adjacency, which adds every row left to
+  right in that order starting from ``0.0``, so floating-point sums are
+  *bitwise identical* to the ``sum(inbox_by_sender(...).values())`` loops
+  in the node programs.
+* **Frontiers.**  Algorithm 3 is local in practice: after its first inner
+  iteration only a few percent of the nodes are white, active or carry a
+  non-zero a-value.  :meth:`BulkGraph.neighbor_count` and
+  :meth:`BulkGraph.closed_max` therefore *push* from the non-zero sources
+  into their rows when those sources' degree sum is a small fraction of
+  the 2m adjacency entries, and *pull* every row otherwise.  Counts and
+  maxima do not depend on the order of their terms, so both paths return
+  the same integers.
 * **Metrics.**  :class:`BulkMetricsBuilder` models the messages a
   fault-free simulated execution would have sent (one payload broadcast per
   node per exchange) and lays the per-round counters out exactly like
@@ -42,6 +51,13 @@ BOOL_PAYLOAD_BITS = 1
 #: Bit cost of a non-zero real payload (mirrors ``payload_size_bits(1.5)``).
 FLOAT_PAYLOAD_BITS = 32
 
+# Push from the frontier while its degree sum is below this fraction of the
+# 2m adjacency entries; pull every row above it.  The crossovers were
+# measured on ER graphs with n = 2·10⁵ and mean degree 10 (CHANGES.md):
+# a pushed count wins below ≈ 25% of the nodes, a pushed maximum below ≈ 50%.
+_PUSH_COUNT_FRACTION = 0.25
+_PUSH_MAX_FRACTION = 0.5
+
 
 def int_payload_bits(values: np.ndarray) -> np.ndarray:
     """Vectorized ``payload_size_bits`` for integer payloads.
@@ -59,6 +75,19 @@ def float_payload_bits(values: np.ndarray) -> np.ndarray:
     """Vectorized ``payload_size_bits`` for real payloads (1 bit for 0.0)."""
     values = np.asarray(values, dtype=np.float64)
     return np.where(values == 0.0, 1, FLOAT_PAYLOAD_BITS)
+
+
+def _csr_matvec(
+    indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, vector
+) -> np.ndarray:
+    """scipy's ``csr_matvec``: each row summed left to right from ``0.0``."""
+    from scipy.sparse import _sparsetools
+
+    rows = indptr.size - 1
+    vector = np.ascontiguousarray(vector, dtype=np.float64)
+    result = np.zeros(rows)
+    _sparsetools.csr_matvec(rows, vector.size, indptr, indices, data, vector, result)
+    return result
 
 
 class BulkGraph:
@@ -129,8 +158,10 @@ class BulkGraph:
                     "CSR rows must be strictly ascending; build through "
                     "from_edges or from_graph to normalise the adjacency"
                 )
-        # The adjacency must be symmetric (undirected communication).
-        forward = np.sort(self.row * np.int64(n) + col)
+        # The adjacency must be symmetric (undirected communication).  The
+        # rows are strictly ascending by now, so the forward keys already
+        # come out sorted.
+        forward = self.row * np.int64(n) + col
         backward = np.sort(col * np.int64(n) + self.row)
         if not np.array_equal(forward, backward):
             raise ValueError("bulk graph adjacency must be symmetric")
@@ -139,16 +170,18 @@ class BulkGraph:
         self._nonempty_starts = self.indptr[self._nonempty]
         # node -> position, built lazily by index_of.
         self._index: dict[Hashable, int] | None = None
+        # Lazy scipy CSR of the adjacency A (data = 1.0), the matrix behind
+        # neighbor_sum / neighbor_count / neighbor_any.
+        self._adjacency = None
+        # Lazy fault-free (δ⁽¹⁾, δ⁽²⁾), shared by Algorithms 1 and 3.
+        self._degree_maxima: tuple[np.ndarray, np.ndarray] | None = None
         # Lazy scipy CSR of N = A + I, shared by the LP solver, the
         # first-order power iteration, and certification (built once by
         # repro.lp.sparse.neighborhood_csr_matrix).
         self._neighborhood_csr = None
-        # Lazy augmented-CSR structure for closed_chain_sum.
-        self._chain_senders: np.ndarray | None = None
-        self._chain_carry_slots: np.ndarray | None = None
-        self._chain_entry_slots: np.ndarray | None = None
-        self._chain_value_mask: np.ndarray | None = None
-        self._chain_row: np.ndarray | None = None
+        # Lazy augmented CSR for closed_chain_sum: (indptr, indices,
+        # slots of the neighbour entries).
+        self._chain: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def from_graph(cls, graph: nx.Graph) -> "BulkGraph":
@@ -274,9 +307,75 @@ class BulkGraph:
         max_violation = max(nonnegativity_violation, coverage_violation)
         return max_violation <= tolerance, max_violation
 
+    @property
+    def adjacency(self):
+        """The adjacency matrix A as a cached ``scipy.sparse`` CSR (data 1.0).
+
+        Built on first use from ``indptr`` / ``col``; scipy keeps its own
+        (int32 where it fits) copy of the indices.  Masked operators reuse
+        these indices with the delivered mask as the matrix data.
+        """
+        if self._adjacency is None:
+            from scipy import sparse
+
+            self._adjacency = sparse.csr_matrix(
+                (np.ones(self.col.size), self.col, self.indptr),
+                shape=(self.n, self.n),
+            )
+        return self._adjacency
+
+    def degree_maxima(self) -> tuple[np.ndarray, np.ndarray]:
+        """Fault-free ``(δ⁽¹⁾, δ⁽²⁾)``: closed-neighbourhood degree maxima.
+
+        Computed once per graph and cached (read-only): the δ⁽²⁾ prefixes
+        of Algorithms 1 and 3 and the Lemma 1 bound all read it.
+        """
+        if self._degree_maxima is None:
+            delta_one = self.closed_max(self.degrees)
+            delta_two = self.closed_max(delta_one)
+            delta_one.flags.writeable = False
+            delta_two.flags.writeable = False
+            self._degree_maxima = (delta_one, delta_two)
+        return self._degree_maxima
+
     # ------------------------------------------------------------------ #
     # Neighbourhood operators                                             #
     # ------------------------------------------------------------------ #
+    #
+    # Sums and counts are one sparse matvec ``A @ values``.  scipy's
+    # ``csr_matvec`` adds each row left to right starting from 0.0, the
+    # order of the node programs' inbox sums.  A masked call passes the
+    # delivered mask as the matrix data, so a dropped message adds
+    # ``0.0 * value`` -- an exact +0.0 only for *finite* values, the
+    # operators' precondition (every payload the kernels exchange is).
+
+    def _matvec(
+        self, values: np.ndarray, edge_mask: np.ndarray | None
+    ) -> np.ndarray:
+        """``A @ values`` (``edge_mask`` as the matrix data when given)."""
+        adjacency = self.adjacency
+        data = (
+            adjacency.data
+            if edge_mask is None
+            else np.asarray(edge_mask, dtype=np.float64)
+        )
+        return _csr_matvec(adjacency.indptr, adjacency.indices, data, values)
+
+    def _frontier_entries(
+        self, sources: np.ndarray, fraction: float
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """CSR positions of ``sources``' rows, if worth pushing from.
+
+        Returns ``(positions, lengths)`` when the sources' degree sum is
+        below ``fraction`` of the 2m adjacency entries, else ``None``.
+        """
+        lengths = self.degrees[sources]
+        reach = int(lengths.sum())
+        if reach >= fraction * self.col.size:
+            return None
+        # Concatenate the ranges indptr[s] .. indptr[s] + degree(s).
+        starts = self.indptr[sources] - (np.cumsum(lengths) - lengths)
+        return np.arange(reach, dtype=np.int64) + np.repeat(starts, lengths), lengths
 
     def neighbor_sum(
         self, values: np.ndarray, edge_mask: np.ndarray | None = None
@@ -285,34 +384,32 @@ class BulkGraph:
 
         Accumulates each row left to right in ascending neighbour order,
         reproducing the node programs' ``sum(neighbor_payloads.values())``
-        bit for bit.  ``edge_mask`` (one bool per CSR position) drops
-        masked-out entries from the accumulation entirely -- the surviving
-        entries keep their relative order, so the sum equals the simulated
-        inbox sum of only the delivered messages, bit for bit.
+        bit for bit.  ``edge_mask`` (one bool per CSR position) turns the
+        masked-out entries into ``+0.0`` terms, so the sum equals the
+        simulated inbox sum of only the delivered messages, bit for bit.
+        ``values`` must be finite.
         """
-        values = np.asarray(values, dtype=np.float64)
-        if edge_mask is None:
-            return np.bincount(
-                self.row, weights=values[self.col], minlength=self.n
-            )
-        edge_mask = np.asarray(edge_mask, dtype=bool)
-        return np.bincount(
-            self.row[edge_mask],
-            weights=values[self.col[edge_mask]],
-            minlength=self.n,
-        )
+        return self._matvec(values, edge_mask)
 
     def neighbor_count(
         self, flags: np.ndarray, edge_mask: np.ndarray | None = None
     ) -> np.ndarray:
         """Per-node count of ``True`` flags over the open neighbourhood.
 
-        ``edge_mask`` restricts the count to unmasked CSR positions.
+        ``edge_mask`` restricts the count to unmasked CSR positions.  An
+        unmasked call whose flagged nodes' degree sum is small pushes the
+        flags into their rows (``bincount`` over those rows' entries)
+        instead of pulling every row; both return the same ``int64``
+        counts.
         """
-        mask = np.asarray(flags, dtype=bool)[self.col]
-        if edge_mask is not None:
-            mask = mask & np.asarray(edge_mask, dtype=bool)
-        return np.bincount(self.row[mask], minlength=self.n)
+        flags = np.asarray(flags, dtype=bool)
+        if edge_mask is None:
+            frontier = self._frontier_entries(
+                np.flatnonzero(flags), _PUSH_COUNT_FRACTION
+            )
+            if frontier is not None:
+                return np.bincount(self.col[frontier[0]], minlength=self.n)
+        return self._matvec(flags, edge_mask).astype(np.int64)
 
     def closed_max(
         self,
@@ -329,26 +426,46 @@ class BulkGraph:
         messages under fault injection).  A node's *own* value always
         participates (the per-node programs seed their running maximum
         with it before reading the inbox).
+
+        Unmasked non-negative integer values whose non-zero entries have a
+        small degree sum are pushed from those sources into their rows
+        (``np.maximum.at``); a zero never raises a non-negative maximum,
+        so this equals pulling every row.
         """
         values = np.asarray(values)
         result = values.copy()
-        if self.col.size:
-            contributions = values[self.col]
-            keep: np.ndarray | None = None
-            if senders is not None:
-                keep = np.asarray(senders, dtype=bool)[self.col]
-            if edge_mask is not None:
-                edge_mask = np.asarray(edge_mask, dtype=bool)
-                keep = edge_mask if keep is None else keep & edge_mask
-            if keep is not None:
-                floor = (
-                    np.iinfo(values.dtype).min
-                    if np.issubdtype(values.dtype, np.integer)
-                    else -np.inf
+        if not self.col.size:
+            return result
+        if (
+            senders is None
+            and edge_mask is None
+            and np.issubdtype(values.dtype, np.integer)
+            and values.min() >= 0
+        ):
+            sources = np.flatnonzero(values)
+            frontier = self._frontier_entries(sources, _PUSH_MAX_FRACTION)
+            if frontier is not None:
+                positions, lengths = frontier
+                np.maximum.at(
+                    result, self.col[positions], np.repeat(values[sources], lengths)
                 )
-                contributions = np.where(keep, contributions, floor)
-            row_max = np.maximum.reduceat(contributions, self._nonempty_starts)
-            result[self._nonempty] = np.maximum(values[self._nonempty], row_max)
+                return result
+        contributions = np.take(values, self.col)
+        keep: np.ndarray | None = None
+        if senders is not None:
+            keep = np.take(np.asarray(senders, dtype=bool), self.col)
+        if edge_mask is not None:
+            edge_mask = np.asarray(edge_mask, dtype=bool)
+            keep = edge_mask if keep is None else keep & edge_mask
+        if keep is not None:
+            floor = (
+                np.iinfo(values.dtype).min
+                if np.issubdtype(values.dtype, np.integer)
+                else -np.inf
+            )
+            contributions = np.where(keep, contributions, floor)
+        row_max = np.maximum.reduceat(contributions, self._nonempty_starts)
+        result[self._nonempty] = np.maximum(values[self._nonempty], row_max)
         return result
 
     def neighbor_any(
@@ -377,56 +494,39 @@ class BulkGraph:
         :mod:`repro.core.invariants` uses -- so results are bitwise equal
         to that Python loop, not merely close.
 
-        ``edge_mask`` (one bool per CSR position) removes masked-out
-        neighbour contributions from the chain entirely; the carry and the
-        node's own value always participate (both are local state, not
-        messages).
+        ``edge_mask`` (one bool per CSR position) turns masked-out
+        neighbour contributions into ``+0.0`` terms, which leaves the
+        chain unchanged for finite values; the carry and the node's own
+        value always participate (both are local state, not messages).
         """
-        if self._chain_senders is None:
-            # Augmented CSR: per row, one leading carry slot, then the
-            # closed neighbourhood with the node itself inserted at its
-            # ascending position among its neighbours.
+        if self._chain is None:
+            # Augmented CSR over the vector (values, carry): per row, one
+            # leading carry entry (column n + i), then the closed
+            # neighbourhood with the node itself inserted at its ascending
+            # position among its neighbours.
             n = self.n
-            total = int(self.col.size) + 2 * n
-            slots = self.degrees + 2
-            indptr = np.concatenate(
-                ([0], np.cumsum(slots))
-            ).astype(np.int64)
-            senders = np.empty(total, dtype=np.int64)
+            indptr = np.concatenate(([0], np.cumsum(self.degrees + 2)))
+            indices = np.empty(int(indptr[-1]), dtype=np.int64)
             carry_slots = indptr[:-1]
-            senders[carry_slots] = -1  # placeholder, filled per call
+            indices[carry_slots] = n + np.arange(n, dtype=np.int64)
             offset_in_row = np.arange(self.col.size, dtype=np.int64) - self.indptr[
                 self.row
             ]
             entry_slots = (
                 indptr[self.row] + 1 + offset_in_row + (self.col > self.row)
             )
-            senders[entry_slots] = self.col
-            count_less = np.bincount(
-                self.row[self.col < self.row], minlength=n
-            ).astype(np.int64)
-            self_slots = carry_slots + 1 + count_less
-            senders[self_slots] = np.arange(n, dtype=np.int64)
-            self._chain_senders = senders
-            self._chain_carry_slots = carry_slots
-            self._chain_entry_slots = entry_slots
-            self._chain_value_mask = np.ones(total, dtype=bool)
-            self._chain_value_mask[carry_slots] = False
-            self._chain_row = np.repeat(np.arange(n, dtype=np.int64), slots)
-        weights = np.empty(self._chain_senders.size, dtype=np.float64)
-        weights[self._chain_carry_slots] = np.asarray(carry, dtype=np.float64)
-        mask = self._chain_value_mask
-        weights[mask] = np.asarray(values, dtype=np.float64)[
-            self._chain_senders[mask]
-        ]
-        if edge_mask is None:
-            return np.bincount(self._chain_row, weights=weights, minlength=self.n)
-        edge_mask = np.asarray(edge_mask, dtype=bool)
-        keep = np.ones(self._chain_senders.size, dtype=bool)
-        keep[self._chain_entry_slots[~edge_mask]] = False
-        return np.bincount(
-            self._chain_row[keep], weights=weights[keep], minlength=self.n
+            indices[entry_slots] = self.col
+            count_less = np.bincount(self.row[self.col < self.row], minlength=n)
+            indices[carry_slots + 1 + count_less] = np.arange(n, dtype=np.int64)
+            self._chain = (indptr, indices, entry_slots)
+        indptr, indices, entry_slots = self._chain
+        data = np.ones(indices.size)
+        if edge_mask is not None:
+            data[entry_slots[~np.asarray(edge_mask, dtype=bool)]] = 0.0
+        vector = np.concatenate(
+            (np.asarray(values, dtype=np.float64), np.asarray(carry, dtype=np.float64))
         )
+        return _csr_matvec(indptr, indices, data, vector)
 
 
 class BulkMetricsBuilder:
@@ -441,10 +541,15 @@ class BulkMetricsBuilder:
 
     def __init__(self, degrees: np.ndarray) -> None:
         self._degrees = np.asarray(degrees, dtype=np.int64)
+        self._has_neighbors = self._degrees > 0
         # (messages, total_bits, max_bits) per exchange, in execution order.
         self._exchanges: list[tuple[int, int, int]] = []
         self._bits_per_node = np.zeros(self._degrees.size, dtype=np.int64)
         self._messages_per_node = np.zeros(self._degrees.size, dtype=np.int64)
+        # Exchanges in which every node broadcast, and the summed uniform
+        # payload bits among them: both scale the degrees once, in build.
+        self._broadcasts = 0
+        self._broadcast_bits = 0
 
     def record_exchange(
         self, payload_bits: np.ndarray | int, senders: np.ndarray | None = None
@@ -463,20 +568,28 @@ class BulkMetricsBuilder:
             pass the still-running mask so the modeled counts equal the
             simulator's, where terminated programs stop sending.
         """
-        bits = np.broadcast_to(
-            np.asarray(payload_bits, dtype=np.int64), self._degrees.shape
-        )
-        degrees = self._degrees
+        bits = np.asarray(payload_bits, dtype=np.int64)
         if senders is None:
-            sent = degrees
+            sent, active = self._degrees, self._has_neighbors
+            self._broadcasts += 1
         else:
-            sent = np.where(np.asarray(senders, dtype=bool), degrees, 0)
-        active = np.flatnonzero(sent > 0)
-        total_bits = int((bits * sent).sum())
-        max_bits = int(bits[active].max()) if active.size else 0
-        self._exchanges.append((int(sent.sum()), total_bits, max_bits))
-        self._bits_per_node += bits * sent
-        self._messages_per_node += sent
+            active = np.asarray(senders, dtype=bool) & self._has_neighbors
+            sent = np.where(active, self._degrees, 0)
+            self._messages_per_node += sent
+        messages = int(sent.sum())
+        if bits.ndim == 0:
+            total_bits = int(bits) * messages
+            max_bits = int(bits) if messages else 0
+            if senders is None:
+                self._broadcast_bits += int(bits)
+            else:
+                self._bits_per_node += bits * sent
+        else:
+            sent_bits = bits * sent
+            total_bits = int(sent_bits.sum())
+            max_bits = int(bits.max(where=active, initial=0))
+            self._bits_per_node += sent_bits
+        self._exchanges.append((messages, total_bits, max_bits))
 
     @property
     def exchange_count(self) -> int:
@@ -486,6 +599,7 @@ class BulkMetricsBuilder:
     def build(self, nodes: Sequence[Hashable]) -> ExecutionMetrics:
         """Assemble the final :class:`ExecutionMetrics`.
 
+        The per-node counts stay arrays until a caller reads the dicts.
         The runner folds the start-up exchange into the round-0 entry and
         appends one empty entry for the final round in which every program
         terminates; executions with a single exchange have no such trailer.
@@ -502,22 +616,18 @@ class BulkMetricsBuilder:
             per_round.extend(exchanges[2:])
             per_round.append((0, 0, 0))
 
-        metrics = ExecutionMetrics()
-        for round_index, (sent, total_bits, max_bits) in enumerate(per_round):
-            metrics.rounds.append(
-                RoundMetrics(
-                    round_index=round_index,
-                    messages_sent=sent,
-                    total_bits=total_bits,
-                    max_message_bits=max_bits,
-                )
+        rounds = [
+            RoundMetrics(
+                round_index=round_index,
+                messages_sent=sent,
+                total_bits=total_bits,
+                max_message_bits=max_bits,
             )
-        positions = np.flatnonzero(self._messages_per_node > 0)
-        senders = [nodes[position] for position in positions.tolist()]
-        metrics.messages_per_node.update(
-            zip(senders, self._messages_per_node[positions].tolist())
+            for round_index, (sent, total_bits, max_bits) in enumerate(per_round)
+        ]
+        return ExecutionMetrics.from_node_arrays(
+            rounds,
+            nodes,
+            self._messages_per_node + self._broadcasts * self._degrees,
+            self._bits_per_node + self._broadcast_bits * self._degrees,
         )
-        metrics.bits_per_node.update(
-            zip(senders, self._bits_per_node[positions].tolist())
-        )
-        return metrics

@@ -15,8 +15,10 @@ in :mod:`repro.analysis.bounds`.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from repro.simulator.message import Message
 
@@ -40,7 +42,6 @@ class RoundMetrics:
             self.max_message_bits = bits
 
 
-@dataclass
 class ExecutionMetrics:
     """Aggregate metrics for an entire execution.
 
@@ -52,11 +53,75 @@ class ExecutionMetrics:
         Total number of messages *sent* by each node over the execution.
     bits_per_node:
         Total number of payload bits sent by each node.
+
+    The bulk backends keep the per-node counts as arrays
+    (:meth:`from_node_arrays`); the two dicts are built on first access.
     """
 
-    rounds: list[RoundMetrics] = field(default_factory=list)
-    messages_per_node: dict[int, int] = field(default_factory=lambda: defaultdict(int))
-    bits_per_node: dict[int, int] = field(default_factory=lambda: defaultdict(int))
+    def __init__(self, rounds: list[RoundMetrics] | None = None) -> None:
+        self.rounds = [] if rounds is None else rounds
+        self._messages_per_node: dict = defaultdict(int)
+        self._bits_per_node: dict = defaultdict(int)
+        self._node_arrays: tuple[Sequence, np.ndarray, np.ndarray] | None = None
+
+    @classmethod
+    def from_node_arrays(
+        cls,
+        rounds: list[RoundMetrics],
+        nodes: Sequence,
+        messages: np.ndarray,
+        bits: np.ndarray,
+    ) -> "ExecutionMetrics":
+        """Metrics whose per-node counts are arrays indexed like ``nodes``.
+
+        Nodes that sent nothing are left out of the dicts, as the runner
+        leaves them out.
+        """
+        metrics = cls(rounds)
+        metrics._node_arrays = (nodes, messages, bits)
+        return metrics
+
+    def _materialize(self) -> None:
+        arrays = self._node_arrays
+        if arrays is None:
+            return
+        nodes, messages, bits = arrays
+        positions = np.flatnonzero(messages > 0)
+        senders = [nodes[position] for position in positions.tolist()]
+        messages_per_node: dict = defaultdict(int)
+        messages_per_node.update(zip(senders, messages[positions].tolist()))
+        bits_per_node: dict = defaultdict(int)
+        bits_per_node.update(zip(senders, bits[positions].tolist()))
+        # Publish the finished dicts before dropping the arrays, so a
+        # concurrent reader never sees a half-filled dict.
+        self._messages_per_node, self._bits_per_node = messages_per_node, bits_per_node
+        self._node_arrays = None
+
+    @property
+    def messages_per_node(self) -> dict:
+        self._materialize()
+        return self._messages_per_node
+
+    @property
+    def bits_per_node(self) -> dict:
+        self._materialize()
+        return self._bits_per_node
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rounds, self.messages_per_node, self.bits_per_node) == (
+            other.rounds,
+            other.messages_per_node,
+            other.bits_per_node,
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"ExecutionMetrics(rounds={self.rounds!r}, "
+            f"messages_per_node={self.messages_per_node!r}, "
+            f"bits_per_node={self.bits_per_node!r})"
+        )
 
     def begin_round(self, round_index: int) -> RoundMetrics:
         """Open counters for a new round and return them."""

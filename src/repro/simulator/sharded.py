@@ -32,7 +32,8 @@ Equivalence with the single-process vectorized backend is engineered to be
 The three kernels in :mod:`repro.core.vectorized` (one per algorithm)
 run **unchanged** on each slab: :class:`ShardSlab` exposes the operator
 subset they use (``n``, ``nodes``, ``node_index``, ``degrees``,
-``neighbor_sum``, ``neighbor_count``, ``closed_max``, ``neighbor_any``)
+``neighbor_sum``, ``neighbor_count``, ``closed_max``, ``neighbor_any``,
+``degree_maxima``)
 with the exchange embedded inside each operator; ``node_index`` holds the
 owned nodes' global positions, so the rounding coins key on the same
 indices as on the whole graph.  Their control flow is driven only by
@@ -352,6 +353,15 @@ class ShardSlab:
     ) -> np.ndarray:
         """Whether any open-neighbourhood flag is set, per node."""
         return self.neighbor_count(flags, edge_mask=edge_mask) > 0
+
+    def degree_maxima(self) -> tuple[np.ndarray, np.ndarray]:
+        """Owned nodes' ``(δ⁽¹⁾, δ⁽²⁾)``: two exchanges on every call.
+
+        Never cached, so a respawned shard replays the same supersteps
+        as its peers.
+        """
+        delta_one = self.closed_max(self.degrees)
+        return delta_one, self.closed_max(delta_one)
 
 
 # ---------------------------------------------------------------------- #

@@ -824,3 +824,16 @@ class TestNormalizedParams:
         )
         assert api.canonical_param_value([1, 2]) == (1, 2)
         assert api.canonical_param_value({"b": 1, "a": 2}) == {"a": 2, "b": 1}
+
+
+class TestInputValidation:
+    """Every registered algorithm rejects the same malformed graphs."""
+
+    @pytest.mark.parametrize("name", algorithm_names())
+    @pytest.mark.parametrize("kind", ["empty", "self-loop"])
+    def test_rejects_empty_and_self_loop_graphs(self, name, kind):
+        graph = nx.Graph()
+        if kind == "self-loop":
+            graph.add_edges_from([(0, 1), (1, 2), (0, 0)])
+        with pytest.raises(ValueError):
+            solve(name, graph)

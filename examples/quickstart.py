@@ -8,11 +8,11 @@ Algorithm 1 for the randomized rounding) through the unified entry point::
     report = solve("kuhn-wattenhofer", graph, k=3, seed=7)
 
 ``solve`` accepts any registered algorithm name (``algorithm_names()``
-lists them) and ``backend="auto"`` by default: small graphs run on the
-message-passing simulator, CSR/large graphs on the vectorized bulk
-engine -- same results either way.  Every run comes back as one
-normalised ``RunReport`` (set, objective, backend used, rounds, messages,
-wall-clock).
+lists them) and ``backend="auto"`` by default: the vectorized bulk
+engine wherever the algorithm has it, the message-passing simulator on
+request (``backend="simulated"``) -- same results either way.  Every
+run comes back as one normalised ``RunReport`` (set, objective, backend
+used, rounds, messages, wall-clock).
 
 Run with:  python examples/quickstart.py
 """

@@ -44,8 +44,8 @@ def main() -> None:
     print(f"instance: {INSTANCE} (n = {n})")
 
     # backend="auto" sees a trace request and restricts dispatch to the
-    # backends the algorithm can trace on; at this size that means the
-    # vectorized engine and a columnar trace.
+    # backends the algorithm can trace on; that means the vectorized
+    # engine and a columnar trace, at any size.
     report = solve("kuhn-wattenhofer", graph, k=K, seed=SEED, collect_trace=True)
     fractional = report.raw.fractional
     trace = fractional.trace

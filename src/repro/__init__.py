@@ -56,11 +56,11 @@ Every algorithm supports up to two execution engines:
   columnar traces (``repro.simulator.columnar``) that feed the same
   invariant monitors at n ≥ 20 000.
 
-``solve`` defaults to ``backend="auto"``: CSR ``BulkGraph`` inputs and
-graphs with ``n >= repro.api.AUTO_VECTORIZE_THRESHOLD`` dispatch to the
-vectorized engine (when the algorithm's registered capabilities allow),
-``collect_trace=True`` restricts dispatch to the backends the spec can
-trace on (event-based ``ExecutionTrace`` on the simulated engine,
+``solve`` defaults to ``backend="auto"``, resolved from the algorithm's
+registered capabilities alone: vectorized wherever the algorithm has it
+(networkx and CSR ``BulkGraph`` inputs alike, at every n); simulated on
+request.  ``collect_trace=True`` restricts dispatch to the backends the
+spec can trace on (event-based ``ExecutionTrace`` on the simulated engine,
 columnar ``ColumnarTrace`` on the vectorized engine), and impossible
 combinations raise one well-worded ``CapabilityError`` naming the
 algorithm, the capability and the backends that support it.

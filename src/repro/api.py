@@ -17,17 +17,18 @@ On top of the registry sits one uniform entry point::
     report.dominating_set, report.size, report.backend, report.elapsed_s
 
 ``solve`` accepts ``backend="auto"`` (the default) and resolves the
-execution backend from the spec's capabilities and the input:
+execution backend from the spec's capabilities alone, never from the
+input size:
 
-* a :class:`BulkGraph` input (or a networkx graph with
-  ``n >= AUTO_VECTORIZE_THRESHOLD``) dispatches to the vectorized bulk
-  engine whenever the algorithm supports it;
+* the vectorized bulk engine runs wherever the algorithm has it, on
+  networkx and CSR :class:`BulkGraph` inputs alike; the simulated engine
+  runs on request (``backend="simulated"``) or for algorithms that have
+  no other engine;
 * ``collect_trace=True`` restricts dispatch to the backends named in the
   spec's ``trace_backends`` -- the simulated engine records event-based
   :class:`~repro.simulator.trace.ExecutionTrace` objects, the vectorized
   engine columnar :class:`~repro.simulator.columnar.ColumnarTrace`
-  snapshots, and large traced runs stay on the bulk engine instead of
-  being forced through per-node message passing;
+  snapshots;
 * every impossible combination raises the single, well-worded
   :class:`~repro.core.vectorized.CapabilityError` instead of a scattered
   per-module ``ValueError``.
@@ -95,13 +96,6 @@ AUTO = "auto"
 
 #: Every value accepted by ``solve(backend=...)``.
 DISPATCH_BACKENDS = (AUTO,) + BACKENDS
-
-#: networkx inputs at or above this node count dispatch to the vectorized
-#: engine under ``backend="auto"`` (when the algorithm supports it).  The
-#: crossover in the backend benchmarks sits far below this, so the
-#: threshold is conservative: small interactive graphs keep the
-#: message-level simulated engine, sweeps and large graphs go bulk.
-AUTO_VECTORIZE_THRESHOLD = 512
 
 
 # ---------------------------------------------------------------------- #
@@ -485,10 +479,9 @@ def normalized_params(
     of this function being deterministic.
 
     ``strict=True`` raises ``TypeError`` for parameters the runner does
-    not accept (the cache must never silently ignore a request knob);
-    ``strict=False`` drops them instead, for callers normalizing a request
-    that already executed (``solve`` pops backend-managed extras like a
-    falsy ``collect_trace`` before they reach the runner).
+    not accept (the cache must never silently ignore a request knob, and
+    ``solve`` rejects them with this error before any work starts);
+    ``strict=False`` drops them instead.
     """
     spec = get_spec(algorithm)
     params = dict(params or {})
@@ -524,12 +517,6 @@ def normalized_params(
 # ---------------------------------------------------------------------- #
 
 
-def _node_count(graph: nx.Graph | BulkGraph) -> int:
-    if isinstance(graph, BulkGraph):
-        return graph.n
-    return graph.number_of_nodes()
-
-
 def _sharded_host_capable() -> bool:
     """Whether this host can run the sharded engine at all (POSIX fork)."""
     import multiprocessing
@@ -558,12 +545,14 @@ def resolve_backend(
        raises).
     3. A CSR :class:`BulkGraph` input requires a bulk engine (vectorized
        or sharded -- there are no per-node programs to run it through).
-    4. Otherwise ``auto`` picks the vectorized engine for inputs with
-       ``n >= AUTO_VECTORIZE_THRESHOLD`` and the simulated engine below.
-       It never picks the sharded engine by size: end to end it is slower
-       than the vectorized one (KW pipeline, k = 2, ER n = 10⁶ on a 2-CPU
-       host: 5.5 s with 2 shards against 3.4 s), so it runs only when
-       asked for (``backend="sharded"`` or ``shards=N``).
+    4. Otherwise ``auto`` picks from the candidates -- the trace backends
+       when tracing, the spec's backends otherwise -- by capability alone:
+       vectorized wherever the algorithm has it (it matches the simulated
+       engine bit for bit, at any n); simulated on request or when it is
+       the only engine.  It never picks the sharded engine: end to end it
+       is slower than the vectorized one (KW pipeline, k = 2, ER n = 10⁶
+       on a 2-CPU host: 5.5 s with 2 shards against 3.4 s), so it runs
+       only when asked for (``backend="sharded"`` or ``shards=N``).
 
     Any impossible combination raises :class:`CapabilityError` naming the
     algorithm, the capability and the supporting backends.  The return
@@ -595,10 +584,6 @@ def resolve_backend(
                 spec.name, "collect_trace", SHARDED, spec.trace_backends
             )
 
-    # Only an explicit shard count pins the sharded engine under auto (the
-    # checks above already rejected unsupported specs and traces).
-    auto_shard = shards is not None and _sharded_host_capable()
-
     is_bulk = isinstance(graph, BulkGraph)
     if is_bulk:
         if not (spec.supports_backend(VECTORIZED) and spec.accepts_bulk):
@@ -614,33 +599,18 @@ def resolve_backend(
                 SIMULATED,
                 tuple(b for b in spec.backends if b != SIMULATED),
             )
-        if backend == SHARDED:
-            if not spec.supports_backend(SHARDED):
-                raise CapabilityError(
-                    spec.name, "execution", SHARDED, spec.backends
-                )
-            if collect_trace:
-                raise CapabilityError(
-                    spec.name, "collect_trace", SHARDED, spec.trace_backends
-                )
-            return SHARDED
-        if collect_trace and not spec.supports_trace_on(VECTORIZED):
-            # CSR inputs pin the bulk engine, which this spec cannot trace.
-            raise CapabilityError(
-                spec.name, "collect_trace", VECTORIZED, spec.trace_backends
-            )
-        if backend == AUTO and auto_shard:
-            return SHARDED
-        return VECTORIZED
     if backend == AUTO:
-        if auto_shard:
+        # Only an explicit shard count pins the sharded engine under auto
+        # (the checks above already rejected unsupported specs and traces).
+        if shards is not None and _sharded_host_capable():
             return SHARDED
         candidates = spec.trace_backends if collect_trace else spec.backends
-        if SIMULATED in candidates and VECTORIZED in candidates:
-            if _node_count(graph) >= AUTO_VECTORIZE_THRESHOLD:
-                return VECTORIZED
-            return SIMULATED
-        return candidates[0]
+        if VECTORIZED in candidates:
+            return VECTORIZED
+        if not is_bulk:
+            return candidates[0]
+        # CSR inputs pin the bulk engine, which this spec cannot trace.
+        backend = VECTORIZED
     if not spec.supports_backend(backend):
         raise CapabilityError(spec.name, "execution", backend, spec.backends)
     if collect_trace and not spec.supports_trace_on(backend):
@@ -693,7 +663,8 @@ def solve(
     **params:
         Algorithm-specific parameters (``k=``, ``variant=``, ``weights=``,
         ``collect_trace=``, ``shards=``, ``faults=``, ``repair=``, ...);
-        unknown ones raise ``TypeError`` from the underlying entry point.
+        unknown ones raise a ``TypeError`` naming the algorithm and the
+        parameters it accepts, before any work starts.
         ``shards=N`` pins the sharded engine under ``backend="auto"``;
         ``faults=`` requires a spec with
         :attr:`~AlgorithmSpec.supports_faults`.
@@ -711,9 +682,11 @@ def solve(
         For unknown algorithm names.
     """
     spec = get_spec(algorithm)
-    requested_params = dict(params)
-    collect_trace = bool(params.get("collect_trace", False))
+    # Engine-managed extras leave ``params`` before the parameter check:
+    # dispatch answers them (with a CapabilityError where the spec lacks
+    # the engine), not the runner's signature.
     shards = params.pop("shards", None)
+    collect_trace = bool(params.pop("collect_trace", False))
     if params.get("faults") is not None and not spec.supports_faults:
         raise CapabilityError(spec.name, "fault injection (faults=...)", backend, ())
     if not spec.supports_faults:
@@ -721,17 +694,21 @@ def solve(
         # faults= was rejected above) must not reach runners without them.
         params.pop("faults", None)
         params.pop("repair", None)
+    # The one parameter check, and the *normalized* dict RunReport reports
+    # (defaults filled in, values canonicalized, keys sorted):
+    # semantically-equal requests -- kwargs order, default-vs-explicit,
+    # enum-vs-string -- yield identical params, which is what the service
+    # layer's content-addressed cache keys hash.
+    report_params = normalized_params(spec, params)
+    report_params.pop("weights", None)
     resolved = resolve_backend(
         spec, graph, backend=backend, collect_trace=collect_trace, shards=shards
     )
+    # resolve_backend rejected both extras for every spec without them.
+    if collect_trace:
+        params["collect_trace"] = report_params["collect_trace"] = True
     if resolved == SHARDED:
-        # Only sharded-capable runners accept the parameter; resolve_backend
-        # already rejected shards= for every other spec.
-        params["shards"] = shards
-    if not spec.supports_trace:
-        # A falsy collect_trace passed generically (resolve_backend already
-        # rejected a truthy one) must not reach runners that don't take it.
-        params.pop("collect_trace", None)
+        params["shards"] = report_params["shards"] = shards
     if spec.requires_connected and not _is_connected(graph):
         raise ValueError(
             f"algorithm {spec.name!r} requires a connected graph (a "
@@ -743,15 +720,6 @@ def solve(
     start = time.perf_counter()
     payload = spec.runner(graph, seed=seed, backend=resolved, **params)
     elapsed = time.perf_counter() - start
-    # Report the *normalized* parameter dict (defaults filled in, values
-    # canonicalized, keys sorted): semantically-equal requests -- kwargs
-    # order, default-vs-explicit, enum-vs-string -- yield identical params,
-    # which is what the service layer's content-addressed cache keys hash.
-    # strict=False because solve() pops backend-managed extras (a falsy
-    # collect_trace/faults on specs without them) before the runner sees
-    # them; the runner itself already rejected genuinely unknown names.
-    report_params = normalized_params(spec, requested_params, strict=False)
-    report_params.pop("weights", None)
     # Runners may report parameters they resolved themselves (e.g. the
     # pipeline's k = Θ(log Δ) default) so callers never have to introspect
     # algorithm-specific result shapes.

@@ -23,7 +23,7 @@ Installed as ``repro-domset`` (see ``pyproject.toml``); also runnable as
   *certificate* for its quality: primal feasibility of the produced
   set, dual feasibility of the Lemma-1 assignment, the weak duality
   gap and the certified approximation ratio -- through the matrix-free
-  sparse formulation at scale.
+  sparse CSR formulation at every n.
 * ``trace``   -- run a trace-capable algorithm with ``collect_trace=True``
   (on either backend) and print the per-phase observability report plus
   the Lemma 2-7 invariant verdict.
@@ -41,12 +41,12 @@ Installed as ``repro-domset`` (see ``pyproject.toml``); also runnable as
 
 Every algorithm-running sub-command accepts ``--backend`` with the
 default ``auto``: the :mod:`repro.api` registry resolves the execution
-engine per algorithm capabilities and input, so CSR suites
-(``--suite xlarge`` / ``huge``) and large graphs run vectorized without
-any flag, and ``--backend simulated`` / ``vectorized`` / ``sharded``
-force an engine explicitly.  ``--shards N`` (solve, compare, sweep,
-tradeoff) requests the multiprocess sharded engine with N workers;
-algorithms without sharded support report a clean capability error.
+engine from algorithm capabilities alone -- vectorized wherever the
+algorithm has it; simulated on request -- and ``--backend simulated`` /
+``vectorized`` / ``sharded`` force an engine explicitly.  ``--shards N``
+(solve, compare, sweep, tradeoff) requests the multiprocess sharded
+engine with N workers; algorithms without sharded support report a
+clean capability error.
 
 The CLI is a thin enumeration of the :mod:`repro.api` registry: there is
 no per-algorithm wiring here, so registering a new algorithm makes it
@@ -448,12 +448,11 @@ def _command_certify(args: argparse.Namespace) -> int:
     whole chain: the produced set is checked against the LP constraint
     system as a primal point, the Lemma-1 dual assignment is checked
     feasible for DLP_MDS, and the reported lower bound / gap / ratio are
-    therefore *certificates*, not estimates.  Graphs at or above the
-    auto-vectorize threshold certify through the matrix-free CSR
-    formulation (:mod:`repro.lp.sparse`), so ``--n 20000`` works without
-    ever building the dense n × n constraint matrix.
+    therefore *certificates*, not estimates.  Every graph certifies through
+    the matrix-free CSR formulation (:mod:`repro.lp.sparse`), so
+    ``--n 20000`` works without ever building the dense n × n constraint
+    matrix.
     """
-    from repro.api import AUTO_VECTORIZE_THRESHOLD
     from repro.lp.duality import lemma1_dual_solution, weak_duality_gap
     from repro.lp.feasibility import check_dual_feasible, check_primal_feasible
     from repro.lp.formulation import build_lp
@@ -471,11 +470,8 @@ def _command_certify(args: argparse.Namespace) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
-    # The certification substrate: matrix-free CSR at scale, dense below.
-    n = graph.number_of_nodes()
-    certify_on = (
-        BulkGraph.from_graph(graph) if n >= AUTO_VECTORIZE_THRESHOLD else graph
-    )
+    # The certification substrate: the matrix-free CSR formulation.
+    certify_on = BulkGraph.from_graph(graph)
     lp = build_lp(certify_on)
     x = {node: 1.0 for node in report.dominating_set}
     primal_ok, primal_violation = check_primal_feasible(
@@ -499,10 +495,10 @@ def _command_certify(args: argparse.Namespace) -> int:
             lp_certified_gap = lp_solution.certificate.gap
 
     payload = {
-        "n": n,
+        "n": certify_on.n,
         "algorithm": report.algorithm,
         "backend": report.backend,
-        "formulation": "sparse-csr" if isinstance(certify_on, BulkGraph) else "dense",
+        "formulation": "sparse-csr",
         "dominating_set_size": report.size,
         "primal_feasible": bool(primal_ok),
         "max_primal_violation": primal_violation,

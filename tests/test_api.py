@@ -2,11 +2,12 @@
 
 Four contracts are pinned here:
 
-* **Dispatch** -- ``backend="auto"`` resolves per capabilities and input
-  (BulkGraph / large n -> vectorized, ``collect_trace`` restricts to the
-  spec's declared trace backends),
-  and every impossible combination raises the single
-  :class:`CapabilityError` naming algorithm, capability and backends.
+* **Dispatch** -- ``backend="auto"`` resolves from capabilities alone
+  (vectorized wherever the spec has it, at every n; ``collect_trace``
+  restricts to the spec's declared trace backends), auto runs match the
+  simulated reference bit for bit, and every impossible combination
+  raises the single :class:`CapabilityError` naming algorithm,
+  capability and backends.
 * **Registry completeness** -- everything reachable from the CLI and from
   ``compare_algorithms`` comes from the registry (no drift), and every
   spec's declared capabilities are honored (declared-bulk specs consume a
@@ -26,7 +27,6 @@ import pytest
 from repro import api
 from repro.api import (
     AUTO,
-    AUTO_VECTORIZE_THRESHOLD,
     AlgorithmSpec,
     CapabilityError,
     RunReport,
@@ -131,20 +131,25 @@ class TestRegistry:
 
 
 class TestDispatch:
-    def test_auto_picks_simulated_for_small_graphs(self, small_graph):
+    def test_auto_picks_vectorized_for_small_graphs(self, small_graph):
         report = solve("kuhn-wattenhofer", small_graph, seed=0, k=2)
+        assert report.backend == VECTORIZED
+        # The simulated engine runs on request.
+        report = solve(
+            "kuhn-wattenhofer", small_graph, backend=SIMULATED, seed=0, k=2
+        )
         assert report.backend == SIMULATED
 
     def test_auto_picks_vectorized_for_bulk_inputs(self, bulk_graph):
         report = solve("kuhn-wattenhofer", bulk_graph, seed=0, k=2)
         assert report.backend == VECTORIZED
 
-    def test_auto_picks_vectorized_for_large_graphs(self):
-        graph = nx.path_graph(AUTO_VECTORIZE_THRESHOLD)
-        assert resolve_backend("kuhn-wattenhofer", graph) == VECTORIZED
-        assert resolve_backend("kuhn-wattenhofer", nx.path_graph(50)) == SIMULATED
+    def test_auto_picks_vectorized_at_every_n(self):
+        for n in (1, 50, 512, 600):
+            graph = nx.path_graph(n)
+            assert resolve_backend("kuhn-wattenhofer", graph) == VECTORIZED
         # End to end, on a cheap spec.
-        report = solve("greedy", graph)
+        report = solve("greedy", nx.path_graph(50))
         assert report.backend == VECTORIZED
 
     def test_auto_never_picks_sharded_by_size(self, monkeypatch):
@@ -160,14 +165,24 @@ class TestDispatch:
         assert not hasattr(api, "AUTO_SHARD_THRESHOLD")
 
     def test_auto_respects_single_backend_specs(self, small_graph):
-        graph = nx.path_graph(AUTO_VECTORIZE_THRESHOLD)
-        # random-fill has no vectorized engine; auto stays simulated even
-        # above the threshold.
-        assert resolve_backend("random-fill", graph) == SIMULATED
+        # random-fill has no vectorized engine; auto stays simulated at
+        # every size.
+        for graph in (small_graph, nx.path_graph(600)):
+            assert resolve_backend("random-fill", graph) == SIMULATED
 
-    def test_collect_trace_dispatches_to_simulated(self, small_graph):
-        report = solve("kuhn-wattenhofer", small_graph, seed=0, k=2, collect_trace=True)
+    def test_collect_trace_on_simulated_records_events(self, small_graph):
+        from repro.simulator.trace import ExecutionTrace
+
+        report = solve(
+            "kuhn-wattenhofer",
+            small_graph,
+            seed=0,
+            k=2,
+            backend=SIMULATED,
+            collect_trace=True,
+        )
         assert report.backend == SIMULATED
+        assert isinstance(report.raw.fractional.trace, ExecutionTrace)
         assert len(report.raw.fractional.trace) > 0
 
     def test_collect_trace_on_vectorized_returns_columnar(self, small_graph):
@@ -186,13 +201,15 @@ class TestDispatch:
         assert isinstance(trace, ColumnarTrace)
         assert len(trace) > 0
 
-    def test_auto_trace_above_threshold_goes_vectorized(self):
+    def test_auto_trace_goes_vectorized_at_every_n(self, small_graph):
         from repro.simulator.columnar import ColumnarTrace
 
-        graph = nx.path_graph(AUTO_VECTORIZE_THRESHOLD + 50)
-        report = solve("kuhn-wattenhofer", graph, seed=0, k=2, collect_trace=True)
-        assert report.backend == VECTORIZED
-        assert isinstance(report.raw.fractional.trace, ColumnarTrace)
+        for graph in (small_graph, nx.path_graph(600)):
+            report = solve(
+                "kuhn-wattenhofer", graph, seed=0, k=2, collect_trace=True
+            )
+            assert report.backend == VECTORIZED
+            assert isinstance(report.raw.fractional.trace, ColumnarTrace)
 
     def test_collect_trace_on_traceless_spec_rejected(self, small_graph):
         with pytest.raises(CapabilityError, match="greedy"):
@@ -231,6 +248,80 @@ class TestDispatch:
 
     def test_capability_error_is_a_value_error(self):
         assert issubclass(CapabilityError, ValueError)
+
+
+_DISPATCH_SIZES = (2, 64, 511, 512, 2000)
+
+
+def _sparse_er(n: int, seed: int = 0) -> nx.Graph:
+    """networkx G(n, 4/(n-1)): mean degree about 4 at every n."""
+    return nx.gnp_random_graph(n, min(1.0, 4 / (n - 1)), seed=seed)
+
+
+@pytest.fixture(scope="module")
+def dispatch_graphs():
+    return {n: _sparse_er(n) for n in _DISPATCH_SIZES}
+
+
+@pytest.fixture(scope="module")
+def parity_graph():
+    """Connected G(64, 4/63) (largest component) every twin spec accepts."""
+    graph = _sparse_er(64, seed=5)
+    component = max(nx.connected_components(graph), key=len)
+    return nx.convert_node_labels_to_integers(graph.subgraph(component).copy())
+
+
+def _outcome(report: RunReport) -> tuple:
+    return (
+        report.dominating_set,
+        report.objective,
+        report.rounds,
+        report.messages,
+        report.max_message_bits,
+    )
+
+
+class TestCapabilityDispatch:
+    """``auto`` decides from capability alone: no size rule at any n."""
+
+    @pytest.mark.parametrize("n", _DISPATCH_SIZES)
+    @pytest.mark.parametrize("name", algorithm_names())
+    def test_auto_resolves_vectorized_exactly_when_spec_has_it(
+        self, name, n, dispatch_graphs
+    ):
+        spec = get_spec(name)
+        expected = VECTORIZED if spec.supports_backend(VECTORIZED) else SIMULATED
+        assert resolve_backend(name, dispatch_graphs[n]) == expected
+
+    @pytest.mark.parametrize(
+        "name", [spec.name for spec in twin_specs(exclude_cds=False)]
+    )
+    def test_auto_matches_simulated_bitwise(self, name, parity_graph):
+        auto = solve(name, parity_graph, seed=3)
+        simulated = solve(name, parity_graph, backend=SIMULATED, seed=3)
+        assert auto.backend == VECTORIZED
+        assert _outcome(auto) == _outcome(simulated)
+
+    def test_faulted_auto_matches_simulated_bitwise(self, parity_graph):
+        from repro.simulator.fault_schedule import FaultSpec
+
+        faults = FaultSpec(loss_probability=0.2, crash_probability=0.2, seed=5)
+        reports = {
+            backend: solve(
+                "kuhn-wattenhofer",
+                parity_graph,
+                backend=backend,
+                seed=1,
+                k=2,
+                faults=faults,
+                repair=True,
+            )
+            for backend in (AUTO, SIMULATED)
+        }
+        assert reports[AUTO].backend == VECTORIZED
+        assert _outcome(reports[AUTO]) == _outcome(reports[SIMULATED])
+        assert reports[AUTO].repair is not None
+        assert reports[AUTO].repair == reports[SIMULATED].repair
 
 
 class TestRunReport:
@@ -299,7 +390,9 @@ class TestCapabilitiesHonored:
         "name", [spec.name for spec in iter_specs() if spec.supports_trace]
     )
     def test_trace_specs_produce_events(self, name, small_graph):
-        report = solve(name, small_graph, seed=0, k=2, collect_trace=True)
+        report = solve(
+            name, small_graph, backend=SIMULATED, seed=0, k=2, collect_trace=True
+        )
         assert report.backend == SIMULATED
         raw = report.raw
         trace = raw.fractional.trace if hasattr(raw, "fractional") else raw.trace
@@ -784,9 +877,14 @@ class TestNormalizedParams:
         )
         assert params["variant"] == "known_delta"
 
-    def test_unknown_param_raises_when_strict(self):
+    @pytest.mark.parametrize("name", algorithm_names())
+    def test_unknown_param_raises_when_strict(self, name, small_graph):
         with pytest.raises(TypeError, match="bogus"):
-            api.normalized_params("kuhn-wattenhofer", {"bogus": 1})
+            api.normalized_params(name, {"bogus": 1})
+        # solve() runs the same check once, at the boundary, before any
+        # dispatch or work: the error names the algorithm, not a runner.
+        with pytest.raises(TypeError, match=f"{name!r}.*'bogus'"):
+            solve(name, small_graph, seed=0, bogus=1)
 
     def test_unknown_param_tolerated_when_lenient(self):
         params = api.normalized_params(

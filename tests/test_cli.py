@@ -269,8 +269,13 @@ class TestRegistryDrivenCli:
         exit_code = main(["solve", "--family", "star", "--k", "1", "--json"])
         payload = json.loads(capsys.readouterr().out)
         assert exit_code == 0
-        # n = 80 star sits below the auto threshold -> simulated.
-        assert payload["backend"] == "simulated"
+        # auto runs vectorized wherever the algorithm has it, at any n.
+        assert payload["backend"] == "vectorized"
+        exit_code = main(
+            ["solve", "--family", "star", "--k", "1", "--backend", "simulated", "--json"]
+        )
+        assert exit_code == 0
+        assert json.loads(capsys.readouterr().out)["backend"] == "simulated"
 
     def test_compare_restricted_to_named_algorithms(self, capsys):
         exit_code = main(
@@ -408,7 +413,7 @@ class TestCertifyCommand:
         assert payload["certified_ratio"] >= 1.0
         assert payload["certified_lower_bound"] > 0.0
         assert payload["ratio_vs_lp"] >= 1.0
-        assert payload["formulation"] == "dense"
+        assert payload["formulation"] == "sparse-csr"
 
     def test_certify_no_lp_keeps_lemma1_certificate(self, capsys):
         exit_code = main(
@@ -429,32 +434,26 @@ class TestCertifyCommand:
         assert exit_code == 0
         assert "certificate: VALID" in captured.out
 
-    def test_certify_uses_sparse_formulation_at_scale(self, capsys, monkeypatch):
-        import repro.api
-
-        monkeypatch.setattr(repro.api, "AUTO_VECTORIZE_THRESHOLD", 16)
+    def test_certify_uses_sparse_formulation_at_small_n(self, capsys):
         exit_code = main(
             [
                 "certify",
                 "--family",
                 "erdos_renyi",
                 "--n",
-                "30",
+                "25",
                 "--p",
                 "0.2",
                 "--seed",
                 "3",
                 "--algorithm",
                 "greedy",
-                "--json",
             ]
         )
         captured = capsys.readouterr()
         assert exit_code == 0
-        payload = json.loads(captured.out)
-        assert payload["formulation"] == "sparse-csr"
-        assert payload["dual_feasible"] is True
-        assert payload["ratio_vs_lp"] >= 1.0
+        assert "sparse-csr" in captured.out
+        assert "certificate: VALID" in captured.out
 
     def test_certify_forwards_registry_params(self, capsys):
         exit_code = main(
@@ -605,12 +604,15 @@ class TestTraceCommand:
                 "20",
                 "--k",
                 "1",
+                "--backend",
+                "simulated",
                 "--json",
             ]
         )
         captured = capsys.readouterr()
         assert exit_code == 0
         payload = json.loads(captured.out)
+        assert payload["backend"] == "simulated"
         assert payload["trace"] == "ExecutionTrace"
         assert payload["events"] > 0
         assert payload["report"]["phases"]

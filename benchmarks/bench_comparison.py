@@ -158,13 +158,13 @@ def test_e10_comparison_at_scale(benchmark, bench_seed, emit_table):
 
     # Theorem 6 bounds E[|DS|] / LP_OPT -- the dual bound is not a valid
     # denominator for that comparison (the duality gap can be large), so
-    # the ratio gate solves LP_MDS *sparsely* for the true denominator.
-    # Full mode only: the n = 20000 sparse solve costs ~25 s.
+    # the ratio gate solves LP_MDS on the CSR for the true denominator.
+    # Full mode only: the n = 20000 solve costs ~25 s.
     if not QUICK:
         from repro.analysis.bounds import pipeline_expected_ratio_bound
-        from repro.lp.solver import solve_fractional_mds_sparse
+        from repro.lp.solver import solve_fractional_mds
 
-        lp_optimum = solve_fractional_mds_sparse(bulk).objective
+        lp_optimum = solve_fractional_mds(bulk).objective
         measured = sizes["kuhn-wattenhofer"] / lp_optimum
         # 30% margin: the assert draws one sample of an expectation bound.
         assert measured <= 1.3 * pipeline_expected_ratio_bound(

@@ -56,8 +56,8 @@ from repro.domset.validation import is_dominating_set
 from repro.graphs.bulk import bulk_erdos_renyi_graph, bulk_graph_suite
 from repro.graphs.generators import graph_suite
 from repro.lp.firstorder import solve_covering_lp
-from repro.lp.solver import solve_fractional_mds_sparse
-from repro.lp.sparse import build_lp_sparse
+from repro.lp.formulation import build_lp
+from repro.lp.solver import solve_fractional_mds
 from repro.simulator.bulk import BulkGraph
 
 QUICK = bool(int(os.environ.get("REPRO_BENCH_QUICK", "0")))
@@ -83,7 +83,7 @@ def _timed(function):
 
 def _solve_highs_child(bulk, queue):
     start = time.perf_counter()
-    solution = solve_fractional_mds_sparse(bulk)
+    solution = solve_fractional_mds(bulk)
     queue.put((solution.objective, time.perf_counter() - start))
 
 
@@ -95,7 +95,7 @@ def _highs_reference(bulk, budget_s: float | None):
     HiGHS time -- and the objective is ``None``.
     """
     if budget_s is None:
-        solution, elapsed = _timed(lambda: solve_fractional_mds_sparse(bulk))
+        solution, elapsed = _timed(lambda: solve_fractional_mds(bulk))
         return solution.objective, elapsed, False
     context = multiprocessing.get_context("fork")
     queue = context.Queue()
@@ -142,10 +142,10 @@ def test_firstorder_certified_lp_stack(benchmark, bench_seed, emit_table, emit_j
     # ---------------------------------------------------------------- #
     parity_rows = []
     for name, bulk in _parity_instances():
-        highs, highs_s = _timed(lambda: solve_fractional_mds_sparse(bulk))
+        highs, highs_s = _timed(lambda: solve_fractional_mds(bulk))
         for method, tol in METHODS:
             solved, solve_s = _timed(
-                lambda: solve_fractional_mds_sparse(bulk, method=method, tol=tol)
+                lambda: solve_fractional_mds(bulk, method=method, tol=tol)
             )
             certificate = solved.certificate
             # Weak duality brackets the first-order objective:
@@ -194,7 +194,7 @@ def test_firstorder_certified_lp_stack(benchmark, bench_seed, emit_table, emit_j
     for name, gated, budget_s in speedup_specs:
         bulk = xlarge_suite[name]
         solved, pdhg_s = _timed(
-            lambda: solve_fractional_mds_sparse(bulk, method="pdhg", tol=1e-3)
+            lambda: solve_fractional_mds(bulk, method="pdhg", tol=1e-3)
         )
         highs_objective, highs_s, timed_out = _highs_reference(bulk, budget_s)
         if timed_out:
@@ -297,7 +297,7 @@ def test_firstorder_certified_lp_stack(benchmark, bench_seed, emit_table, emit_j
             )
         ]
     for name, bulk, tol in huge_specs:
-        lp = build_lp_sparse(bulk)
+        lp = build_lp(bulk)
         solution, solve_s = _timed(
             lambda: solve_covering_lp(lp, method="pdhg", tol=tol)
         )
@@ -368,5 +368,5 @@ def test_firstorder_certified_lp_stack(benchmark, bench_seed, emit_table, emit_j
 
     small_bulk = _parity_instances()[0][1]
     benchmark(
-        lambda: solve_fractional_mds_sparse(small_bulk, method="pdhg", tol=1e-2)
+        lambda: solve_fractional_mds(small_bulk, method="pdhg", tol=1e-2)
     )

@@ -1,31 +1,16 @@
-"""Sparse LP & validation stack benchmark: dense vs. CSR twins, gated.
+"""LP certification at scale, plus the CDS and pruning twins, gated.
 
-PR 5 moved the last dense layers onto the CSR substrate: the weighted
-fractional LP solve, the primal/dual feasibility checks and
-``weak_duality_gap`` (matrix-free :class:`~repro.lp.sparse.SparseDominatingSetLP`),
-the bucket-queue Guha–Khuller scan and ``prune_redundant``.  This
-benchmark gates all of them:
+Every LP build, solve, feasibility check and duality bound runs on the one
+CSR formulation (:func:`~repro.lp.formulation.build_lp`).  This benchmark
+gates:
 
-* **LP solve twins** -- ``solve_weighted_fractional_mds`` (dense
-  formulation) vs. the sparse CSR solve, unweighted and weighted, on
-  instances at n ≥ 2000.  Objectives must agree to solver tolerance on
-  every row.  The *speedup* gate (≥ 20×, full mode) applies to the
-  ``gated`` rows, where the dense formulation's O(n²) build dominates;
-  the ungated hard-LP row (``erdos_renyi_n2000``) is reported honestly
-  at ≈ 1× -- there the HiGHS solve itself dominates both paths and the
-  sparse win is the O(n²) → O(n + m) *memory*, which is what unlocks
-  the n ≥ 20 000 section below.
-* **Duality certification twins** -- build the formulation, check the
-  Lemma-1 dual feasible, check the solution primal feasible and compute
-  the weak duality gap: dense vs. matrix-free, ≥ 20× on the gated rows,
-  gap values must agree.
-* **n ≥ 20 000** -- the sparse weighted solve plus a full duality
-  certificate on CSR-native xlarge instances, where the dense path
-  cannot run at all (the n × n matrix alone is ≥ 3 GB).  Always
-  reported with ``objective_match`` pinned by the CSR feasibility check.
+* **n ≥ 20 000** -- the weighted-solve entry point plus a full duality
+  certificate on CSR-native xlarge instances, where an n × n constraint
+  matrix alone would take ≥ 3 GB.  Always reported with
+  ``objective_match`` pinned by the CSR feasibility check.
 * **CDS twins** -- every registered algorithm pair that *both* engines
   implement and that produces a connected dominating set
-  (``twin_specs(exclude_cds=False)``: currently kw-connect and the new
+  (``twin_specs(exclude_cds=False)``: currently kw-connect and the
   bucket-queue guha-khuller) runs under each backend on connected
   instances and is gated on set identity.  Newly registered CDS twins
   join automatically; the non-CDS twins (incl. the fully vectorized
@@ -34,9 +19,8 @@ benchmark gates all of them:
   bitwise-identical sets on every instance/candidate pair.
 
 Quick mode (``REPRO_BENCH_QUICK=1``, CI smoke) substitutes smaller
-instances and reports speedups without gating on them; the identity /
-objective checks always gate.  Results are persisted as
-``BENCH_lp_speedup.json``; the CI gate fails on any
+instances; the identity / objective checks always gate.  Results are
+persisted as ``BENCH_lp_speedup.json``; the CI gate fails on any
 ``"objective_match": false`` in the payload and on any registered CDS
 twin missing from its ``algorithms`` list.
 """
@@ -54,18 +38,11 @@ from repro.analysis.tables import render_table
 from repro.api import solve, twin_specs
 from repro.graphs.generators import caterpillar_graph, graph_suite
 from repro.lp.duality import lemma1_dual_solution, weak_duality_gap
-from repro.lp.feasibility import check_dual_feasible, check_primal_feasible
-from repro.lp.formulation import build_lp
-from repro.lp.solver import (
-    solve_weighted_fractional_mds,
-    solve_weighted_fractional_mds_sparse,
-)
-from repro.lp.sparse import build_lp_sparse
+from repro.lp.feasibility import check_dual_feasible
+from repro.lp.solver import solve_weighted_fractional_mds
 from repro.simulator.bulk import BulkGraph
 
 QUICK = bool(int(os.environ.get("REPRO_BENCH_QUICK", "0")))
-#: Acceptance floor for the gated dense-vs-sparse rows (full mode only).
-MIN_LP_SPEEDUP = None if QUICK else 20.0
 #: Per-CDS-twin parameter overrides.
 CDS_PARAMS = {"kw-connect": {"k": 2}}
 
@@ -76,33 +53,20 @@ def _timed(function):
     return result, time.perf_counter() - start
 
 
-def _lp_instances() -> list[tuple[str, nx.Graph, bool]]:
-    """(name, graph, gated) rows for the dense-vs-sparse LP sections.
-
-    The gated rows are formulation-bound (easy LPs on sparse graphs,
-    n ≥ 2000): there the dense path pays its O(n²) build and the ≥ 20×
-    floor applies.  The ungated row is solver-bound on purpose.
-    """
+def _prune_instances() -> list[tuple[str, nx.Graph]]:
+    """(name, graph) rows for the prune_redundant twins."""
     if QUICK:
         suite = graph_suite("medium", seed=2003)
         return [
-            ("caterpillar_250x3", caterpillar_graph(250, 3), True),
-            ("erdos_renyi_n250", suite["erdos_renyi_n250"], False),
+            ("caterpillar_250x3", caterpillar_graph(250, 3)),
+            ("erdos_renyi_n250", suite["erdos_renyi_n250"]),
         ]
     suite = graph_suite("large", seed=2003)
     return [
-        ("caterpillar_1000x3", caterpillar_graph(1000, 3), True),
-        ("caterpillar_2000x3", caterpillar_graph(2000, 3), True),
-        ("erdos_renyi_n2000", suite["erdos_renyi_n2000"], False),
+        ("caterpillar_1000x3", caterpillar_graph(1000, 3)),
+        ("caterpillar_2000x3", caterpillar_graph(2000, 3)),
+        ("erdos_renyi_n2000", suite["erdos_renyi_n2000"]),
     ]
-
-
-def _weights(graph: nx.Graph) -> dict:
-    """Deterministic non-uniform node costs (id-derived, seed-free)."""
-    return {
-        node: 1.0 + (index % 7) / 7.0
-        for index, node in enumerate(sorted(graph.nodes()))
-    }
 
 
 def _largest_component(graph: nx.Graph) -> nx.Graph:
@@ -111,79 +75,10 @@ def _largest_component(graph: nx.Graph) -> nx.Graph:
 
 
 @pytest.mark.benchmark(group="lp-speedup")
-def test_sparse_lp_and_validation_stack(benchmark, bench_seed, emit_table, emit_json):
-    """Dense vs. CSR: LP solves, duality certificates, CDS & prune twins."""
-    instances = _lp_instances()
-
+def test_lp_certification_and_twins(benchmark, bench_seed, emit_table, emit_json):
+    """CSR LP certification at n >= 20000, CDS & prune twins."""
     # ---------------------------------------------------------------- #
-    # 1. LP solve twins (unweighted + weighted)                         #
-    # ---------------------------------------------------------------- #
-    solve_rows = []
-    for name, graph, gated in instances:
-        bulk = BulkGraph.from_graph(graph)
-        for weighted in (False, True):
-            weights = _weights(graph) if weighted else None
-            dense, dense_s = _timed(
-                lambda: solve_weighted_fractional_mds(graph, weights)
-            )
-            sparse, sparse_s = _timed(
-                lambda: solve_weighted_fractional_mds_sparse(bulk, weights)
-            )
-            scale = max(abs(dense.objective), 1.0)
-            match = abs(dense.objective - sparse.objective) <= 1e-6 * scale
-            solve_rows.append(
-                {
-                    "instance": name,
-                    "n": graph.number_of_nodes(),
-                    "weighted": weighted,
-                    "objective": round(sparse.objective, 3),
-                    "objective_match": bool(match),
-                    "dense_s": round(dense_s, 3),
-                    "sparse_s": round(sparse_s, 4),
-                    "speedup": round(dense_s / sparse_s, 1) if sparse_s > 0 else float("inf"),
-                    "gated": gated,
-                }
-            )
-
-    # ---------------------------------------------------------------- #
-    # 2. Duality certification twins                                    #
-    # ---------------------------------------------------------------- #
-    duality_rows = []
-    for name, graph, gated in instances:
-        bulk = BulkGraph.from_graph(graph)
-        x = solve_weighted_fractional_mds_sparse(bulk).values
-        y = lemma1_dual_solution(graph)
-
-        def _certify_dense():
-            lp = build_lp(graph)
-            assert check_primal_feasible(lp, x, tolerance=1e-6)
-            assert check_dual_feasible(lp, y, tolerance=1e-9)
-            return weak_duality_gap(lp, x, y)
-
-        def _certify_sparse():
-            lp = build_lp_sparse(bulk)
-            assert check_primal_feasible(lp, x, tolerance=1e-6)
-            assert check_dual_feasible(lp, y, tolerance=1e-9)
-            return weak_duality_gap(lp, x, y)
-
-        gap_dense, dense_s = _timed(_certify_dense)
-        gap_sparse, sparse_s = _timed(_certify_sparse)
-        match = abs(gap_dense - gap_sparse) <= 1e-6 * max(abs(gap_dense), 1.0)
-        duality_rows.append(
-            {
-                "instance": name,
-                "n": graph.number_of_nodes(),
-                "weak_duality_gap": round(gap_sparse, 3),
-                "objective_match": bool(match),
-                "dense_s": round(dense_s, 3),
-                "sparse_s": round(sparse_s, 4),
-                "speedup": round(dense_s / sparse_s, 1) if sparse_s > 0 else float("inf"),
-                "gated": gated,
-            }
-        )
-
-    # ---------------------------------------------------------------- #
-    # 3. Sparse-only certification at n >= 20000                        #
+    # 1. Certification at n >= 20000                                    #
     # ---------------------------------------------------------------- #
     xlarge_rows = []
     xlarge_names = ["caterpillar_5000x3"] if QUICK else [
@@ -194,7 +89,7 @@ def test_sparse_lp_and_validation_stack(benchmark, bench_seed, emit_table, emit_
     for name in xlarge_names:
         bulk = xlarge_suite[name]
         solution, solve_s = _timed(
-            lambda: solve_weighted_fractional_mds_sparse(bulk)
+            lambda: solve_weighted_fractional_mds(bulk, weights=None)
         )
 
         def _certify():
@@ -204,8 +99,8 @@ def test_sparse_lp_and_validation_stack(benchmark, bench_seed, emit_table, emit_
             return weak_duality_gap(lp, solution.values, y)
 
         gap, certify_s = _timed(_certify)
-        # The sparse solver already verified primal feasibility on the
-        # CSR; a finite non-negative certified gap pins the chain.
+        # The solver already verified primal feasibility on the CSR; a
+        # finite non-negative certified gap pins the chain.
         xlarge_rows.append(
             {
                 "instance": name,
@@ -219,7 +114,7 @@ def test_sparse_lp_and_validation_stack(benchmark, bench_seed, emit_table, emit_
         )
 
     # ---------------------------------------------------------------- #
-    # 4. CDS twins (auto-enumerated from the registry)                  #
+    # 2. CDS twins (auto-enumerated from the registry)                  #
     # ---------------------------------------------------------------- #
     cds_specs = [
         spec for spec in twin_specs(exclude_cds=False) if spec.produces_cds
@@ -266,13 +161,13 @@ def test_sparse_lp_and_validation_stack(benchmark, bench_seed, emit_table, emit_
             )
 
     # ---------------------------------------------------------------- #
-    # 5. prune_redundant twins                                          #
+    # 3. prune_redundant twins                                          #
     # ---------------------------------------------------------------- #
     from repro.baselines.greedy import greedy_dominating_set
     from repro.domset.validation import prune_redundant, prune_redundant_bulk
 
     prune_rows = []
-    for name, graph, _ in instances:
+    for name, graph in _prune_instances():
         bulk = BulkGraph.from_graph(graph)
         greedy = greedy_dominating_set(graph)
         for candidate_name, candidate in (
@@ -304,11 +199,7 @@ def test_sparse_lp_and_validation_stack(benchmark, bench_seed, emit_table, emit_
         "lp_speedup",
         "\n\n".join(
             [
-                render_table(solve_rows, title=f"LP solve: dense vs. sparse ({mode})"),
-                render_table(
-                    duality_rows, title="Duality certification: dense vs. matrix-free"
-                ),
-                render_table(xlarge_rows, title="Sparse-only certification, n >= 20000"),
+                render_table(xlarge_rows, title=f"CSR certification, n >= 20000 ({mode})"),
                 render_table(cds_rows, title="CDS twins: simulated vs. bulk (CSR)"),
                 render_table(prune_rows, title="prune_redundant: set-based vs. CSR"),
             ]
@@ -318,26 +209,15 @@ def test_sparse_lp_and_validation_stack(benchmark, bench_seed, emit_table, emit_
         "lp_speedup",
         {
             "quick": QUICK,
-            "min_lp_speedup": MIN_LP_SPEEDUP,
             "algorithms": [spec.name for spec in cds_specs],
-            "lp_solve": solve_rows,
-            "duality": duality_rows,
             "xlarge": xlarge_rows,
             "cds_twins": cds_rows,
             "prune": prune_rows,
         },
     )
 
-    for row in solve_rows + duality_rows + xlarge_rows + cds_rows + prune_rows:
+    for row in xlarge_rows + cds_rows + prune_rows:
         assert row["objective_match"], f"output mismatch: {row}"
-    if MIN_LP_SPEEDUP is not None:
-        for row in solve_rows + duality_rows:
-            if row["gated"]:
-                assert row["speedup"] >= MIN_LP_SPEEDUP, (
-                    f"{row['instance']}: dense/sparse speedup {row['speedup']}x "
-                    f"below the {MIN_LP_SPEEDUP}x floor"
-                )
 
-    small = _lp_instances()[0][1]
-    small_bulk = BulkGraph.from_graph(small)
-    benchmark(lambda: solve_weighted_fractional_mds_sparse(small_bulk))
+    small_bulk = BulkGraph.from_graph(_prune_instances()[0][1])
+    benchmark(lambda: solve_weighted_fractional_mds(small_bulk, weights=None))

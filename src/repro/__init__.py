@@ -112,7 +112,7 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__version__ = "1.4.0"
+__version__ = "1.5.0"
 
 __all__ = [
     "AUTO",

@@ -20,7 +20,7 @@ Two scaling features let sweeps run far past the networkx comfort zone:
 
 * instances may wrap CSR :class:`~repro.simulator.bulk.BulkGraph` objects
   (e.g. from ``graph_suite("xlarge")``); those sweep with the vectorized
-  backend and skip the (dense, centralized) LP reference columns, and
+  backend and skip the centralized LP reference columns unless asked, and
 * every sweep accepts ``jobs=N`` to parallelize across graph instances
   with a process pool -- instances are independent, so records are simply
   computed in worker processes and concatenated in instance order.
@@ -151,23 +151,17 @@ def _lp_reference(
 ) -> float:
     """The centralized LP optimum reference for one instance.
 
-    CSR instances report NaN by default (the dense solve is the very cost
-    the bulk path avoids); with ``sparse_for_bulk`` they are solved through
-    :func:`~repro.lp.solver.solve_fractional_mds_sparse` instead -- exact,
-    O(n + m) memory, but tens of seconds at n = 20 000, so sweeps only opt
-    in when the caller asks for the LP ratio column at that scale.
+    Every instance is solved through
+    :func:`~repro.lp.solver.solve_fractional_mds` on the CSR formulation.
+    CSR instances report NaN unless ``sparse_for_bulk`` is set: the exact
+    solve takes tens of seconds at n = 20 000, so sweeps only opt in when
+    the caller asks for the LP ratio column at that scale.
     ``lp_method="pdhg"`` / ``"mwu"`` swap the exact solve for a certified
     first-order one (relative gap ≤ ``lp_tol``): the right trade on
     solver-bound instances, where HiGHS -- not the formulation -- is the
     bottleneck.
     """
-    if instance.is_bulk:
-        if sparse_for_bulk:
-            from repro.lp.solver import solve_fractional_mds_sparse
-
-            return solve_fractional_mds_sparse(
-                instance.graph, method=lp_method, tol=lp_tol
-            ).objective
+    if instance.is_bulk and not sparse_for_bulk:
         return float("nan")
     return solve_fractional_mds(
         instance.graph, method=lp_method, tol=lp_tol
@@ -904,7 +898,7 @@ def compare_algorithms(
     sparse_lp:
         Solve LP_MDS sparsely for CSR instances so the comparison's
         LP-ratio column is real instead of NaN (tens of seconds per
-        n = 20 000 instance; dense instances always use the exact LP).
+        n = 20 000 instance; networkx instances always solve the LP).
     shards:
         Shard count forwarded to sharded-capable registry specs (the rest
         run unchanged); requires ``backend`` ``"auto"`` or ``"sharded"``.

@@ -21,12 +21,7 @@ import networkx as nx
 
 from repro.core.rounding import RoundingResult, RoundingRule, round_fractional_solution
 from repro.core.vectorized import SIMULATED, validate_backend
-from repro.lp.solver import (
-    LPSolution,
-    solve_fractional_mds,
-    solve_fractional_mds_sparse,
-)
-from repro.simulator.bulk import BulkGraph
+from repro.lp.solver import LPSolution, solve_fractional_mds
 
 
 @dataclass(frozen=True)
@@ -73,9 +68,8 @@ def central_lp_rounding_dominating_set(
     graph:
         The network graph.  May also be a CSR
         :class:`~repro.simulator.bulk.BulkGraph` (vectorized backend
-        only), in which case the LP is solved *sparsely* -- the dense
-        n × n formulation is never materialised -- and the rounding runs
-        on the bulk array engine end to end.
+        only), in which case the rounding runs on the bulk array engine
+        end to end.  The LP is solved on the CSR formulation either way.
     seed:
         Seed for the rounding coin flips.
     rule:
@@ -96,12 +90,7 @@ def central_lp_rounding_dominating_set(
     CentralLPRoundingResult
     """
     validate_backend(backend)
-    if isinstance(graph, BulkGraph):
-        lp_solution = solve_fractional_mds_sparse(
-            graph, method=lp_method, tol=lp_tol
-        )
-    else:
-        lp_solution = solve_fractional_mds(graph, method=lp_method, tol=lp_tol)
+    lp_solution = solve_fractional_mds(graph, method=lp_method, tol=lp_tol)
     rounding = round_fractional_solution(
         graph,
         lp_solution.values,

@@ -449,15 +449,13 @@ def _command_certify(args: argparse.Namespace) -> int:
     system as a primal point, the Lemma-1 dual assignment is checked
     feasible for DLP_MDS, and the reported lower bound / gap / ratio are
     therefore *certificates*, not estimates.  Every graph certifies through
-    the matrix-free CSR formulation (:mod:`repro.lp.sparse`), so
-    ``--n 20000`` works without ever building the dense n × n constraint
-    matrix.
+    the one matrix-free CSR formulation (:mod:`repro.lp.formulation`), so
+    ``--n 20000`` works without ever building an n × n constraint matrix.
     """
     from repro.lp.duality import lemma1_dual_solution, weak_duality_gap
     from repro.lp.feasibility import check_dual_feasible, check_primal_feasible
     from repro.lp.formulation import build_lp
     from repro.lp.solver import solve_weighted_fractional_mds
-    from repro.simulator.bulk import BulkGraph
 
     graph = _build_graph(args)
     spec = get_spec(args.algorithm)
@@ -471,8 +469,8 @@ def _command_certify(args: argparse.Namespace) -> int:
         return 2
 
     # The certification substrate: the matrix-free CSR formulation.
-    certify_on = BulkGraph.from_graph(graph)
-    lp = build_lp(certify_on)
+    lp = build_lp(graph)
+    certify_on = lp.bulk
     x = {node: 1.0 for node in report.dominating_set}
     primal_ok, primal_violation = check_primal_feasible(
         lp, x, tolerance=1e-9, return_violation=True

@@ -42,10 +42,8 @@ from repro.core.vectorized import (
     x_array_from_mapping,
 )
 from repro.graphs.utils import validate_simple_graph
-from repro.lp.feasibility import check_primal_feasible
 from repro.simulator.bulk import BulkGraph
 from repro.simulator.fault_schedule import FaultSchedule, FaultSpec, FaultSummary
-from repro.lp.formulation import build_lp
 from repro.simulator.metrics import ExecutionMetrics
 from repro.simulator.network import Network
 from repro.simulator.node import NodeContext
@@ -169,20 +167,15 @@ def solution_feasibility(
 ) -> tuple[bool, float]:
     """``(feasible, max_violation)`` of ``x`` for LP_MDS (``N·x ≥ 1, x ≥ 0``).
 
-    Whenever a CSR view is available (a BulkGraph input, or the prebuilt
-    ``_bulk`` of a vectorized run) the constraint is checked directly on it
-    in O(n + m); only the simulated path without a CSR in hand builds the
-    dense LP.  Both checks return the same verdict.  Shared by the rounding
-    precondition and the pipeline's post-fractional self-check.
+    The constraint is checked on a CSR view in O(n + m): a BulkGraph
+    input, the prebuilt ``_bulk`` of a vectorized run, or else one built
+    from the networkx graph.  Shared by the rounding precondition and the
+    pipeline's post-fractional self-check.
     """
-    if _bulk is not None:
-        return _bulk.check_lp_feasible(
-            x_array_from_mapping(_bulk, x), tolerance=tolerance
-        )
-    lp = build_lp(graph)
-    return check_primal_feasible(
-        lp, dict(x), tolerance=tolerance, return_violation=True
-    )
+    bulk = _bulk
+    if bulk is None:
+        bulk = graph if isinstance(graph, BulkGraph) else BulkGraph.from_graph(graph)
+    return bulk.check_lp_feasible(x_array_from_mapping(bulk, x), tolerance=tolerance)
 
 
 def _check_rounding_input_feasible(
@@ -306,8 +299,8 @@ def round_fractional_solution(
         outcome.  Reported on ``RoundingResult.faults``.
 
     ``graph`` may also be a CSR :class:`~repro.simulator.bulk.BulkGraph`
-    (vectorized backend only); the feasibility precondition is then checked
-    directly on the CSR in O(n + m) instead of building the dense LP.
+    (vectorized backend only).  The feasibility precondition is checked on
+    a CSR view in O(n + m) for either input kind.
 
     Returns
     -------

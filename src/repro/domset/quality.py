@@ -21,9 +21,8 @@ from typing import Hashable, Iterable
 import networkx as nx
 
 from repro.domset.validation import coverage_counts, is_dominating_set
-from repro.graphs.utils import is_bulk_graph
 from repro.lp.duality import lemma1_lower_bound
-from repro.lp.solver import solve_fractional_mds, solve_fractional_mds_sparse
+from repro.lp.solver import solve_fractional_mds
 
 
 @dataclass(frozen=True)
@@ -82,9 +81,9 @@ def quality_report(
         The graph the set was computed on.  CSR
         :class:`~repro.simulator.bulk.BulkGraph` inputs are fully
         supported: validation, coverage statistics and the Lemma-1 bound
-        run as array sweeps, and the LP denominator (when requested) is
-        solved sparsely -- so quality reporting works unchanged at the
-        n ≥ 20 000 scale.
+        run as array sweeps.  The LP denominator (when requested) is
+        solved on the CSR formulation for either graph type, so quality
+        reporting works unchanged at the n ≥ 20 000 scale.
     dominating_set:
         The candidate set.
     exact_optimum:
@@ -105,10 +104,7 @@ def quality_report(
     dual_bound = lemma1_lower_bound(graph)
     lp_optimum: float | None = None
     if solve_lp:
-        if is_bulk_graph(graph):
-            lp_optimum = solve_fractional_mds_sparse(graph).objective
-        else:
-            lp_optimum = solve_fractional_mds(graph).objective
+        lp_optimum = solve_fractional_mds(graph).objective
 
     counts = coverage_counts(graph, members)
     mean_coverage = sum(counts.values()) / len(counts) if counts else 0.0

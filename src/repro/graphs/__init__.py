@@ -14,7 +14,7 @@ graphs.  This package provides:
   produces a sequence of unit disk graphs (used by the dynamic-topology
   example).
 * :mod:`~repro.graphs.utils` -- the paper's notation as code: δ_i, δ⁽¹⁾_i,
-  δ⁽²⁾_i, closed neighbourhoods N_i, and the neighbourhood matrix N.
+  δ⁽²⁾_i and closed neighbourhoods N_i.
 """
 
 from repro.graphs.generators import (
@@ -55,7 +55,6 @@ from repro.graphs.utils import (
     delta_one,
     delta_two,
     max_degree,
-    neighborhood_matrix,
 )
 
 __all__ = [
@@ -79,7 +78,6 @@ __all__ = [
     "graph_suite",
     "grid_graph",
     "max_degree",
-    "neighborhood_matrix",
     "path_graph",
     "power_law_tree",
     "random_bipartite_graph",

@@ -7,20 +7,19 @@ v_1, ..., v_n:
 * ``δ_i`` -- the degree of v_i,
 * ``δ⁽¹⁾_i = max_{j ∈ N_i} δ_j`` -- the maximum degree in N_i,
 * ``δ⁽²⁾_i = max_{j ∈ N_i} δ⁽¹⁾_j`` -- the maximum degree within distance 2,
-* ``Δ`` -- the maximum degree of the graph, and
-* the *neighbourhood matrix* ``N`` -- the adjacency matrix plus the identity.
+* ``Δ`` -- the maximum degree of the graph.
 
-These helpers are used by the LP formulations, the centralized baselines and
-the validation utilities.  The distributed algorithms never call them: they
+The *neighbourhood matrix* ``N`` (adjacency plus identity) lives on the CSR
+arrays of :mod:`repro.lp.formulation`.  These helpers are used by the LP
+bounds, the centralized baselines and the validation utilities.  The distributed algorithms never call them: they
 compute the same quantities via messages, as the paper requires.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping
 
 import networkx as nx
-import numpy as np
 
 
 def degree_map(graph: nx.Graph) -> dict[Hashable, int]:
@@ -80,32 +79,6 @@ def delta_two(graph: nx.Graph) -> dict[Hashable, int]:
         )
         for node in graph.nodes()
     }
-
-
-def neighborhood_matrix(
-    graph: nx.Graph, nodelist: Sequence[Hashable] | None = None
-) -> np.ndarray:
-    """The neighbourhood matrix N = A + I (adjacency plus identity).
-
-    ``N · x ≥ 1`` is exactly the domination constraint of the paper's
-    integer program IP_MDS and of its LP relaxation LP_MDS.
-
-    Parameters
-    ----------
-    graph:
-        The input graph.
-    nodelist:
-        Row/column ordering.  Defaults to ``sorted(graph.nodes())``.
-
-    Returns
-    -------
-    numpy.ndarray
-        A dense ``n × n`` 0/1 matrix with ones on the diagonal.
-    """
-    if nodelist is None:
-        nodelist = sorted(graph.nodes())
-    adjacency = nx.to_numpy_array(graph, nodelist=nodelist, dtype=float)
-    return adjacency + np.eye(len(nodelist))
 
 
 def node_index(graph: nx.Graph) -> dict[Hashable, int]:

@@ -11,20 +11,19 @@ Section 4 of the paper derives three mathematical programs:
 
 This package turns those three programs into code:
 
-* :mod:`~repro.lp.formulation` -- explicit matrix formulations built from a
-  graph (used both by the exact solver and by tests that verify the
-  distributed algorithms' outputs against the constraint system).
+* :mod:`~repro.lp.formulation` -- the one formulation, built on the CSR
+  arrays of a :class:`~repro.simulator.bulk.BulkGraph` (networkx input is
+  converted once): canonical node order, weights, and N·x computed as
+  ``x + neighbor_sum(x)`` in O(n + m) -- no dense n × n matrix, at any n.
+  The exact solver, the checks and the tests that verify the distributed
+  algorithms' outputs against the constraint system all use it.
 * :mod:`~repro.lp.solver` -- exact fractional optima via ``scipy`` linear
-  programming, used as the baseline α = 1 input to Algorithm 1 and as the
-  denominator for measured approximation ratios.
+  programming on either graph type, used as the baseline α = 1 input to
+  Algorithm 1 and as the denominator for measured approximation ratios.
 * :mod:`~repro.lp.feasibility` -- primal and dual feasibility checks with
   numerical tolerances.
 * :mod:`~repro.lp.duality` -- the Lemma 1 lower bound and general
   weak-duality utilities.
-* :mod:`~repro.lp.sparse` -- the CSR-backed (matrix-free) formulation
-  used for LP certification at the n ≥ 20 000 bulk scale: same
-  interface as the dense formulation, O(n + m) memory, accepted by all
-  feasibility/duality helpers interchangeably.
 * :mod:`~repro.lp.firstorder` -- certified first-order solvers (PDHG and
   multiplicative weights) running matrix-free on the CSR operators: each
   solve terminates on a *verified* duality gap, so ε-optimality is a
@@ -54,12 +53,7 @@ from repro.lp.feasibility import (
     check_primal_feasible,
     primal_violations,
 )
-from repro.lp.formulation import (
-    DominatingSetLP,
-    build_lp,
-    fractional_objective,
-    integer_objective,
-)
+from repro.lp.formulation import DominatingSetLP, build_lp
 from repro.lp.solver import (
     DEFAULT_LP_TOL,
     LP_METHODS,
@@ -67,9 +61,7 @@ from repro.lp.solver import (
     solve_fractional_mds,
     solve_fractional_mds_sparse,
     solve_weighted_fractional_mds,
-    solve_weighted_fractional_mds_sparse,
 )
-from repro.lp.sparse import SparseDominatingSetLP, build_lp_sparse
 
 __all__ = [
     "ConvergenceError",
@@ -80,9 +72,7 @@ __all__ = [
     "FirstOrderSolution",
     "LPSolution",
     "LP_METHODS",
-    "SparseDominatingSetLP",
     "build_lp",
-    "build_lp_sparse",
     "certified_lower_bound",
     "certified_lower_bound_lp",
     "check_dual_feasible",
@@ -90,8 +80,6 @@ __all__ = [
     "dual_objective",
     "estimate_operator_norm",
     "feasible_dual_projection",
-    "fractional_objective",
-    "integer_objective",
     "lemma1_dual_solution",
     "lemma1_lower_bound",
     "primal_violations",
@@ -99,6 +87,5 @@ __all__ = [
     "solve_fractional_mds",
     "solve_fractional_mds_sparse",
     "solve_weighted_fractional_mds",
-    "solve_weighted_fractional_mds_sparse",
     "weak_duality_gap",
 ]

@@ -9,6 +9,10 @@ This bound is cheap (purely local), always valid, and is the lower bound the
 rounding analysis (Theorem 3) leans on.  For graphs too large for the exact
 branch-and-bound solver, benchmarks report ratios against this bound and
 against the LP optimum.
+
+Every verified bound is checked on the one CSR formulation of
+:func:`~repro.lp.formulation.build_lp`, for networkx and
+:class:`~repro.simulator.bulk.BulkGraph` input alike, in O(n + m).
 """
 
 from __future__ import annotations
@@ -62,11 +66,9 @@ def weak_duality_gap(
     Weak duality guarantees the gap is non-negative whenever ``x`` is primal
     feasible and ``y`` is dual feasible; property tests assert exactly that.
 
-    ``lp`` may be the dense :class:`~repro.lp.formulation.DominatingSetLP`
-    or the CSR-backed :class:`~repro.lp.sparse.SparseDominatingSetLP`
-    (from :func:`~repro.lp.formulation.build_lp` of a ``BulkGraph``); the
-    sparse form evaluates both objectives and the dual feasibility check
-    in O(n + m), making duality certificates routine at n ≥ 20 000.
+    Both objectives and the dual feasibility check run on the CSR
+    operators of ``lp`` in O(n + m), making duality certificates routine
+    at n ≥ 20 000.
 
     Raises
     ------
@@ -101,8 +103,7 @@ def feasible_dual_projection(
 
     The result satisfies ``N·y ≤ w`` and ``y ≥ 0``; for an already
     feasible input the scale factor caps at 1 and steps 1–2 are no-ops,
-    so feasible duals pass through unchanged.  Works on the dense and
-    the CSR-backed formulation alike.
+    so feasible duals pass through unchanged.
     """
     vector = np.maximum(lp._as_vector(y), 0.0)
     if not vector.any():
@@ -152,10 +153,11 @@ def certified_lower_bound_lp(
 def certified_lower_bound(graph: nx.Graph, y: Mapping[Hashable, float]) -> float:
     """A verified DLP_MDS lower bound from a per-node dual assignment.
 
-    ``graph`` may be a CSR :class:`~repro.simulator.bulk.BulkGraph`, in
-    which case the projection and feasibility verification run
-    matrix-free on the CSR adjacency.  Infeasible assignments -- negative
-    entries from float round-off, over-packed neighbourhoods -- are
+    ``graph`` may be networkx or a CSR
+    :class:`~repro.simulator.bulk.BulkGraph`; either way the projection
+    and feasibility verification run matrix-free on the CSR formulation
+    of :func:`~repro.lp.formulation.build_lp`.  Infeasible assignments --
+    negative entries from float round-off, over-packed neighbourhoods -- are
     *clamped* onto the feasible region (projection + uniform rescale,
     see :func:`feasible_dual_projection`) rather than rejected, so the
     returned value is always a valid lower bound; for a feasible input
@@ -164,7 +166,8 @@ def certified_lower_bound(graph: nx.Graph, y: Mapping[Hashable, float]) -> float
     Raises
     ------
     ValueError
-        Only if the assignment cannot be repaired (NaN/inf entries).
+        If the assignment cannot be repaired (NaN/inf entries), or if the
+        graph is empty or has a self-loop.
     """
     lp = build_lp(graph)
     return certified_lower_bound_lp(lp, y)

@@ -7,31 +7,22 @@ with explicit numerical tolerances; they are used by unit tests, property
 tests, benchmarks and the end-to-end pipeline's self-checks.
 
 Every check operates through the formulation's ``coverage`` / ``dual_load``
-operators, so both the dense :class:`~repro.lp.formulation.DominatingSetLP`
-and the CSR-backed :class:`~repro.lp.sparse.SparseDominatingSetLP` are
-accepted interchangeably -- the sparse formulation evaluates N·x in
-O(n + m) without materialising a constraint matrix, which is what makes
-feasibility certification routine at n ≥ 20 000.
+operators, which evaluate N·x on the CSR adjacency in O(n + m) without
+materialising a constraint matrix; that is what makes feasibility
+certification routine at n ≥ 20 000.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable, Mapping, Sequence, Union
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
 from repro.lp.formulation import DominatingSetLP
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.lp.sparse import SparseDominatingSetLP
-
-    AnyDominatingSetLP = Union[DominatingSetLP, SparseDominatingSetLP]
-else:  # pragma: no cover
-    AnyDominatingSetLP = DominatingSetLP
-
 
 def check_primal_feasible(
-    lp: "AnyDominatingSetLP",
+    lp: DominatingSetLP,
     x: Mapping[Hashable, float] | Sequence[float],
     tolerance: float = 1e-9,
     return_violation: bool = False,
@@ -41,7 +32,7 @@ def check_primal_feasible(
     Parameters
     ----------
     lp:
-        The LP formulation (dense or sparse).
+        The LP formulation.
     x:
         Candidate primal solution (mapping or canonical-order vector).
     tolerance:
@@ -66,7 +57,7 @@ def check_primal_feasible(
 
 
 def check_dual_feasible(
-    lp: "AnyDominatingSetLP",
+    lp: DominatingSetLP,
     y: Mapping[Hashable, float] | Sequence[float],
     tolerance: float = 1e-9,
     return_violation: bool = False,
@@ -89,7 +80,7 @@ def check_dual_feasible(
 
 
 def primal_violations(
-    lp: "AnyDominatingSetLP",
+    lp: DominatingSetLP,
     x: Mapping[Hashable, float] | Sequence[float],
     tolerance: float = 1e-9,
 ) -> dict[Hashable, float]:

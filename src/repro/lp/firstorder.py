@@ -37,7 +37,7 @@ duality no matter what the iteration dynamics did.
 The inner loops are allocation-free: all iterate and scratch vectors are
 preallocated float64 arrays, and the matvec accumulates into a
 preallocated output through scipy's in-place CSR kernel, reusing the
-one cached :func:`~repro.lp.sparse.neighborhood_csr_matrix` of the
+one cached :func:`~repro.lp.formulation.neighborhood_csr_matrix` of the
 formulation across the solve, the power iteration and certification.
 """
 
@@ -52,7 +52,7 @@ from repro.lp.duality import certified_lower_bound_lp, feasible_dual_projection
 from repro.lp.feasibility import check_dual_feasible, check_primal_feasible
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.lp.sparse import SparseDominatingSetLP
+    from repro.lp.formulation import DominatingSetLP
 
 try:  # scipy's templated in-place kernel: y += A @ x, no allocation.
     from scipy.sparse import _sparsetools as _scipy_sparsetools
@@ -151,7 +151,7 @@ def _matvec(matrix, vector: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def estimate_operator_norm(
-    lp: "SparseDominatingSetLP",
+    lp: "DominatingSetLP",
     iterations: int = 100,
     rtol: float = 1e-6,
 ) -> float:
@@ -183,7 +183,7 @@ def estimate_operator_norm(
 
 
 def _feasible_primal_scaling(
-    lp: "SparseDominatingSetLP", x: np.ndarray, coverage: np.ndarray
+    lp: "DominatingSetLP", x: np.ndarray, coverage: np.ndarray
 ) -> np.ndarray | None:
     """Scale the raw iterate onto the covering polytope (None if impossible).
 
@@ -210,7 +210,7 @@ class _PairTracker:
     """
 
     def __init__(
-        self, lp: "SparseDominatingSetLP", method: str, tol: float, norm: float
+        self, lp: "DominatingSetLP", method: str, tol: float, norm: float
     ):
         self.lp = lp
         self.method = method
@@ -272,7 +272,7 @@ def _relative_gap(primal: float, dual: float) -> float:
     return 0.0 if primal <= 1e-300 else float("inf")
 
 
-def _validate(lp: "SparseDominatingSetLP", method: str, tol: float) -> None:
+def _validate(lp: "DominatingSetLP", method: str, tol: float) -> None:
     if method not in FIRST_ORDER_METHODS:
         raise ValueError(
             f"unknown first-order method {method!r}; expected one of "
@@ -288,7 +288,7 @@ def _validate(lp: "SparseDominatingSetLP", method: str, tol: float) -> None:
 
 
 def solve_covering_lp(
-    lp: "SparseDominatingSetLP",
+    lp: "DominatingSetLP",
     method: str = PDHG,
     tol: float = 1e-3,
     max_iterations: int | None = None,
@@ -323,7 +323,7 @@ def solve_covering_lp(
     return _solve_mwu(lp, tol, budget, cadence)
 
 
-def _prepare(lp: "SparseDominatingSetLP"):
+def _prepare(lp: "DominatingSetLP"):
     """Shared setup: cached CSR, δ⁽¹⁾-based warm starts, zero-weight presolve.
 
     A zero-weight variable costs nothing and covers its whole closed
@@ -343,7 +343,7 @@ def _prepare(lp: "SparseDominatingSetLP"):
 
 
 def _solve_pdhg(
-    lp: "SparseDominatingSetLP", tol: float, budget: int, cadence: int
+    lp: "DominatingSetLP", tol: float, budget: int, cadence: int
 ) -> FirstOrderSolution:
     """Chambolle–Pock on ``min_{x≥0} max_{y≥0} wᵀx + yᵀ(1 − Nx)``."""
     matrix, n, weights, x, y = _prepare(lp)
@@ -402,7 +402,7 @@ def _solve_pdhg(
 
 
 def _solve_mwu(
-    lp: "SparseDominatingSetLP", tol: float, budget: int, cadence: int
+    lp: "DominatingSetLP", tol: float, budget: int, cadence: int
 ) -> FirstOrderSolution:
     """Multiplicative weights on constraints, parallel covering increments.
 
@@ -505,7 +505,7 @@ def _solve_mwu(
 
 
 def _finalize(
-    lp: "SparseDominatingSetLP",
+    lp: "DominatingSetLP",
     tracker: _PairTracker,
     certificate: DualityCertificate,
 ) -> FirstOrderSolution:

@@ -1,11 +1,15 @@
-"""Matrix formulations of IP_MDS, LP_MDS and DLP_MDS.
+"""The formulation of IP_MDS, LP_MDS and DLP_MDS on a CSR graph.
 
-The formulation object is deliberately small: it stores the neighbourhood
-matrix ``N`` (adjacency + identity), the canonical node ordering, and the
-objective weights (all ones for the unweighted problem, arbitrary positive
-costs for the weighted variant from the paper's remark after Theorem 4).
-Everything else -- solving, feasibility checking, duality bounds -- lives in
-the sibling modules and operates on this object.
+The formulation object is deliberately small: it stores the CSR
+:class:`~repro.simulator.bulk.BulkGraph` whose adjacency plus the implicit
+identity is the neighbourhood matrix N = A + I, the canonical node
+ordering, and the objective weights (all ones for the unweighted problem,
+arbitrary positive costs for the weighted variant from the paper's remark
+after Theorem 4).  N is never densified: N·x is computed as
+``x + neighbor_sum(x)`` in O(n + m), and N is symmetric, so the dual
+constraint operator equals the primal coverage operator.  Everything else
+-- solving, feasibility checking, duality bounds -- lives in the sibling
+modules and operates on this object.
 """
 
 from __future__ import annotations
@@ -16,35 +20,34 @@ from typing import Hashable, Mapping, Sequence
 import networkx as nx
 import numpy as np
 
-from repro.graphs.utils import neighborhood_matrix
+from repro.simulator.bulk import BulkGraph
 
 
 @dataclass(frozen=True)
 class DominatingSetLP:
-    """The (fractional) dominating set LP for one graph.
+    """The (fractional) dominating set LP of one graph.
 
     Attributes
     ----------
+    bulk:
+        The CSR graph whose adjacency (plus the implicit identity) is the
+        constraint matrix N.  Row i is the domination constraint of node
+        ``nodes[i]``; column j is the incidence of variable x_j.
     nodes:
-        Canonical node ordering: ``nodes[i]`` is the node whose variable is
-        x_i / whose constraint is row i.
-    matrix:
-        The neighbourhood matrix N = A + I as a dense float array.  Row i is
-        the domination constraint of node ``nodes[i]``; column j is the
-        incidence of variable x_j.
+        Canonical node ordering -- identical to ``bulk.nodes`` (sorted
+        node identifiers).
     weights:
         Objective coefficients c_i ≥ 0 (all ones in the unweighted case).
     """
 
+    bulk: BulkGraph
     nodes: tuple[Hashable, ...]
-    matrix: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        n = len(self.nodes)
-        if self.matrix.shape != (n, n):
-            raise ValueError("neighbourhood matrix must be n × n")
-        if self.weights.shape != (n,):
+        if len(self.nodes) != self.bulk.n:
+            raise ValueError("nodes must match the CSR graph's node count")
+        if self.weights.shape != (self.bulk.n,):
             raise ValueError("weights must be a length-n vector")
         if np.any(self.weights < 0):
             raise ValueError("weights must be non-negative")
@@ -56,13 +59,13 @@ class DominatingSetLP:
     @property
     def size(self) -> int:
         """Number of variables / constraints n."""
-        return len(self.nodes)
+        return self.bulk.n
 
     def index_of(self, node: Hashable) -> int:
         """Index of a node in the canonical ordering."""
         try:
-            return self.nodes.index(node)
-        except ValueError as exc:
+            return int(self.bulk.index_of([node])[0])
+        except KeyError as exc:
             raise KeyError(f"node {node!r} is not part of this LP") from exc
 
     def vector_from_mapping(self, values: Mapping[Hashable, float]) -> np.ndarray:
@@ -81,7 +84,7 @@ class DominatingSetLP:
         return {node: float(value) for node, value in zip(self.nodes, vector)}
 
     # ------------------------------------------------------------------ #
-    # Objectives                                                           #
+    # Objectives and constraint operators                                  #
     # ------------------------------------------------------------------ #
 
     def objective(self, x: Sequence[float] | Mapping[Hashable, float]) -> float:
@@ -95,13 +98,26 @@ class DominatingSetLP:
         return float(np.sum(vector))
 
     def coverage(self, x: Sequence[float] | Mapping[Hashable, float]) -> np.ndarray:
-        """The vector N·x of per-node coverages."""
-        return self.matrix @ self._as_vector(x)
+        """The vector N·x of per-node coverages, computed on the CSR."""
+        vector = self._as_vector(x)
+        return vector + self.bulk.neighbor_sum(vector)
 
     def dual_load(self, y: Sequence[float] | Mapping[Hashable, float]) -> np.ndarray:
-        """The vector N·y of per-neighbourhood dual loads."""
-        # N is symmetric, so the dual constraint matrix equals the primal one.
-        return self.matrix @ self._as_vector(y)
+        """The vector N·y of per-neighbourhood dual loads.
+
+        N is symmetric, so the dual constraint matrix equals the primal one.
+        """
+        return self.coverage(y)
+
+    def neighborhood_matrix(self):
+        """The cached ``scipy.sparse`` CSR of N = A + I (built once).
+
+        Delegates to :func:`neighborhood_csr_matrix`, which memoizes the
+        matrix on the underlying :class:`~repro.simulator.bulk.BulkGraph`
+        so every consumer (HiGHS solve, first-order iterations, power
+        iteration, certification) shares one instance.
+        """
+        return neighborhood_csr_matrix(self.bulk)
 
     def _as_vector(self, values: Sequence[float] | Mapping[Hashable, float]) -> np.ndarray:
         if isinstance(values, Mapping):
@@ -112,53 +128,67 @@ class DominatingSetLP:
         return vector
 
 
+def weight_vector(
+    bulk: BulkGraph, weights: Mapping[Hashable, float] | None
+) -> np.ndarray:
+    """Canonical-order weight vector from a per-node cost mapping.
+
+    ``None`` means unweighted (all ones); a mapping must cover every node.
+    """
+    if weights is None:
+        return np.ones(bulk.n)
+    missing = [node for node in bulk.nodes if node not in weights]
+    if missing:
+        raise ValueError(f"weights missing for nodes: {missing[:5]}")
+    return np.array([float(weights[node]) for node in bulk.nodes])
+
+
 def build_lp(
-    graph: nx.Graph, weights: Mapping[Hashable, float] | None = None
-) -> "DominatingSetLP":
+    graph: nx.Graph | BulkGraph, weights: Mapping[Hashable, float] | None = None
+) -> DominatingSetLP:
     """Build the dominating set LP of a graph.
 
     Parameters
     ----------
     graph:
-        The input graph.  A CSR :class:`~repro.simulator.bulk.BulkGraph`
-        dispatches to :func:`repro.lp.sparse.build_lp_sparse`: the
-        returned formulation exposes the same interface but never
-        materialises the dense n × n constraint matrix.
+        The input graph: a CSR :class:`~repro.simulator.bulk.BulkGraph`,
+        or a networkx graph, which is converted once with
+        :meth:`BulkGraph.from_graph` (so empty graphs and self-loops raise
+        ``ValueError``).  Memory is O(n + m) either way.
     weights:
         Optional positive node costs for the weighted dominating set variant;
         defaults to 1 for every node.
 
     Returns
     -------
-    DominatingSetLP | SparseDominatingSetLP
+    DominatingSetLP
     """
-    from repro.graphs.utils import is_bulk_graph
-
-    if is_bulk_graph(graph):
-        from repro.lp.sparse import build_lp_sparse
-
-        return build_lp_sparse(graph, weights=weights)
-    if graph.number_of_nodes() == 0:
-        raise ValueError("graph has no nodes")
-    nodes = tuple(sorted(graph.nodes()))
-    matrix = neighborhood_matrix(graph, nodelist=nodes)
-    if weights is None:
-        weight_vector = np.ones(len(nodes))
-    else:
-        missing = [node for node in nodes if node not in weights]
-        if missing:
-            raise ValueError(f"weights missing for nodes: {missing[:5]}")
-        weight_vector = np.array([float(weights[node]) for node in nodes])
-    return DominatingSetLP(nodes=nodes, matrix=matrix, weights=weight_vector)
+    bulk = graph if isinstance(graph, BulkGraph) else BulkGraph.from_graph(graph)
+    return DominatingSetLP(
+        bulk=bulk, nodes=bulk.nodes, weights=weight_vector(bulk, weights)
+    )
 
 
-def fractional_objective(
-    graph: nx.Graph, x: Mapping[Hashable, float]
-) -> float:
-    """Σ x_i for a per-node fractional assignment (unweighted)."""
-    return float(sum(x.get(node, 0.0) for node in graph.nodes()))
+def neighborhood_csr_matrix(bulk: BulkGraph):
+    """The constraint matrix N = A + I as a ``scipy.sparse`` CSR.
 
+    Only the actual *solvers* need a matrix object (HiGHS takes one, and
+    the first-order methods drive scipy's in-place matvec kernel with
+    it); every check in this package uses the matrix-free operators of
+    :class:`DominatingSetLP` instead.  The matrix is built once per
+    :class:`~repro.simulator.bulk.BulkGraph` and cached on it, so a
+    solve + power iteration + certification pipeline pays the O(n + m)
+    construction exactly once.
+    """
+    if bulk._neighborhood_csr is not None:
+        return bulk._neighborhood_csr
 
-def integer_objective(dominating_set: Sequence[Hashable] | frozenset) -> int:
-    """|DS| for an integral dominating set."""
-    return len(set(dominating_set))
+    from scipy import sparse
+
+    n = bulk.n
+    data = np.ones(bulk.col.size + n)
+    rows = np.concatenate([bulk.row, np.arange(n, dtype=np.int64)])
+    cols = np.concatenate([bulk.col, np.arange(n, dtype=np.int64)])
+    matrix = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+    bulk._neighborhood_csr = matrix
+    return matrix

@@ -7,12 +7,16 @@ algorithms and the α = 1 input for the rounding experiments, so this
 module is a load-bearing substrate: its output is validated for
 feasibility before being returned.
 
-``method="pdhg"`` / ``method="mwu"`` route the solve to the matrix-free
-first-order methods in :mod:`repro.lp.firstorder` instead: the returned
-objective is then ε-optimal with a *verified* duality certificate
-(``solution.certificate``) bounding the relative gap by ``tol`` -- the
-right trade on solver-bound instances at n ≥ 20 000 and the only option
-at n ≥ 10⁶, where HiGHS is impractical.
+Every solve runs on the CSR formulation of
+:func:`~repro.lp.formulation.build_lp`: networkx and
+:class:`~repro.simulator.bulk.BulkGraph` inputs alike are solved without
+ever building a dense n × n matrix, and HiGHS receives the sparse
+N = A + I.  ``method="pdhg"`` / ``method="mwu"`` route the solve to the
+matrix-free first-order methods in :mod:`repro.lp.firstorder` instead:
+the returned objective is then ε-optimal with a *verified* duality
+certificate (``solution.certificate``) bounding the relative gap by
+``tol`` -- the right trade on solver-bound instances at n ≥ 20 000 and
+the only option at n ≥ 10⁶, where HiGHS is impractical.
 """
 
 from __future__ import annotations
@@ -24,12 +28,10 @@ import networkx as nx
 import numpy as np
 from scipy.optimize import linprog
 
-from repro.lp.feasibility import check_primal_feasible
 from repro.lp.formulation import DominatingSetLP, build_lp
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.lp.firstorder import DualityCertificate
-    from repro.lp.sparse import SparseDominatingSetLP
     from repro.simulator.bulk import BulkGraph
 
 #: Method names accepted by the ``method=`` parameter of every solve
@@ -57,32 +59,23 @@ class LPSolution:
         The optimal objective Σ c_i x_i (``LP_OPT``).
     lp:
         The formulation that was solved (kept for downstream feasibility
-        and duality checks).  Dense solves attach a
-        :class:`DominatingSetLP`; sparse CSR solves attach a matrix-free
-        :class:`~repro.lp.sparse.SparseDominatingSetLP` -- at that scale
-        the dense n × n formulation is exactly what the solve avoids
-        building, but duality certification still needs the canonical
-        ordering, weights and coverage operators.
+        and duality checks).
     """
 
     values: dict[Hashable, float]
     objective: float
-    lp: "DominatingSetLP | SparseDominatingSetLP | None"
+    lp: DominatingSetLP
     method: str = "highs"
     dual_values: dict[Hashable, float] | None = field(default=None, repr=False)
     certificate: "DualityCertificate | None" = None
 
     def as_vector(self) -> np.ndarray:
         """The solution as a vector in the LP's canonical node order."""
-        if self.lp is None:
-            raise ValueError(
-                "no formulation attached; use the values mapping directly"
-            )
         return self.lp.vector_from_mapping(self.values)
 
 
 def solve_fractional_mds(
-    graph: nx.Graph,
+    graph: nx.Graph | BulkGraph,
     tolerance: float = 1e-9,
     method: str = "highs",
     tol: float = DEFAULT_LP_TOL,
@@ -92,7 +85,8 @@ def solve_fractional_mds(
     Parameters
     ----------
     graph:
-        Input graph.
+        Input graph (networkx or CSR
+        :class:`~repro.simulator.bulk.BulkGraph`).
     tolerance:
         Feasibility tolerance used when validating the solver output.
     method:
@@ -110,14 +104,20 @@ def solve_fractional_mds(
     LPSolverError
         If scipy reports failure, returns an infeasible point, or a
         first-order method exhausts its budget uncertified.
+    ValueError
+        If the graph is empty or has a self-loop.
     """
     return solve_weighted_fractional_mds(
         graph, weights=None, tolerance=tolerance, method=method, tol=tol
     )
 
 
+#: Alias of :func:`solve_fractional_mds`, which accepts CSR graphs directly.
+solve_fractional_mds_sparse = solve_fractional_mds
+
+
 def solve_weighted_fractional_mds(
-    graph: nx.Graph,
+    graph: nx.Graph | BulkGraph,
     weights: Mapping[Hashable, float] | None,
     tolerance: float = 1e-9,
     method: str = "highs",
@@ -131,18 +131,18 @@ def solve_weighted_fractional_mds(
     Parameters
     ----------
     graph:
-        Input graph.  A CSR :class:`~repro.simulator.bulk.BulkGraph`
-        dispatches to the sparse solve (identical optimum, O(n + m)
-        memory).
+        Input graph (networkx or CSR
+        :class:`~repro.simulator.bulk.BulkGraph`); memory stays O(n + m).
     weights:
         Positive node costs; ``None`` means unweighted (all ones).
     tolerance:
         Feasibility tolerance for output validation.
     method:
         ``"highs"`` (exact, default), ``"pdhg"`` or ``"mwu"`` -- the
-        first-order methods run on the CSR operators, so a dense
-        networkx input is converted to a
-        :class:`~repro.simulator.bulk.BulkGraph` first.
+        latter two route to :func:`repro.lp.firstorder.solve_covering_lp`:
+        the solution is then ε-optimal with ``solution.certificate``
+        carrying the verified relative gap (≤ ``tol``) and
+        ``solution.dual_values`` the feasible dual that proves it.
     tol:
         Target relative duality gap for the first-order methods.
 
@@ -150,164 +150,50 @@ def solve_weighted_fractional_mds(
     -------
     LPSolution
     """
-    from repro.graphs.utils import is_bulk_graph
-
-    _validate_method(method)
-    if is_bulk_graph(graph):
-        return solve_weighted_fractional_mds_sparse(
-            graph, weights=weights, tolerance=tolerance, method=method, tol=tol
-        )
-    if method != "highs":
-        from repro.simulator.bulk import BulkGraph
-
-        return solve_weighted_fractional_mds_sparse(
-            BulkGraph.from_graph(graph),
-            weights=weights,
-            tolerance=tolerance,
-            method=method,
-            tol=tol,
-        )
-    lp = build_lp(graph, weights=weights)
-    # linprog minimises c·x subject to A_ub·x ≤ b_ub, so the covering
-    # constraint N·x ≥ 1 becomes -N·x ≤ -1.
-    result = linprog(
-        c=lp.weights,
-        A_ub=-lp.matrix,
-        b_ub=-np.ones(lp.size),
-        bounds=[(0.0, None)] * lp.size,
-        method="highs",
-    )
-    if not result.success:
-        raise LPSolverError(f"scipy linprog failed: {result.message}")
-
-    # Clip tiny negative values introduced by floating point.
-    solution_vector = np.clip(result.x, 0.0, None)
-    values = lp.mapping_from_vector(solution_vector)
-    feasible, max_violation = check_primal_feasible(
-        lp, values, tolerance=max(tolerance, 1e-7), return_violation=True
-    )
-    if not feasible:
-        raise LPSolverError(
-            f"linprog returned an infeasible point (max violation {max_violation:.2e})"
-        )
-    return LPSolution(values=values, objective=float(lp.objective(values)), lp=lp)
-
-
-def _validate_method(method: str) -> None:
     if method not in LP_METHODS:
         raise ValueError(
             f"unknown LP method {method!r}; expected one of "
             + ", ".join(LP_METHODS)
         )
+    lp = build_lp(graph, weights=weights)
+    certificate = dual_values = None
+    if method == "highs":
+        # linprog minimises c·x subject to A_ub·x ≤ b_ub, so the covering
+        # constraint N·x ≥ 1 becomes -N·x ≤ -1.
+        result = linprog(
+            c=lp.weights,
+            A_ub=-lp.neighborhood_matrix(),
+            b_ub=-np.ones(lp.size),
+            bounds=(0.0, None),
+            method="highs",
+        )
+        if not result.success:
+            raise LPSolverError(f"scipy linprog failed: {result.message}")
+        # Clip tiny negative values introduced by floating point.
+        solution_vector = np.clip(result.x, 0.0, None)
+    else:
+        from repro.lp.firstorder import ConvergenceError, solve_covering_lp
 
-
-def solve_fractional_mds_sparse(
-    bulk: "BulkGraph",
-    tolerance: float = 1e-9,
-    method: str = "highs",
-    tol: float = DEFAULT_LP_TOL,
-) -> LPSolution:
-    """Solve LP_MDS on a CSR graph without densifying it.
-
-    The constraint matrix N = A + I is assembled as a ``scipy.sparse`` CSR
-    straight from the :class:`~repro.simulator.bulk.BulkGraph` arrays, so
-    memory stays O(n + m) where the dense formulation needs O(n²) -- the
-    difference between n = 20 000 being routine and being impossible.
-    With the default ``method="highs"`` the optimum equals
-    :func:`solve_fractional_mds` of the same graph (same HiGHS solve,
-    same constraints); ``"pdhg"`` / ``"mwu"`` trade exactness for a
-    matrix-free iteration with a verified ε-certificate at gap ``tol``.
-    Feasibility of the returned point is verified on the CSR before it
-    is handed out either way.
-    """
-    return solve_weighted_fractional_mds_sparse(
-        bulk, weights=None, tolerance=tolerance, method=method, tol=tol
-    )
-
-
-def solve_weighted_fractional_mds_sparse(
-    bulk: "BulkGraph",
-    weights: "Mapping[Hashable, float] | None" = None,
-    tolerance: float = 1e-9,
-    method: str = "highs",
-    tol: float = DEFAULT_LP_TOL,
-) -> LPSolution:
-    """Solve the weighted fractional dominating set LP on a CSR graph.
-
-    The sparse counterpart of :func:`solve_weighted_fractional_mds`: the
-    objective Σ c_i x_i comes from the per-node cost mapping (``None`` =
-    unweighted), the covering constraints from the CSR adjacency -- no
-    dense matrix is ever built, so the weighted solve runs at n ≥ 20 000
-    where the dense formulation alone would need gigabytes.  The returned
-    solution carries a matrix-free
-    :class:`~repro.lp.sparse.SparseDominatingSetLP`, so downstream
-    duality certification (:func:`~repro.lp.duality.weak_duality_gap`,
-    dual feasibility checks) works exactly as for dense solves.
-
-    ``method="pdhg"`` / ``"mwu"`` route to
-    :func:`repro.lp.firstorder.solve_covering_lp`: the solution is then
-    ε-optimal with ``solution.certificate`` carrying the verified
-    relative gap (≤ ``tol``) and ``solution.dual_values`` the feasible
-    dual that proves it.
-    """
-    from repro.lp.sparse import build_lp_sparse, neighborhood_csr_matrix
-
-    _validate_method(method)
-    lp = build_lp_sparse(bulk, weights=weights)
-    if method != "highs":
-        return _solve_sparse_firstorder(bulk, lp, method, tol, tolerance)
-    result = linprog(
-        c=lp.weights,
-        A_ub=-neighborhood_csr_matrix(bulk),
-        b_ub=-np.ones(bulk.n),
-        bounds=(0.0, None),
-        method="highs",
-    )
-    if not result.success:
-        raise LPSolverError(f"scipy linprog failed: {result.message}")
-
-    solution_vector = np.clip(result.x, 0.0, None)
-    feasible, max_violation = bulk.check_lp_feasible(
+        try:
+            solved = solve_covering_lp(lp, method=method, tol=tol)
+        except ConvergenceError as exc:
+            raise LPSolverError(str(exc)) from exc
+        solution_vector = solved.x
+        certificate = solved.certificate
+        dual_values = lp.mapping_from_vector(solved.y)
+    feasible, max_violation = lp.bulk.check_lp_feasible(
         solution_vector, tolerance=max(tolerance, 1e-7)
     )
     if not feasible:
-        raise LPSolverError(
-            f"linprog returned an infeasible point (max violation {max_violation:.2e})"
-        )
-    return LPSolution(
-        values=lp.mapping_from_vector(solution_vector),
-        objective=float(lp.weights @ solution_vector),
-        lp=lp,
-    )
-
-
-def _solve_sparse_firstorder(
-    bulk: "BulkGraph",
-    lp: "SparseDominatingSetLP",
-    method: str,
-    tol: float,
-    tolerance: float,
-) -> LPSolution:
-    """Run a first-order method and package its certified output."""
-    from repro.lp.firstorder import ConvergenceError, solve_covering_lp
-
-    try:
-        solved = solve_covering_lp(lp, method=method, tol=tol)
-    except ConvergenceError as exc:
-        raise LPSolverError(str(exc)) from exc
-    feasible, max_violation = bulk.check_lp_feasible(
-        solved.x, tolerance=max(tolerance, 1e-7)
-    )
-    if not feasible:  # pragma: no cover - the certificate already checked this
         raise LPSolverError(
             f"{method} returned an infeasible point "
             f"(max violation {max_violation:.2e})"
         )
     return LPSolution(
-        values=lp.mapping_from_vector(solved.x),
-        objective=float(lp.weights @ solved.x),
+        values=lp.mapping_from_vector(solution_vector),
+        objective=float(lp.weights @ solution_vector),
         lp=lp,
         method=method,
-        dual_values=lp.mapping_from_vector(solved.y),
-        certificate=solved.certificate,
+        dual_values=dual_values,
+        certificate=certificate,
     )

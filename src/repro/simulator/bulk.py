@@ -177,7 +177,7 @@ class BulkGraph:
         self._degree_maxima: tuple[np.ndarray, np.ndarray] | None = None
         # Lazy scipy CSR of N = A + I, shared by the LP solver, the
         # first-order power iteration, and certification (built once by
-        # repro.lp.sparse.neighborhood_csr_matrix).
+        # repro.lp.formulation.neighborhood_csr_matrix).
         self._neighborhood_csr = None
         # Lazy augmented CSR for closed_chain_sum: (indptr, indices,
         # slots of the neighbour entries).
@@ -297,8 +297,9 @@ class BulkGraph:
     ) -> tuple[bool, float]:
         """Check ``N·x ≥ 1`` and ``x ≥ 0`` up to ``tolerance`` on the CSR.
 
-        Returns ``(feasible, max_violation)``; same verdict as building the
-        dense LP and calling ``check_primal_feasible`` but O(n + m).
+        Returns ``(feasible, max_violation)``; the same check as
+        :func:`~repro.lp.feasibility.check_primal_feasible` on a vector
+        that is already in ``nodes`` order.
         """
         x = np.asarray(x, dtype=np.float64)
         nonnegativity_violation = float(np.max(np.maximum(-x, 0.0), initial=0.0))

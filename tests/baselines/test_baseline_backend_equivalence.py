@@ -201,9 +201,6 @@ class TestCentralLPBackends:
             bulk.to_networkx(), seed=1, backend="vectorized"
         )
         assert result.dominating_set == reference.dominating_set
-        # Sparse path: the matrix-free formulation is attached, never a
-        # dense constraint matrix.
-        from repro.lp.sparse import SparseDominatingSetLP
-
-        assert isinstance(result.lp_solution.lp, SparseDominatingSetLP)
+        # The matrix-free formulation is attached, on the input's own CSR.
+        assert result.lp_solution.lp.bulk is bulk
         assert result.lp_optimum == pytest.approx(reference.lp_optimum, abs=1e-6)

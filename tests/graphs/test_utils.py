@@ -12,11 +12,11 @@ from repro.graphs.utils import (
     delta_one,
     delta_two,
     max_degree,
-    neighborhood_matrix,
     node_index,
     relabel_to_integers,
     validate_simple_graph,
 )
+from repro.lp.formulation import build_lp
 
 
 class TestDegreeHelpers:
@@ -78,26 +78,26 @@ class TestDeltaOneTwo:
 
 
 class TestNeighborhoodMatrix:
+    """N = A + I, as built on the CSR by the LP formulation."""
+
+    @staticmethod
+    def _matrix(graph):
+        return build_lp(graph).neighborhood_matrix().toarray()
+
     def test_diagonal_is_one(self, path):
-        matrix = neighborhood_matrix(path)
+        matrix = self._matrix(path)
         assert np.all(np.diag(matrix) == 1)
 
     def test_symmetric(self, small_random_graph):
-        matrix = neighborhood_matrix(small_random_graph)
+        matrix = self._matrix(small_random_graph)
         assert np.allclose(matrix, matrix.T)
 
     def test_row_sums_are_closed_degree(self, path):
-        matrix = neighborhood_matrix(path)
+        matrix = self._matrix(path)
         degrees = degree_map(path)
         nodes = sorted(path.nodes())
         for index, node in enumerate(nodes):
             assert matrix[index].sum() == degrees[node] + 1
-
-    def test_respects_nodelist_order(self):
-        graph = nx.path_graph(3)
-        matrix = neighborhood_matrix(graph, nodelist=[2, 1, 0])
-        # Row 0 is node 2's constraint: neighbours {1, 2} -> columns 0,1.
-        assert matrix[0, 0] == 1 and matrix[0, 1] == 1 and matrix[0, 2] == 0
 
     def test_node_index_matches_sorted_order(self):
         graph = nx.Graph()

@@ -5,8 +5,8 @@ dynamics: every solve must return a primal/dual pair that independently
 passes the canonical feasibility checks, with a verified relative gap at
 or below the requested tolerance -- on regular instances, on degenerate
 ones (isolated nodes, single node, zero weights), and through every
-layer of the dispatch stack (``solve_covering_lp``, the sparse/dense
-solver entry points, the rounding baseline, the registry).
+layer of the dispatch stack (``solve_covering_lp``, the solver entry
+points on both graph types, the rounding baseline, the registry).
 """
 
 import networkx as nx
@@ -23,14 +23,13 @@ from repro.lp.firstorder import (
     estimate_operator_norm,
     solve_covering_lp,
 )
+from repro.lp.formulation import build_lp, neighborhood_csr_matrix
 from repro.lp.solver import (
     LP_METHODS,
     LPSolverError,
     solve_fractional_mds,
-    solve_fractional_mds_sparse,
-    solve_weighted_fractional_mds_sparse,
+    solve_weighted_fractional_mds,
 )
-from repro.lp.sparse import build_lp_sparse
 from repro.simulator.bulk import BulkGraph
 
 SUITE = sorted(graph_suite("tiny", seed=5).items()) + sorted(
@@ -42,14 +41,10 @@ SUITE = sorted(graph_suite("tiny", seed=5).items()) + sorted(
 TOLS = {"pdhg": 1e-3, "mwu": 0.05}
 
 
-def _bulk_lp(graph):
-    return build_lp_sparse(BulkGraph.from_graph(graph))
-
-
 class TestOperatorNorm:
     def test_matches_dense_spectral_norm(self):
         for name, graph in SUITE[:6]:
-            lp = _bulk_lp(graph)
+            lp = build_lp(graph)
             matrix = nx.to_numpy_array(graph, nodelist=sorted(graph.nodes()))
             np.fill_diagonal(matrix, 1.0)
             exact = float(np.linalg.norm(matrix, ord=2))
@@ -58,12 +53,12 @@ class TestOperatorNorm:
 
     def test_bounded_by_max_closed_degree(self):
         for _, graph in SUITE:
-            lp = _bulk_lp(graph)
+            lp = build_lp(graph)
             bulk = lp.bulk
             assert estimate_operator_norm(lp) <= bulk.max_degree + 1 + 1e-9
 
     def test_edgeless_graph_norm_is_one(self):
-        lp = _bulk_lp(nx.empty_graph(5))
+        lp = build_lp(nx.empty_graph(5))
         assert estimate_operator_norm(lp) == pytest.approx(1.0)
 
 
@@ -71,7 +66,7 @@ class TestCertificateContract:
     @pytest.mark.parametrize("method", FIRST_ORDER_METHODS)
     def test_certified_gap_at_or_below_tol(self, method):
         for name, graph in SUITE:
-            lp = _bulk_lp(graph)
+            lp = build_lp(graph)
             solution = solve_covering_lp(lp, method=method, tol=TOLS[method])
             certificate = solution.certificate
             assert certificate.certified, name
@@ -80,7 +75,7 @@ class TestCertificateContract:
     @pytest.mark.parametrize("method", FIRST_ORDER_METHODS)
     def test_returned_pair_passes_canonical_checks(self, method):
         for name, graph in SUITE:
-            lp = _bulk_lp(graph)
+            lp = build_lp(graph)
             solution = solve_covering_lp(lp, method=method, tol=TOLS[method])
             assert check_primal_feasible(lp, solution.x, tolerance=1e-9), name
             assert check_dual_feasible(lp, solution.y, tolerance=1e-9), name
@@ -88,7 +83,7 @@ class TestCertificateContract:
     @pytest.mark.parametrize("method", FIRST_ORDER_METHODS)
     def test_objectives_bracket_the_exact_optimum(self, method):
         for name, graph in SUITE:
-            lp = _bulk_lp(graph)
+            lp = build_lp(graph)
             exact = solve_fractional_mds(graph).objective
             certificate = solve_covering_lp(
                 lp, method=method, tol=TOLS[method]
@@ -101,7 +96,7 @@ class TestCertificateContract:
 
     @pytest.mark.parametrize("method", FIRST_ORDER_METHODS)
     def test_certificate_rechecks_through_certified_lower_bound(self, method):
-        lp = _bulk_lp(dict(SUITE)["grid_8x8"])
+        lp = build_lp(dict(SUITE)["grid_8x8"])
         solution = solve_covering_lp(lp, method=method, tol=TOLS[method])
         # The canonical certification helper, fed the raw dual, must
         # reproduce the certificate's bound (it re-projects internally).
@@ -113,12 +108,12 @@ class TestCertificateContract:
         # First-order duals should be *better* bounds than Lemma 1 once
         # converged (Lemma 1 is the warm start).
         for name, graph in SUITE:
-            lp = _bulk_lp(graph)
+            lp = build_lp(graph)
             certificate = solve_covering_lp(lp, method="pdhg", tol=1e-3).certificate
             assert certificate.dual_objective >= lemma1_lower_bound(graph) - 1e-7, name
 
     def test_certificate_payload_fields(self):
-        lp = _bulk_lp(nx.path_graph(10))
+        lp = build_lp(nx.path_graph(10))
         payload = solve_covering_lp(lp, method="pdhg", tol=1e-3).certificate.as_dict()
         assert payload["certified"] is True
         assert payload["certified_gap"] <= 1e-3
@@ -129,7 +124,7 @@ class TestCertificateContract:
 class TestDegenerateInputs:
     @pytest.mark.parametrize("method", FIRST_ORDER_METHODS)
     def test_single_node_graph(self, method):
-        lp = _bulk_lp(nx.empty_graph(1))
+        lp = build_lp(nx.empty_graph(1))
         certificate = solve_covering_lp(lp, method=method, tol=TOLS[method]).certificate
         assert certificate.primal_objective == pytest.approx(1.0)
         assert certificate.dual_objective == pytest.approx(1.0)
@@ -139,7 +134,7 @@ class TestDegenerateInputs:
         # A path plus three isolated nodes: each isolate must self-cover.
         graph = nx.path_graph(6)
         graph.add_nodes_from([10, 11, 12])
-        lp = _bulk_lp(graph)
+        lp = build_lp(graph)
         solution = solve_covering_lp(lp, method=method, tol=TOLS[method])
         exact = solve_fractional_mds(graph).objective
         assert solution.certificate.certified
@@ -156,7 +151,7 @@ class TestDegenerateInputs:
         graph = nx.star_graph(5)
         bulk = BulkGraph.from_graph(graph)
         weights = {node: 0.0 if node == 0 else 1.0 for node in graph.nodes()}
-        lp = build_lp_sparse(bulk, weights=weights)
+        lp = build_lp(bulk, weights=weights)
         solution = solve_covering_lp(lp, method=method, tol=TOLS[method])
         certificate = solution.certificate
         assert certificate.certified
@@ -168,13 +163,13 @@ class TestDegenerateInputs:
 
     @pytest.mark.parametrize("method", FIRST_ORDER_METHODS)
     def test_tol_zero_rejected(self, method):
-        lp = _bulk_lp(nx.path_graph(5))
+        lp = build_lp(nx.path_graph(5))
         with pytest.raises(ValueError, match="tol must be positive"):
             solve_covering_lp(lp, method=method, tol=0.0)
 
     @pytest.mark.parametrize("method", FIRST_ORDER_METHODS)
     def test_negative_tol_rejected(self, method):
-        lp = _bulk_lp(nx.path_graph(5))
+        lp = build_lp(nx.path_graph(5))
         with pytest.raises(ValueError, match="tol must be positive"):
             solve_covering_lp(lp, method=method, tol=-1e-3)
 
@@ -182,18 +177,18 @@ class TestDegenerateInputs:
     def test_very_loose_tol_certifies_from_warm_start(self, method):
         # tol = 10 accepts any verified pair; the warm start is already
         # one, so the solve returns at the first certification check.
-        lp = _bulk_lp(dict(SUITE)["erdos_renyi_n60"])
+        lp = build_lp(dict(SUITE)["erdos_renyi_n60"])
         certificate = solve_covering_lp(lp, method=method, tol=10.0).certificate
         assert certificate.certified
         assert certificate.gap <= 10.0
 
     def test_unknown_method_rejected(self):
-        lp = _bulk_lp(nx.path_graph(5))
+        lp = build_lp(nx.path_graph(5))
         with pytest.raises(ValueError, match="unknown first-order method"):
             solve_covering_lp(lp, method="simplex", tol=1e-3)
 
     def test_budget_exhaustion_raises_with_best_certificate(self):
-        lp = _bulk_lp(dict(SUITE)["erdos_renyi_n60"])
+        lp = build_lp(dict(SUITE)["erdos_renyi_n60"])
         with pytest.raises(ConvergenceError) as excinfo:
             solve_covering_lp(lp, method="pdhg", tol=1e-12, max_iterations=50)
         best = excinfo.value.certificate
@@ -205,9 +200,9 @@ class TestSolverDispatch:
         assert LP_METHODS == ("highs", "pdhg", "mwu")
 
     @pytest.mark.parametrize("method", FIRST_ORDER_METHODS)
-    def test_sparse_entry_point_attaches_certificate(self, method):
+    def test_bulk_entry_point_attaches_certificate(self, method):
         bulk = BulkGraph.from_graph(dict(SUITE)["erdos_renyi_n60"])
-        solution = solve_fractional_mds_sparse(bulk, method=method, tol=TOLS[method])
+        solution = solve_fractional_mds(bulk, method=method, tol=TOLS[method])
         assert solution.method == method
         assert solution.certificate is not None
         assert solution.certificate.gap <= TOLS[method]
@@ -219,12 +214,12 @@ class TestSolverDispatch:
 
     def test_highs_entry_point_has_no_certificate(self):
         bulk = BulkGraph.from_graph(nx.path_graph(10))
-        solution = solve_fractional_mds_sparse(bulk)
+        solution = solve_fractional_mds(bulk)
         assert solution.method == "highs"
         assert solution.certificate is None
         assert solution.dual_values is None
 
-    def test_dense_entry_point_converts_to_bulk_for_firstorder(self):
+    def test_networkx_entry_point_converts_to_bulk_for_firstorder(self):
         graph = dict(SUITE)["erdos_renyi_n60"]
         exact = solve_fractional_mds(graph).objective
         solution = solve_fractional_mds(graph, method="pdhg", tol=1e-3)
@@ -234,17 +229,15 @@ class TestSolverDispatch:
         assert set(solution.values) == set(graph.nodes())
 
     @pytest.mark.parametrize("method", FIRST_ORDER_METHODS)
-    def test_weighted_sparse_solve(self, method):
+    def test_weighted_bulk_solve(self, method):
         graph = dict(SUITE)["erdos_renyi_n60"]
         weights = {
             node: 1.0 + (index % 5)
             for index, node in enumerate(sorted(graph.nodes()))
         }
         bulk = BulkGraph.from_graph(graph)
-        from repro.lp.solver import solve_weighted_fractional_mds
-
         exact = solve_weighted_fractional_mds(graph, weights).objective
-        solution = solve_weighted_fractional_mds_sparse(
+        solution = solve_weighted_fractional_mds(
             bulk, weights=weights, method=method, tol=TOLS[method]
         )
         assert solution.certificate.certified
@@ -254,7 +247,7 @@ class TestSolverDispatch:
     def test_unknown_method_rejected_by_solver(self):
         bulk = BulkGraph.from_graph(nx.path_graph(5))
         with pytest.raises(ValueError, match="unknown LP method"):
-            solve_fractional_mds_sparse(bulk, method="ipm")
+            solve_fractional_mds(bulk, method="ipm")
 
     def test_budget_exhaustion_surfaces_as_solver_error(self, monkeypatch):
         import repro.lp.firstorder as firstorder
@@ -262,7 +255,7 @@ class TestSolverDispatch:
         monkeypatch.setitem(firstorder._MAX_ITERATIONS, "pdhg", 10)
         bulk = BulkGraph.from_graph(dict(SUITE)["erdos_renyi_n60"])
         with pytest.raises(LPSolverError, match="did not reach"):
-            solve_fractional_mds_sparse(bulk, method="pdhg", tol=1e-9)
+            solve_fractional_mds(bulk, method="pdhg", tol=1e-9)
 
 
 class TestRoundingIntegration:
@@ -306,17 +299,15 @@ class TestRoundingIntegration:
 
 class TestCsrCache:
     def test_neighborhood_matrix_cached_on_bulk(self):
-        from repro.lp.sparse import neighborhood_csr_matrix
-
         bulk = BulkGraph.from_graph(nx.path_graph(10))
         first = neighborhood_csr_matrix(bulk)
         assert neighborhood_csr_matrix(bulk) is first
-        lp = build_lp_sparse(bulk)
+        lp = build_lp(bulk)
         assert lp.neighborhood_matrix() is first
 
     def test_cached_matrix_matches_operators(self):
         for _, graph in SUITE[:4]:
-            lp = _bulk_lp(graph)
+            lp = build_lp(graph)
             matrix = lp.neighborhood_matrix()
             x = np.linspace(0.1, 1.0, lp.size)
             np.testing.assert_allclose(matrix @ x, lp.coverage(x), rtol=1e-12)
@@ -324,6 +315,4 @@ class TestCsrCache:
     def test_distinct_graphs_get_distinct_matrices(self):
         a = BulkGraph.from_graph(nx.path_graph(5))
         b = BulkGraph.from_graph(nx.path_graph(5))
-        from repro.lp.sparse import neighborhood_csr_matrix
-
         assert neighborhood_csr_matrix(a) is not neighborhood_csr_matrix(b)

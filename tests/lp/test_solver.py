@@ -1,10 +1,53 @@
-"""Unit tests for the exact fractional LP solver."""
+"""Unit tests for the exact fractional LP solver.
+
+The solver runs HiGHS on the CSR formulation for networkx and
+:class:`~repro.simulator.bulk.BulkGraph` input alike; its optima are
+checked against an independent HiGHS solve on the dense oracle
+``nx.to_numpy_array(g, nodelist=sorted(g)) + np.eye(n)``, built inline.
+"""
 
 import networkx as nx
+import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+from repro.domset.quality import quality_report
+from repro.graphs.generators import graph_suite
+from repro.lp import solver
+from repro.lp.duality import (
+    certified_lower_bound,
+    lemma1_dual_solution,
+    weak_duality_gap,
+)
 from repro.lp.feasibility import check_primal_feasible
+from repro.lp.formulation import DominatingSetLP, build_lp
 from repro.lp.solver import solve_fractional_mds, solve_weighted_fractional_mds
+from repro.simulator.bulk import BulkGraph
+
+SUITE = sorted(graph_suite("tiny", seed=5).items()) + sorted(
+    graph_suite("small", seed=3).items()
+)
+SUITE_IDS = [name for name, _ in SUITE]
+
+
+def _weights(graph):
+    return {node: 1.0 + (index % 5) for index, node in enumerate(sorted(graph.nodes()))}
+
+
+def _dense_oracle_optimum(graph, weights=None):
+    """LP_OPT from HiGHS on the dense N = A + I, independent of the CSR."""
+    nodes = sorted(graph)
+    matrix = nx.to_numpy_array(graph, nodelist=nodes) + np.eye(len(nodes))
+    costs = np.ones(len(nodes)) if weights is None else [weights[v] for v in nodes]
+    result = linprog(
+        c=costs,
+        A_ub=-matrix,
+        b_ub=-np.ones(len(nodes)),
+        bounds=[(0.0, None)] * len(nodes),
+        method="highs",
+    )
+    assert result.success
+    return float(result.fun)
 
 
 class TestSolveFractionalMDS:
@@ -82,3 +125,85 @@ class TestWeightedSolver:
         cheap_only = 5.0  # covering every leaf by itself and hub by a leaf
         assert solution.objective <= cheap_only + 1e-6
         assert solution.objective < 100.0
+
+
+class TestAgainstDenseOracle:
+    @pytest.mark.parametrize("name,graph", SUITE, ids=SUITE_IDS)
+    def test_unweighted_objective_matches_dense(self, name, graph):
+        expected = _dense_oracle_optimum(graph)
+        for graph_input in (graph, BulkGraph.from_graph(graph)):
+            solution = solve_fractional_mds(graph_input)
+            assert solution.objective == pytest.approx(expected, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "name,graph", SUITE[:6], ids=SUITE_IDS[:6]
+    )
+    def test_weighted_objective_matches_dense(self, name, graph):
+        weights = _weights(graph)
+        expected = _dense_oracle_optimum(graph, weights)
+        for graph_input in (graph, BulkGraph.from_graph(graph)):
+            solution = solve_weighted_fractional_mds(graph_input, weights)
+            assert solution.objective == pytest.approx(expected, abs=1e-5)
+
+
+class TestBulkInput:
+    def test_networkx_and_bulk_input_agree(self, grid):
+        from_graph = solve_weighted_fractional_mds(grid, _weights(grid))
+        from_bulk = solve_weighted_fractional_mds(
+            BulkGraph.from_graph(grid), _weights(grid)
+        )
+        assert from_bulk.objective == from_graph.objective
+        assert from_bulk.values == from_graph.values
+
+    def test_solution_carries_certifiable_formulation(self, unit_disk):
+        bulk = BulkGraph.from_graph(unit_disk)
+        solution = solve_fractional_mds(bulk)
+        assert isinstance(solution.lp, DominatingSetLP)
+        assert solution.lp.bulk is bulk
+        assert check_primal_feasible(solution.lp, solution.values, tolerance=1e-6)
+        assert solution.as_vector().sum() == pytest.approx(solution.objective)
+
+    def test_expensive_hub_avoided(self):
+        star = nx.star_graph(4)
+        weights = {0: 100.0, **{leaf: 1.0 for leaf in range(1, 5)}}
+        solution = solve_weighted_fractional_mds(BulkGraph.from_graph(star), weights)
+        assert solution.objective <= 5.0 + 1e-6
+
+    def test_gap_nonnegative_for_lp_optimum(self, unit_disk):
+        bulk = BulkGraph.from_graph(unit_disk)
+        solution = solve_fractional_mds(bulk)
+        gap = weak_duality_gap(
+            solution.lp, solution.values, lemma1_dual_solution(bulk), tolerance=1e-9
+        )
+        assert gap >= -1e-9
+
+    def test_sparse_name_is_an_alias(self):
+        assert solver.solve_fractional_mds_sparse is solve_fractional_mds
+
+
+SELF_LOOPED = nx.Graph([(0, 0), (1, 1)])
+
+
+class TestSelfLoopsRejected:
+    """A self-loop is not part of N = A + I; every LP entry point refuses it."""
+
+    @pytest.mark.parametrize(
+        "entry_point",
+        [
+            lambda graph: build_lp(graph),
+            lambda graph: solve_fractional_mds(graph),
+            lambda graph: solve_weighted_fractional_mds(graph, {0: 1.0, 1: 1.0}),
+            lambda graph: certified_lower_bound(graph, {0: 0.5, 1: 0.5}),
+            lambda graph: quality_report(graph, {0, 1}, solve_lp=True),
+        ],
+        ids=[
+            "build_lp",
+            "solve_fractional_mds",
+            "solve_weighted_fractional_mds",
+            "certified_lower_bound",
+            "quality_report",
+        ],
+    )
+    def test_raises_value_error(self, entry_point):
+        with pytest.raises(ValueError, match="self loops"):
+            entry_point(SELF_LOOPED)

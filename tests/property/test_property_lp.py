@@ -1,15 +1,22 @@
 """Property-based tests for the LP substrate (weak duality, feasibility)."""
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from repro.baselines.exact import exact_optimum_size
-from repro.lp.duality import lemma1_dual_solution, lemma1_lower_bound
+from repro.lp.duality import (
+    lemma1_dual_solution,
+    lemma1_lower_bound,
+    weak_duality_gap,
+)
 from repro.lp.feasibility import check_dual_feasible, check_primal_feasible
 from repro.lp.formulation import build_lp
 from repro.lp.solver import solve_fractional_mds
+from repro.simulator.bulk import BulkGraph
 
 from tests.property.strategies import simple_graphs
 
@@ -73,45 +80,52 @@ class TestWeakDualityProperties:
         assert check_dual_feasible(lp, scaled, tolerance=1e-9)
 
 
-class TestSparseFormulationProperties:
-    """The matrix-free CSR formulation agrees with the dense one everywhere."""
+def _dense_n(graph):
+    """The dense oracle N = A + I in sorted node order."""
+    adjacency = nx.to_numpy_array(graph, nodelist=sorted(graph))
+    return adjacency + np.eye(graph.number_of_nodes())
+
+
+class TestDenseOracleProperties:
+    """The CSR formulation agrees with an inline dense N = A + I everywhere."""
 
     @COMMON_SETTINGS
     @given(graph=simple_graphs(max_nodes=14))
-    def test_sparse_objective_matches_dense(self, graph):
-        from repro.lp.solver import solve_fractional_mds_sparse
-        from repro.simulator.bulk import BulkGraph
-
-        dense = solve_fractional_mds(graph)
-        sparse = solve_fractional_mds_sparse(BulkGraph.from_graph(graph))
-        assert sparse.objective == pytest.approx(dense.objective, abs=1e-5)
+    def test_objective_matches_dense(self, graph):
+        n = graph.number_of_nodes()
+        dense = linprog(
+            c=np.ones(n),
+            A_ub=-_dense_n(graph),
+            b_ub=-np.ones(n),
+            bounds=[(0.0, None)] * n,
+            method="highs",
+        )
+        for graph_input in (graph, BulkGraph.from_graph(graph)):
+            solution = solve_fractional_mds(graph_input)
+            assert solution.objective == pytest.approx(dense.fun, abs=1e-5)
 
     @COMMON_SETTINGS
     @given(graph=simple_graphs(max_nodes=14))
-    def test_sparse_feasibility_verdicts_match(self, graph):
-        from repro.lp.sparse import build_lp_sparse
-        from repro.simulator.bulk import BulkGraph
-
-        dense = build_lp(graph)
-        sparse = build_lp_sparse(BulkGraph.from_graph(graph))
+    def test_feasibility_verdicts_match(self, graph):
+        matrix = _dense_n(graph)
+        nodes = sorted(graph)
+        lp = build_lp(BulkGraph.from_graph(graph))
         y = lemma1_dual_solution(graph)
-        for point in ({node: 1.0 for node in graph.nodes()}, y):
-            assert check_primal_feasible(sparse, point) == check_primal_feasible(
-                dense, point
+        for point in ({node: 1.0 for node in nodes}, y):
+            vector = np.array([point[node] for node in nodes])
+            load = matrix @ vector
+            assert check_primal_feasible(lp, point) == bool(
+                np.all(load >= 1.0 - 1e-9)
             )
-            assert check_dual_feasible(sparse, point) == check_dual_feasible(
-                dense, point
+            assert check_dual_feasible(lp, point) == bool(
+                np.all(load <= 1.0 + 1e-9)
             )
 
     @COMMON_SETTINGS
     @given(graph=simple_graphs(max_nodes=14))
-    def test_sparse_weak_duality_gap_nonnegative(self, graph):
-        from repro.lp.duality import weak_duality_gap
-        from repro.lp.solver import solve_fractional_mds_sparse
-        from repro.simulator.bulk import BulkGraph
-
+    def test_weak_duality_gap_nonnegative(self, graph):
         bulk = BulkGraph.from_graph(graph)
-        solution = solve_fractional_mds_sparse(bulk)
+        solution = solve_fractional_mds(bulk)
         gap = weak_duality_gap(
             solution.lp, solution.values, lemma1_dual_solution(bulk), tolerance=1e-9
         )

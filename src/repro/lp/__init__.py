@@ -45,7 +45,6 @@ from repro.lp.firstorder import (
     ConvergenceError,
     DualityCertificate,
     FirstOrderSolution,
-    estimate_operator_norm,
     solve_covering_lp,
 )
 from repro.lp.feasibility import (
@@ -78,7 +77,6 @@ __all__ = [
     "check_dual_feasible",
     "check_primal_feasible",
     "dual_objective",
-    "estimate_operator_norm",
     "feasible_dual_projection",
     "lemma1_dual_solution",
     "lemma1_lower_bound",

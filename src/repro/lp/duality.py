@@ -96,14 +96,19 @@ def feasible_dual_projection(
     1. clamp negative entries to zero,
     2. zero out the closed neighbourhood of every zero-weight node
        (their packing constraints read ``Σ_{j∈N⁺(i)} y_j ≤ 0``, so no
-       amount of uniform scaling could repair mass there),
-    3. rescale uniformly by ``min(1, min_i w_i / load_i)`` over the
-       still-loaded constraints, so every packing constraint holds with
-       a one-ulp safety margin.
+       amount of scaling could repair mass there),
+    3. scale each y_j by ``1 / max(1, max_{i∈N⁺(j)} load_i / w_i)``, the
+       worst packing overload among the constraints y_j enters.  Every
+       constraint i then holds, because each of its terms shrinks by at
+       least ``w_i / load_i``; and each factor is at least the global
+       ``min_i w_i / load_i``, so the bound never drops below a uniform
+       rescale.
 
-    The result satisfies ``N·y ≤ w`` and ``y ≥ 0``; for an already
-    feasible input the scale factor caps at 1 and steps 1–2 are no-ops,
-    so feasible duals pass through unchanged.
+    The result satisfies ``N·y ≤ w`` and ``y ≥ 0`` up to round-off (which
+    the 1e-9 verification absorbs); for an already feasible input every
+    factor is 1 and steps 1–2 are no-ops, so feasible duals pass through
+    unchanged.  With ``y ≡ 1`` and unit weights, step 3 yields exactly
+    Lemma 1's ``1 / (δ⁽¹⁾_j + 1)``.
     """
     vector = np.maximum(lp._as_vector(y), 0.0)
     if not vector.any():
@@ -115,12 +120,12 @@ def feasible_dual_projection(
         if not vector.any():
             return vector
     load = lp.dual_load(vector)
-    loaded = load > 0.0
-    if np.any(loaded):
-        scale = float(np.min(lp.weights[loaded] / load[loaded]))
-        if scale < 1.0:
-            # One-ulp shave keeps round-off in scale*load below w exact.
-            vector *= scale * (1.0 - 1e-15)
+    # Step 2 left no load on a zero-weight constraint, so 0/0 never occurs.
+    overload = np.divide(
+        load, lp.weights, out=np.zeros_like(load), where=load > 0.0
+    )
+    worst = lp.bulk.closed_max(overload)
+    np.divide(vector, worst, out=vector, where=worst > 1.0)
     return vector
 
 
@@ -158,7 +163,7 @@ def certified_lower_bound(graph: nx.Graph, y: Mapping[Hashable, float]) -> float
     and feasibility verification run matrix-free on the CSR formulation
     of :func:`~repro.lp.formulation.build_lp`.  Infeasible assignments --
     negative entries from float round-off, over-packed neighbourhoods -- are
-    *clamped* onto the feasible region (projection + uniform rescale,
+    *clamped* onto the feasible region (projection + per-node rescale,
     see :func:`feasible_dual_projection`) rather than rejected, so the
     returned value is always a valid lower bound; for a feasible input
     it equals ``Σ y_i`` exactly.

@@ -11,9 +11,11 @@ floor with two iterative methods running directly on the sparse
 neighbourhood operator:
 
 * :data:`PDHG` -- Chambolle–Pock primal-dual hybrid gradient on the
-  saddle form ``min_{x≥0} max_{y≥0} wᵀx + yᵀ(1 − N·x)``, with step sizes
-  ``τ = σ < 1/‖N‖`` from a power-iteration estimate of the operator norm
-  (:func:`estimate_operator_norm`).
+  saddle form ``min_{x≥0} max_{y≥0} wᵀx + yᵀ(1 − N·x)``, diagonally
+  preconditioned with the Pock–Chambolle α = 1 steps
+  ``τ_j = σ_j = 1/(δ_j + 1)``: the column and row sums of N, which bound
+  ``‖diag(σ)^½ N diag(τ)^½‖ ≤ 1`` by construction, so no operator-norm
+  estimate is needed.
 * :data:`MWU` -- multiplicative weights / fractional covering in the
   spirit of the paper's own LP-relaxation lens: constraint weights
   ``y_i ∝ exp(η(1 − coverage_i))`` concentrate on the least covered
@@ -23,10 +25,13 @@ neighbourhood operator:
 Both methods share one termination contract: ε-optimality is a
 **verified certificate**, never a promise.  Every ``check_every``
 iterations the raw iterates are turned into a genuinely feasible
-primal/dual pair -- the primal by rescaling onto the covering polytope,
-the dual by :func:`~repro.lp.duality.feasible_dual_projection`
-(clamp-at-zero + packing rescale) -- and both points are re-checked
-through the *existing* helpers
+primal/dual pair by local repairs -- the primal both by rescaling onto
+the covering polytope and by topping up every uncovered constraint with
+its own variable (the fractional form of Algorithm 1's "join if
+uncovered" step), keeping the cheaper; the dual by
+:func:`~repro.lp.duality.feasible_dual_projection` (clamp at zero, then
+scale each y_j by its worst closed-neighbourhood packing load) -- and
+every candidate is re-checked through the *existing* helpers
 :func:`~repro.lp.feasibility.check_primal_feasible` /
 :func:`~repro.lp.feasibility.check_dual_feasible`; the final bound is
 re-derived through :func:`~repro.lp.duality.certified_lower_bound_lp`.
@@ -38,7 +43,7 @@ The inner loops are allocation-free: all iterate and scratch vectors are
 preallocated float64 arrays, and the matvec accumulates into a
 preallocated output through scipy's in-place CSR kernel, reusing the
 one cached :func:`~repro.lp.formulation.neighborhood_csr_matrix` of the
-formulation across the solve, the power iteration and certification.
+formulation across the solve and certification.
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ FIRST_ORDER_METHODS = (PDHG, MWU)
 #: Iteration budgets (the verified-gap check is the real stop condition;
 #: these only bound a run that fails to converge before it spins forever).
 _MAX_ITERATIONS = {PDHG: 200_000, MWU: 200_000}
-_CHECK_EVERY = {PDHG: 250, MWU: 250}
+_CHECK_EVERY = {PDHG: 50, MWU: 250}
 
 
 class FirstOrderError(RuntimeError):
@@ -150,51 +155,23 @@ def _matvec(matrix, vector: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def estimate_operator_norm(
-    lp: "DominatingSetLP",
-    iterations: int = 100,
-    rtol: float = 1e-6,
-) -> float:
-    """Power-iteration estimate of ‖N‖₂ on the cached CSR operator.
+def _feasible_primal_candidates(
+    x: np.ndarray, coverage: np.ndarray
+) -> list[np.ndarray]:
+    """Local repairs of a raw non-negative iterate onto the covering polytope.
 
-    N = A + I is symmetric and entrywise non-negative, so its spectral
-    norm is its Perron eigenvalue and power iteration from the all-ones
-    vector (which has positive overlap with the non-negative Perron
-    vector) converges monotonically from below.  The estimate is clipped
-    against the row-sum bound ‖N‖₂ ≤ Δ + 1, which is also the fallback
-    for pathological inputs.  Deterministic: no randomness is involved.
+    * The rescale ``x / min_i coverage_i``: N is entrywise non-negative,
+      so it covers whenever the minimum coverage is positive, and scaling
+      *down* an over-covering iterate improves the objective.
+    * The patch ``x + max(0, 1 − N·x)``: N_ii = 1 and N ≥ 0 give
+      ``N·(x + d) ≥ N·x + d ≥ 1`` -- the fractional form of Algorithm 1's
+      "join if uncovered" step, which only pays where coverage is short.
     """
-    matrix = lp.neighborhood_matrix()
-    n = lp.size
-    upper = float(lp.bulk.max_degree + 1)
-    vector = np.full(n, 1.0 / np.sqrt(n))
-    product = np.empty(n)
-    estimate = upper
-    for _ in range(iterations):
-        _matvec(matrix, vector, product)
-        norm = float(np.linalg.norm(product))
-        if norm == 0.0:  # cannot happen for N = A + I, but stay defensive
-            return 1.0
-        previous, estimate = estimate, norm
-        np.divide(product, norm, out=vector)
-        if abs(estimate - previous) <= rtol * max(estimate, 1.0):
-            break
-    return float(min(estimate, upper))
-
-
-def _feasible_primal_scaling(
-    lp: "DominatingSetLP", x: np.ndarray, coverage: np.ndarray
-) -> np.ndarray | None:
-    """Scale the raw iterate onto the covering polytope (None if impossible).
-
-    ``N·(x / min_i coverage_i) ≥ 1`` holds whenever the minimum coverage
-    is positive, because N is entrywise non-negative; scaling *down* an
-    over-covering iterate is equally valid and improves the objective.
-    """
-    worst = float(coverage.min()) if coverage.size else 1.0
+    patch = x + np.maximum(1.0 - coverage, 0.0)
+    worst = float(coverage.min())
     if worst <= 1e-300:
-        return None
-    return x / worst
+        return [patch]
+    return [x / worst, patch]
 
 
 class _PairTracker:
@@ -209,29 +186,26 @@ class _PairTracker:
     enter the pair -- unverified iterates never influence the result.
     """
 
-    def __init__(
-        self, lp: "DominatingSetLP", method: str, tol: float, norm: float
-    ):
+    def __init__(self, lp: "DominatingSetLP", method: str, tol: float):
         self.lp = lp
         self.method = method
         self.tol = tol
-        self.norm = norm
+        # The row-sum bound ‖N‖₂ ≤ Δ + 1, recorded on every certificate.
+        self.norm = float(lp.bulk.max_degree + 1)
         self.primal_objective = float("inf")
         self.primal: np.ndarray | None = None
         self.dual_objective = float("-inf")
         self.dual: np.ndarray | None = None
 
     def offer_primal(self, x: np.ndarray, coverage: np.ndarray) -> None:
-        """Offer a raw primal iterate (verified after feasible rescale)."""
-        candidate = _feasible_primal_scaling(self.lp, x, coverage)
-        if candidate is None:
-            return
-        if not check_primal_feasible(self.lp, candidate, tolerance=1e-9):
-            return
-        objective = float(self.lp.weights @ candidate)
-        if objective < self.primal_objective:
-            self.primal_objective = objective
-            self.primal = candidate
+        """Offer a raw primal iterate: keep its cheapest verified repair."""
+        for candidate in _feasible_primal_candidates(x, coverage):
+            objective = float(self.lp.weights @ candidate)
+            if objective < self.primal_objective and check_primal_feasible(
+                self.lp, candidate, tolerance=1e-9
+            ):
+                self.primal_objective = objective
+                self.primal = candidate
 
     def offer_dual(self, y: np.ndarray) -> None:
         """Offer a raw dual candidate (verified after projection)."""
@@ -347,10 +321,9 @@ def _solve_pdhg(
 ) -> FirstOrderSolution:
     """Chambolle–Pock on ``min_{x≥0} max_{y≥0} wᵀx + yᵀ(1 − Nx)``."""
     matrix, n, weights, x, y = _prepare(lp)
-    norm = estimate_operator_norm(lp)
-    # τσ‖N‖² < 1 guarantees convergence; the 0.95 margin absorbs the
-    # power-iteration estimate converging to the true norm from below.
-    step = 0.95 / max(norm, 1.0)
+    # Pock–Chambolle α = 1: τ_j = σ_j = 1/(δ_j + 1), the column and row
+    # sums of N, give ‖diag(σ)^½ N diag(τ)^½‖ ≤ 1 with no norm estimate.
+    step = 1.0 / (lp.bulk.degrees + 1.0)
 
     x_old = np.empty(n)
     x_bar = x.copy()
@@ -358,7 +331,7 @@ def _solve_pdhg(
     n_y = np.empty(n)
     coverage = np.empty(n)
 
-    tracker = _PairTracker(lp, PDHG, tol, norm)
+    tracker = _PairTracker(lp, PDHG, tol)
     _matvec(matrix, x, coverage)
     tracker.offer_primal(x, coverage)
     tracker.offer_dual(y)
@@ -371,8 +344,8 @@ def _solve_pdhg(
         while iteration < limit:
             # y ← [y + σ(1 − N x̄)]₊
             _matvec(matrix, x_bar, n_x)
-            np.multiply(n_x, -step, out=n_x)
-            n_x += step
+            np.subtract(1.0, n_x, out=n_x)
+            n_x *= step
             y += n_x
             np.maximum(y, 0.0, out=y)
             # x ← [x − τ(w − N y)]₊
@@ -439,7 +412,7 @@ def _solve_mwu(
     chosen = np.empty(n)
     increment = np.empty(n)
 
-    tracker = _PairTracker(lp, MWU, tol, float(lp.bulk.max_degree + 1))
+    tracker = _PairTracker(lp, MWU, tol)
     tracker.offer_dual(y_seed)
     _matvec(matrix, x, coverage)
     tracker.offer_primal(x, coverage)

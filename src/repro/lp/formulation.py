@@ -69,12 +69,12 @@ class DominatingSetLP:
             raise KeyError(f"node {node!r} is not part of this LP") from exc
 
     def vector_from_mapping(self, values: Mapping[Hashable, float]) -> np.ndarray:
-        """Convert a per-node mapping into a vector in canonical order.
+        """Convert a per-node mapping into a fresh vector in canonical order.
 
         Missing nodes default to 0, mirroring how distributed executions
         report only nodes that set a non-zero value.
         """
-        return np.array([float(values.get(node, 0.0)) for node in self.nodes])
+        return self._as_vector(values).copy()
 
     def mapping_from_vector(self, vector: Sequence[float]) -> dict[Hashable, float]:
         """Convert a canonical-order vector back into a per-node mapping."""
@@ -114,14 +114,19 @@ class DominatingSetLP:
 
         Delegates to :func:`neighborhood_csr_matrix`, which memoizes the
         matrix on the underlying :class:`~repro.simulator.bulk.BulkGraph`
-        so every consumer (HiGHS solve, first-order iterations, power
-        iteration, certification) shares one instance.
+        so every consumer (HiGHS solve, first-order iterations,
+        certification) shares one instance.
         """
         return neighborhood_csr_matrix(self.bulk)
 
     def _as_vector(self, values: Sequence[float] | Mapping[Hashable, float]) -> np.ndarray:
         if isinstance(values, Mapping):
-            return self.vector_from_mapping(values)
+            # A NodeValues view in this LP's node order hands over its
+            # read-only array without a copy.  Imported here: repro.core
+            # imports repro.lp through repro.domset.
+            from repro.core.vectorized import x_array_from_mapping
+
+            return x_array_from_mapping(self.bulk, values)
         vector = np.asarray(values, dtype=float)
         if vector.shape != (self.size,):
             raise ValueError("vector length must equal the number of nodes")
@@ -177,8 +182,8 @@ def neighborhood_csr_matrix(bulk: BulkGraph):
     it); every check in this package uses the matrix-free operators of
     :class:`DominatingSetLP` instead.  The matrix is built once per
     :class:`~repro.simulator.bulk.BulkGraph` and cached on it, so a
-    solve + power iteration + certification pipeline pays the O(n + m)
-    construction exactly once.
+    solve + certification pipeline pays the O(n + m) construction
+    exactly once.
     """
     if bulk._neighborhood_csr is not None:
         return bulk._neighborhood_csr

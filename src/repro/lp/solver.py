@@ -54,7 +54,9 @@ class LPSolution:
     Attributes
     ----------
     values:
-        Per-node optimal x-values.
+        Per-node optimal x-values, as a read-only
+        :class:`~repro.core.vectorized.NodeValues` view of the solution
+        vector in ``lp.nodes`` order (the dict is built only on access).
     objective:
         The optimal objective Σ c_i x_i (``LP_OPT``).
     lp:
@@ -62,11 +64,13 @@ class LPSolution:
         and duality checks).
     """
 
-    values: dict[Hashable, float]
+    values: Mapping[Hashable, float]
     objective: float
     lp: DominatingSetLP
     method: str = "highs"
-    dual_values: dict[Hashable, float] | None = field(default=None, repr=False)
+    dual_values: Mapping[Hashable, float] | None = field(
+        default=None, repr=False
+    )
     certificate: "DualityCertificate | None" = None
 
     def as_vector(self) -> np.ndarray:
@@ -155,6 +159,9 @@ def solve_weighted_fractional_mds(
             f"unknown LP method {method!r}; expected one of "
             + ", ".join(LP_METHODS)
         )
+    # Imported here: repro.core imports this module through repro.domset.
+    from repro.core.vectorized import NodeValues
+
     lp = build_lp(graph, weights=weights)
     certificate = dual_values = None
     if method == "highs":
@@ -180,7 +187,7 @@ def solve_weighted_fractional_mds(
             raise LPSolverError(str(exc)) from exc
         solution_vector = solved.x
         certificate = solved.certificate
-        dual_values = lp.mapping_from_vector(solved.y)
+        dual_values = NodeValues(lp.nodes, solved.y)
     feasible, max_violation = lp.bulk.check_lp_feasible(
         solution_vector, tolerance=max(tolerance, 1e-7)
     )
@@ -190,7 +197,7 @@ def solve_weighted_fractional_mds(
             f"(max violation {max_violation:.2e})"
         )
     return LPSolution(
-        values=lp.mapping_from_vector(solution_vector),
+        values=NodeValues(lp.nodes, solution_vector),
         objective=float(lp.weights @ solution_vector),
         lp=lp,
         method=method,

@@ -175,8 +175,8 @@ class BulkGraph:
         self._adjacency = None
         # Lazy fault-free (δ⁽¹⁾, δ⁽²⁾), shared by Algorithms 1 and 3.
         self._degree_maxima: tuple[np.ndarray, np.ndarray] | None = None
-        # Lazy scipy CSR of N = A + I, shared by the LP solver, the
-        # first-order power iteration, and certification (built once by
+        # Lazy scipy CSR of N = A + I, shared by the LP solvers and
+        # certification (built once by
         # repro.lp.formulation.neighborhood_csr_matrix).
         self._neighborhood_csr = None
         # Lazy augmented CSR for closed_chain_sum: (indptr, indices,

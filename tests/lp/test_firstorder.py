@@ -18,9 +18,11 @@ from repro.lp.duality import certified_lower_bound_lp, lemma1_lower_bound
 from repro.lp.feasibility import check_dual_feasible, check_primal_feasible
 from repro.lp.firstorder import (
     FIRST_ORDER_METHODS,
+    PDHG,
     ConvergenceError,
     DualityCertificate,
-    estimate_operator_norm,
+    _PairTracker,
+    _feasible_primal_candidates,
     solve_covering_lp,
 )
 from repro.lp.formulation import build_lp, neighborhood_csr_matrix
@@ -41,25 +43,64 @@ SUITE = sorted(graph_suite("tiny", seed=5).items()) + sorted(
 TOLS = {"pdhg": 1e-3, "mwu": 0.05}
 
 
-class TestOperatorNorm:
-    def test_matches_dense_spectral_norm(self):
-        for name, graph in SUITE[:6]:
+class TestPreconditioning:
+    def test_preconditioned_operator_norm_at_most_one(self):
+        # τ = σ = 1/(δ + 1), the steps PDHG uses, are the column and row
+        # sums of N, so ‖diag(σ)^½ N diag(τ)^½‖₂ ≤ 1 (Pock–Chambolle α = 1).
+        for name, graph in SUITE:
             lp = build_lp(graph)
             matrix = nx.to_numpy_array(graph, nodelist=sorted(graph.nodes()))
             np.fill_diagonal(matrix, 1.0)
-            exact = float(np.linalg.norm(matrix, ord=2))
-            estimate = estimate_operator_norm(lp)
-            assert estimate == pytest.approx(exact, rel=1e-4), name
+            step = 1.0 / (lp.bulk.degrees + 1.0)
+            np.testing.assert_array_equal(step, 1.0 / matrix.sum(axis=0))
+            root = np.sqrt(step)
+            scaled = root[:, None] * matrix * root[None, :]
+            assert np.linalg.norm(scaled, ord=2) <= 1.0 + 1e-12, name
 
-    def test_bounded_by_max_closed_degree(self):
-        for _, graph in SUITE:
+
+class TestLocalPrimalRepair:
+    def test_patch_is_feasible(self):
+        rng = np.random.default_rng(11)
+        for name, graph in SUITE:
             lp = build_lp(graph)
-            bulk = lp.bulk
-            assert estimate_operator_norm(lp) <= bulk.max_degree + 1 + 1e-9
+            x = rng.uniform(0.0, 0.3, size=lp.size)
+            x[rng.random(lp.size) < 0.5] = 0.0
+            coverage = lp.coverage(x)
+            patch = _feasible_primal_candidates(x, coverage)[-1]
+            np.testing.assert_array_equal(
+                patch, x + np.maximum(1.0 - coverage, 0.0)
+            )
+            assert check_primal_feasible(lp, patch, tolerance=1e-9), name
 
-    def test_edgeless_graph_norm_is_one(self):
-        lp = build_lp(nx.empty_graph(5))
-        assert estimate_operator_norm(lp) == pytest.approx(1.0)
+    def test_rescale_offered_only_with_positive_coverage(self):
+        lp = build_lp(nx.path_graph(4))
+        x = np.array([1.0, 0.0, 0.0, 0.0])
+        candidates = _feasible_primal_candidates(x, lp.coverage(x))
+        assert len(candidates) == 1
+        np.testing.assert_array_equal(candidates[0], [1.0, 0.0, 1.0, 1.0])
+
+    def test_tracker_keeps_smaller_verified_candidate(self, monkeypatch):
+        import repro.lp.firstorder as firstorder
+
+        lp = build_lp(nx.path_graph(4))
+        # Rescale x / 0.01 costs 101; the patch (1, 0, 0.99, 1) costs 2.99.
+        x = np.array([1.0, 0.0, 0.0, 0.01])
+        rescale, patch = _feasible_primal_candidates(x, lp.coverage(x))
+        tracker = _PairTracker(lp, PDHG, 1e-3)
+        tracker.offer_primal(x, lp.coverage(x))
+        np.testing.assert_array_equal(tracker.primal, patch)
+        assert tracker.primal_objective == pytest.approx(2.99)
+
+        # A candidate that fails verification never enters the pair.
+        monkeypatch.setattr(
+            firstorder,
+            "check_primal_feasible",
+            lambda lp, candidate, tolerance: not np.array_equal(candidate, patch),
+        )
+        tracker = _PairTracker(lp, PDHG, 1e-3)
+        tracker.offer_primal(x, lp.coverage(x))
+        np.testing.assert_array_equal(tracker.primal, rescale)
+        assert tracker.primal_objective == pytest.approx(101.0)
 
 
 class TestCertificateContract:

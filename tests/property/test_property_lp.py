@@ -9,6 +9,7 @@ from scipy.optimize import linprog
 
 from repro.baselines.exact import exact_optimum_size
 from repro.lp.duality import (
+    feasible_dual_projection,
     lemma1_dual_solution,
     lemma1_lower_bound,
     weak_duality_gap,
@@ -78,6 +79,62 @@ class TestWeakDualityProperties:
         lp = build_lp(graph)
         scaled = {node: scale * value for node, value in lemma1_dual_solution(graph).items()}
         assert check_dual_feasible(lp, scaled, tolerance=1e-9)
+
+
+class TestDualProjectionProperties:
+    """``feasible_dual_projection``: feasible, never below a uniform rescale."""
+
+    @COMMON_SETTINGS
+    @given(graph=simple_graphs(max_nodes=14), data=st.data())
+    def test_output_feasible_and_dominates_uniform_rescale(self, graph, data):
+        n = graph.number_of_nodes()
+        raw = np.array(
+            data.draw(
+                st.lists(
+                    st.floats(-1.0, 2.0, allow_subnormal=False),
+                    min_size=n,
+                    max_size=n,
+                )
+            )
+        )
+        costs = data.draw(
+            st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5]), min_size=n, max_size=n)
+        )
+        lp = build_lp(graph, weights=dict(zip(sorted(graph), costs)))
+        projected = feasible_dual_projection(lp, raw)
+        assert check_dual_feasible(lp, projected, tolerance=1e-9)
+
+        # The former repair: clamp, zero the zero-weight neighbourhoods,
+        # then one global factor min(1, min_i w_i / load_i) with a shave.
+        uniform = np.maximum(raw, 0.0)
+        blocked = lp.coverage((lp.weights <= 0.0).astype(np.float64)) > 0.0
+        uniform[blocked] = 0.0
+        load = lp.dual_load(uniform)
+        loaded = load > 0.0
+        if np.any(loaded):
+            scale = float(np.min(lp.weights[loaded] / load[loaded]))
+            if scale < 1.0:
+                uniform *= scale * (1.0 - 1e-15)
+        assert np.all(projected >= uniform)
+        assert np.all(projected[blocked] == 0.0)
+
+    @COMMON_SETTINGS
+    @given(
+        graph=simple_graphs(max_nodes=14),
+        scale=st.floats(min_value=0.0, max_value=0.99, allow_nan=False),
+    )
+    def test_feasible_input_returned_unchanged(self, graph, scale):
+        lp = build_lp(graph)
+        y = scale * lp.vector_from_mapping(lemma1_dual_solution(graph))
+        np.testing.assert_array_equal(feasible_dual_projection(lp, y), y)
+
+    @COMMON_SETTINGS
+    @given(graph=simple_graphs(max_nodes=14))
+    def test_all_ones_maps_exactly_to_lemma1(self, graph):
+        lp = build_lp(graph)
+        projected = feasible_dual_projection(lp, np.ones(lp.size))
+        lemma1 = lp.vector_from_mapping(lemma1_dual_solution(graph))
+        np.testing.assert_array_equal(projected, lemma1)
 
 
 def _dense_n(graph):

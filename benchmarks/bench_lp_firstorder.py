@@ -1,15 +1,16 @@
 """First-order covering-LP solvers vs. HiGHS: certified ε-optimality, gated.
 
-PR 10 added :mod:`repro.lp.firstorder`: matrix-free PDHG and MWU solvers
-for LP_MDS whose termination is a *verified* duality certificate -- the
-primal is re-checked through ``check_primal_feasible`` and the dual
-through ``feasible_dual_projection`` + ``check_dual_feasible``, so the
-reported gap is a theorem, not a solver claim.  This benchmark gates the
+:mod:`repro.lp.firstorder` solves LP_MDS matrix-free with restarted
+reflected-Halpern PDHG, whose termination is a *verified* duality
+certificate -- the primal is re-checked through ``check_primal_feasible``
+and the dual through ``feasible_dual_projection`` +
+``check_dual_feasible``, so the reported gap is a theorem, not a solver
+claim.  This benchmark gates the
 whole contract:
 
-* **Certification parity** -- PDHG (tol 1e-3) and MWU (tol 5e-2) against
-  the exact HiGHS optimum on large-suite instances.  Every row must be
-  ``certified`` with ``certified_gap <= tol``, and the first-order
+* **Certification parity** -- PDHG (tol 1e-3) against the exact HiGHS
+  optimum on large-suite instances.  Every row must be ``certified``
+  with ``certified_gap <= tol``, and the first-order
   objective must bracket the HiGHS optimum from above within the
   certificate bound: ``OPT <= obj <= (1 + tol) * OPT``.
 * **Solver-bound speedup, n >= 20 000** -- CSR-native xlarge instances
@@ -21,11 +22,11 @@ whole contract:
   subprocess under a wall-clock budget: a timeout makes the recorded
   ``highs_s`` a *lower bound* and the gated speedup a fortiori valid.
   ``unit_disk_n20000`` is gated as well, against an exact (unbudgeted)
-  HiGHS reference of ~30 s: the diagonally preconditioned steps
-  ``τ_j = σ_j = 1/(δ_j + 1)`` hold PDHG to ~1 600 iterations on that
-  tight geometric LP.
+  HiGHS reference of ~30 s: restarted Halpern PDHG with the diagonally
+  preconditioned steps ``τ_j = σ_j = 1/(δ_j + 1)`` certifies that tight
+  geometric LP in ~700 iterations.  Every row records its iterations.
 * **Rounding parity** -- ``central-lp`` end to end with
-  ``lp_method`` in {highs, pdhg, mwu}: the rounded set must dominate,
+  ``lp_method`` in {highs, pdhg}: the rounded set must dominate,
   the fractional objective handed to the rounding stage must match
   HiGHS within the certificate bound, and the rounded size must stay
   within a loose sanity factor (different optimal faces round to
@@ -69,7 +70,7 @@ MIN_FIRSTORDER_SPEEDUP = None if QUICK else 5.0
 #: lower bound (and the gated speedup into an a-fortiori claim).
 HIGHS_BUDGET_S = 120.0
 #: (method, tol) columns swept by the parity sections.
-METHODS = (("pdhg", 1e-3), ("mwu", 5e-2))
+METHODS = (("pdhg", 1e-3),)
 #: Rounded-size sanity factor vs. the HiGHS-backed rounding (loose on
 #: purpose: distinct optimal faces round to slightly different sets).
 SIZE_SANITY = 1.5
@@ -136,7 +137,7 @@ def _parity_instances() -> list[tuple[str, BulkGraph]]:
 
 @pytest.mark.benchmark(group="lp-firstorder")
 def test_firstorder_certified_lp_stack(benchmark, bench_seed, emit_table, emit_json):
-    """PDHG/MWU vs. HiGHS: certified gaps, speedups, rounding parity."""
+    """PDHG vs. HiGHS: certified gaps, speedups, rounding parity."""
 
     # ---------------------------------------------------------------- #
     # 1. Certification parity against the exact optimum                 #

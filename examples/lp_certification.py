@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
-"""Certified ε-optimal LP solves: PDHG and MWU vs. exact HiGHS.
+"""Certified ε-optimal LP solves: restarted Halpern PDHG vs. exact HiGHS.
 
 The paper's approximation guarantees are stated against the fractional
 optimum LP_OPT, so experiments need that denominator at whatever scale
 they ran.  HiGHS computes it exactly but is solver-bound on dense-ish
-instances; the first-order solvers in ``repro.lp.firstorder`` trade
+instances; the first-order solver in ``repro.lp.firstorder`` trades
 exactness for a *verified* ε-certificate: the primal is re-checked
 feasible, the dual is projected feasible, and the relative duality gap
 is re-derived through the same checkers the rest of the repo trusts.
 
-This example solves one instance three ways (HiGHS, PDHG, MWU), prints
-each certificate, shows that the certified lower bounds bracket the
-exact optimum, and then rounds each fractional solution into an actual
+This example solves one instance both ways (HiGHS, PDHG), prints the
+certificate, shows that the certified lower bound brackets the exact
+optimum, and then rounds each fractional solution into an actual
 dominating set to show the ε barely moves the integral answer.
 
 Run with:  python examples/lp_certification.py
@@ -34,7 +34,7 @@ NODES = 80 if QUICK else 400
 RADIUS = 0.2 if QUICK else 0.09
 SEED = 7
 #: (method, tol) columns; HiGHS's tol is ignored (exact).
-METHODS = (("highs", 1e-3), ("pdhg", 1e-3), ("mwu", 5e-2))
+METHODS = (("highs", 1e-3), ("pdhg", 1e-3))
 
 
 def main() -> None:

@@ -156,7 +156,7 @@ def _lp_reference(
     CSR instances report NaN unless ``sparse_for_bulk`` is set: the exact
     solve takes tens of seconds at n = 20 000, so sweeps only opt in when
     the caller asks for the LP ratio column at that scale.
-    ``lp_method="pdhg"`` / ``"mwu"`` swap the exact solve for a certified
+    ``lp_method="pdhg"`` swaps the exact solve for a certified
     first-order one (relative gap ≤ ``lp_tol``): the right trade on
     solver-bound instances, where HiGHS -- not the formulation -- is the
     bottleneck.
@@ -904,8 +904,8 @@ def compare_algorithms(
         run unchanged); requires ``backend`` ``"auto"`` or ``"sharded"``.
     lp_method / lp_tol:
         LP solver for the reference column: exact ``"highs"`` (default)
-        or a certified first-order method (``"pdhg"`` / ``"mwu"`` at
-        relative gap ``lp_tol``) -- much faster on solver-bound
+        or the certified first-order method (``"pdhg"`` at relative gap
+        ``lp_tol``) -- much faster on solver-bound
         instances at n ≥ 20 000.
 
     Returns

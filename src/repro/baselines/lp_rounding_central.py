@@ -79,7 +79,7 @@ def central_lp_rounding_dominating_set(
         the same per-seed coins, so the selected set is backend-invariant.
     lp_method:
         LP solver for the fractional phase: ``"highs"`` (exact, the
-        α = 1 instantiation of Theorem 3) or ``"pdhg"`` / ``"mwu"``
+        α = 1 instantiation of Theorem 3) or ``"pdhg"``
         (first-order, α = 1 + lp_tol via the verified certificate --
         Theorem 3's guarantee degrades by exactly that factor).
     lp_tol:

@@ -177,11 +177,11 @@ def _add_shards_argument(parser: argparse.ArgumentParser) -> None:
 def _add_lp_method_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--lp-method",
-        choices=["highs", "pdhg", "mwu"],
+        choices=["highs", "pdhg"],
         default="highs",
         help=(
             "LP solver for the fractional optimum: exact HiGHS (default) "
-            "or a certified first-order method (pdhg/mwu) -- much faster "
+            "or the certified first-order method (pdhg) -- much faster "
             "on solver-bound instances at n >= 20000 and the only option "
             "at n >= 1e6, at the cost of an eps-certified (not exact) "
             "optimum"
@@ -192,7 +192,7 @@ def _add_lp_method_arguments(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=1e-3,
         help=(
-            "certified relative duality gap for --lp-method pdhg/mwu "
+            "certified relative duality gap for --lp-method pdhg "
             "(default: 1e-3; ignored by highs)"
         ),
     )

@@ -24,9 +24,9 @@ This package turns those three programs into code:
   numerical tolerances.
 * :mod:`~repro.lp.duality` -- the Lemma 1 lower bound and general
   weak-duality utilities.
-* :mod:`~repro.lp.firstorder` -- certified first-order solvers (PDHG and
-  multiplicative weights) running matrix-free on the CSR operators: each
-  solve terminates on a *verified* duality gap, so ε-optimality is a
+* :mod:`~repro.lp.firstorder` -- the certified first-order solver
+  (restarted reflected-Halpern PDHG) running matrix-free on the CSR
+  operators: each solve terminates on a *verified* duality gap, so ε-optimality is a
   certificate, and the ``huge`` suite (n ≥ 10⁶) certifies without an
   external LP solver.
 """

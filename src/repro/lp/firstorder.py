@@ -1,4 +1,4 @@
-"""First-order, matrix-free solvers for the covering LP with certificates.
+"""Certified first-order solver for the covering LP: restarted Halpern PDHG.
 
 The covering LP behind every dominating set experiment in this repository
 is ``min wᵀx  s.t.  N·x ≥ 1, x ≥ 0`` with N = A + I the closed
@@ -7,39 +7,47 @@ The exact path (:mod:`repro.lp.solver`) hands that LP to HiGHS, which is
 the right tool up to a few thousand nodes but becomes the bottleneck on
 the solver-bound rows (grid, random-regular) and is impractical at the
 ``huge`` suite scale (n ≥ 10⁶).  This module removes the external-solver
-floor with two iterative methods running directly on the sparse
-neighbourhood operator:
+floor with one iterative method running directly on the sparse
+neighbourhood operator, :data:`PDHG`:
 
-* :data:`PDHG` -- Chambolle–Pock primal-dual hybrid gradient on the
-  saddle form ``min_{x≥0} max_{y≥0} wᵀx + yᵀ(1 − N·x)``, diagonally
-  preconditioned with the Pock–Chambolle α = 1 steps
+* **The operator.**  One primal-dual hybrid gradient step T on the saddle
+  form ``min_{x≥0} max_{y≥0} wᵀx + yᵀ(1 − N·x)``::
+
+      x' = [x − τ(w − N y)]₊,    y' = [y + σ(1 − N(2x' − x))]₊
+
+  diagonally preconditioned with the Pock–Chambolle α = 1 steps
   ``τ_j = σ_j = 1/(δ_j + 1)``: the column and row sums of N, which bound
   ``‖diag(σ)^½ N diag(τ)^½‖ ≤ 1`` by construction, so no operator-norm
-  estimate is needed.
-* :data:`MWU` -- multiplicative weights / fractional covering in the
-  spirit of the paper's own LP-relaxation lens: constraint weights
-  ``y_i ∝ exp(η(1 − coverage_i))`` concentrate on the least covered
-  nodes, and every near-best-ratio variable is incremented per round
-  (Young-style parallel covering).
+  estimate is needed.  Each step costs two sparse matvecs.
+* **Reflected Halpern iteration** (Lu & Yang, "Restarted Halpern PDHG for
+  Linear Programming", 2024).  With z = (x, y) and the anchor z₀, every
+  iteration is ``z ← (k+1)/(k+2) · (2T(z) − z) + 1/(k+2) · z₀``: the
+  reflection doubles the step, and the pull towards the anchor turns
+  PDHG's ergodic O(1/k) into a last-iterate one.
+* **Adaptive restarts** (the PDLP constants of Applegate et al., 2021).
+  At every certification check the verified gap of the pair built from
+  T(z) is compared with the gap at the last restart; the anchor moves to
+  T(z) and k resets to 0 when the gap has shrunk by 0.2, or by 0.8 and
+  started to rise again, or when the epoch has run for 36% of all
+  iterations.  Restarts give the linear convergence of sharp LPs.
 
-Both methods share one termination contract: ε-optimality is a
-**verified certificate**, never a promise.  Every ``check_every``
-iterations the raw iterates are turned into a genuinely feasible
-primal/dual pair by local repairs -- the primal both by rescaling onto
-the covering polytope and by topping up every uncovered constraint with
-its own variable (the fractional form of Algorithm 1's "join if
-uncovered" step), keeping the cheaper; the dual by
+The termination contract: ε-optimality is a **verified certificate**,
+never a promise.  Every :data:`_CHECK_EVERY` iterations T(z) is turned
+into a genuinely feasible primal/dual pair by local repairs -- the
+primal both by rescaling onto the covering polytope and by topping up
+every uncovered constraint with its own variable (the fractional form of
+Algorithm 1's "join if uncovered" step), keeping the cheaper; the dual by
 :func:`~repro.lp.duality.feasible_dual_projection` (clamp at zero, then
 scale each y_j by its worst closed-neighbourhood packing load) -- and
 every candidate is re-checked through the *existing* helpers
 :func:`~repro.lp.feasibility.check_primal_feasible` /
 :func:`~repro.lp.feasibility.check_dual_feasible`; the final bound is
 re-derived through :func:`~repro.lp.duality.certified_lower_bound_lp`.
-The solve returns only when ``wᵀx ≤ (1 + tol) · Σy`` holds for that
+The solve returns only when ``wᵀx ≤ (1 + tol) · Σy`` holds for the best
 verified pair, so the reported gap bounds the true suboptimality by weak
 duality no matter what the iteration dynamics did.
 
-The inner loops are allocation-free: all iterate and scratch vectors are
+The inner loop is allocation-free: all iterate and scratch vectors are
 preallocated float64 arrays, and the matvec accumulates into a
 preallocated output through scipy's in-place CSR kernel, reusing the
 one cached :func:`~repro.lp.formulation.neighborhood_csr_matrix` of the
@@ -68,13 +76,18 @@ except ImportError:  # pragma: no cover - older/newer scipy layouts
 
 #: Method names accepted by :func:`solve_covering_lp`.
 PDHG = "pdhg"
-MWU = "mwu"
-FIRST_ORDER_METHODS = (PDHG, MWU)
+FIRST_ORDER_METHODS = (PDHG,)
 
-#: Iteration budgets (the verified-gap check is the real stop condition;
-#: these only bound a run that fails to converge before it spins forever).
-_MAX_ITERATIONS = {PDHG: 200_000, MWU: 200_000}
-_CHECK_EVERY = {PDHG: 50, MWU: 250}
+#: Iteration budget (the verified-gap check is the real stop condition;
+#: this only bounds a run that fails to converge before it spins forever).
+_MAX_ITERATIONS = 200_000
+#: Iterations between certification checks (and restart decisions).
+_CHECK_EVERY = 50
+#: PDLP's restart constants: restart on a sufficient gap decay, on a
+#: necessary decay whose gap has started to rise, or on a long epoch.
+_RESTART_SUFFICIENT = 0.2
+_RESTART_NECESSARY = 0.8
+_RESTART_ARTIFICIAL = 0.36
 
 
 class FirstOrderError(RuntimeError):
@@ -197,25 +210,38 @@ class _PairTracker:
         self.dual_objective = float("-inf")
         self.dual: np.ndarray | None = None
 
-    def offer_primal(self, x: np.ndarray, coverage: np.ndarray) -> None:
-        """Offer a raw primal iterate: keep its cheapest verified repair."""
-        for candidate in _feasible_primal_candidates(x, coverage):
-            objective = float(self.lp.weights @ candidate)
-            if objective < self.primal_objective and check_primal_feasible(
-                self.lp, candidate, tolerance=1e-9
-            ):
-                self.primal_objective = objective
-                self.primal = candidate
+    def offer_primal(self, x: np.ndarray, coverage: np.ndarray) -> float:
+        """Offer a raw primal iterate; return its cheapest verified repair's cost.
 
-    def offer_dual(self, y: np.ndarray) -> None:
-        """Offer a raw dual candidate (verified after projection)."""
+        The best primal is replaced only by a cheaper verified candidate;
+        the return value (``inf`` when no candidate verifies) is the
+        candidate's own objective, whether or not it became the best.
+        """
+        priced = [
+            (float(self.lp.weights @ candidate), candidate)
+            for candidate in _feasible_primal_candidates(x, coverage)
+        ]
+        for objective, candidate in sorted(priced, key=lambda pair: pair[0]):
+            if check_primal_feasible(self.lp, candidate, tolerance=1e-9):
+                if objective < self.primal_objective:
+                    self.primal_objective = objective
+                    self.primal = candidate
+                return objective
+        return float("inf")
+
+    def offer_dual(self, y: np.ndarray) -> float:
+        """Offer a raw dual candidate; return its verified projection's bound.
+
+        Returns ``-inf`` when the projection fails verification.
+        """
         candidate = feasible_dual_projection(self.lp, y)
         if not check_dual_feasible(self.lp, candidate, tolerance=1e-9):
-            return
+            return float("-inf")
         objective = float(np.sum(candidate))
         if objective > self.dual_objective:
             self.dual_objective = objective
             self.dual = candidate
+        return objective
 
     def certificate(self, iterations: int) -> DualityCertificate | None:
         """The certificate of the current best pair (None before one exists)."""
@@ -266,7 +292,6 @@ def solve_covering_lp(
     method: str = PDHG,
     tol: float = 1e-3,
     max_iterations: int | None = None,
-    check_every: int | None = None,
 ) -> FirstOrderSolution:
     """Solve the covering LP of ``lp`` to a *certified* relative gap.
 
@@ -275,13 +300,13 @@ def solve_covering_lp(
     lp:
         The CSR-backed formulation (weights may include zeros).
     method:
-        ``"pdhg"`` or ``"mwu"``.
+        ``"pdhg"`` (restarted reflected-Halpern PDHG).
     tol:
         Target relative duality gap; the returned pair satisfies
         ``wᵀx ≤ (1 + tol) Σy`` with both points *verified* feasible.
         Must be positive -- exactness belongs to the HiGHS path.
-    max_iterations / check_every:
-        Iteration budget and certification cadence (method defaults).
+    max_iterations:
+        Iteration budget (default :data:`_MAX_ITERATIONS`).
 
     Raises
     ------
@@ -290,20 +315,16 @@ def solve_covering_lp(
         the best verified certificate so far rides on the exception.
     """
     _validate(lp, method, tol)
-    budget = _MAX_ITERATIONS[method] if max_iterations is None else max_iterations
-    cadence = _CHECK_EVERY[method] if check_every is None else max(1, check_every)
-    if method == PDHG:
-        return _solve_pdhg(lp, tol, budget, cadence)
-    return _solve_mwu(lp, tol, budget, cadence)
+    budget = _MAX_ITERATIONS if max_iterations is None else max_iterations
+    return _solve_pdhg(lp, tol, budget)
 
 
-def _prepare(lp: "DominatingSetLP"):
-    """Shared setup: cached CSR, δ⁽¹⁾-based warm starts, zero-weight presolve.
+def _solve_pdhg(lp: "DominatingSetLP", tol: float, budget: int) -> FirstOrderSolution:
+    """Restarted reflected-Halpern PDHG on the saddle form of the covering LP.
 
-    A zero-weight variable costs nothing and covers its whole closed
-    neighbourhood, so ``x_j = 1`` for every ``w_j = 0`` is optimal for
-    those coordinates; both methods then only move the positive-cost
-    coordinates.
+    Warm start: Lemma 1's ``x = 1/(δ⁽¹⁾ + 1)`` and ``y = min(w, 1)/(δ⁽¹⁾ + 1)``,
+    with ``x_j = 1`` for every zero-weight variable -- it costs nothing
+    and covers its whole closed neighbourhood.
     """
     matrix = lp.neighborhood_matrix()
     n = lp.size
@@ -313,166 +334,80 @@ def _prepare(lp: "DominatingSetLP"):
     x = inverse_closed.copy()
     x[weights <= 0.0] = 1.0
     y = np.minimum(weights, 1.0) * inverse_closed
-    return matrix, n, weights, x, y
-
-
-def _solve_pdhg(
-    lp: "DominatingSetLP", tol: float, budget: int, cadence: int
-) -> FirstOrderSolution:
-    """Chambolle–Pock on ``min_{x≥0} max_{y≥0} wᵀx + yᵀ(1 − Nx)``."""
-    matrix, n, weights, x, y = _prepare(lp)
     # Pock–Chambolle α = 1: τ_j = σ_j = 1/(δ_j + 1), the column and row
     # sums of N, give ‖diag(σ)^½ N diag(τ)^½‖ ≤ 1 with no norm estimate.
     step = 1.0 / (lp.bulk.degrees + 1.0)
 
-    x_old = np.empty(n)
-    x_bar = x.copy()
-    n_x = np.empty(n)
-    n_y = np.empty(n)
+    x_anchor = x.copy()
+    y_anchor = y.copy()
+    x_step = np.empty(n)  # the primal half of T(z)
+    y_step = np.empty(n)  # the dual half of T(z)
+    x_bar = np.empty(n)  # 2x' − x: the extrapolation and the reflection
     coverage = np.empty(n)
 
     tracker = _PairTracker(lp, PDHG, tol)
     _matvec(matrix, x, coverage)
-    tracker.offer_primal(x, coverage)
-    tracker.offer_dual(y)
+    restart_gap = previous_gap = _relative_gap(
+        tracker.offer_primal(x, coverage), tracker.offer_dual(y)
+    )
     certificate = tracker.certificate(0)
     if certificate is not None and certificate.certified:
         return _finalize(lp, tracker, certificate)
     iteration = 0
+    epoch = 0  # k: iterations since the last restart
     while iteration < budget:
-        limit = min(iteration + cadence, budget)
-        while iteration < limit:
-            # y ← [y + σ(1 − N x̄)]₊
-            _matvec(matrix, x_bar, n_x)
-            np.subtract(1.0, n_x, out=n_x)
-            n_x *= step
-            y += n_x
-            np.maximum(y, 0.0, out=y)
-            # x ← [x − τ(w − N y)]₊
-            x_old[:] = x
-            _matvec(matrix, y, n_y)
-            np.subtract(n_y, weights, out=n_y)
-            n_y *= step
-            x += n_y
-            np.maximum(x, 0.0, out=x)
-            # x̄ ← 2x − x_old (extrapolation)
-            np.multiply(x, 2.0, out=x_bar)
-            x_bar -= x_old
-            iteration += 1
-        _matvec(matrix, x, coverage)
-        tracker.offer_primal(x, coverage)
-        tracker.offer_dual(y)
-        certificate = tracker.certificate(iteration)
-        if certificate is not None and certificate.certified:
-            return _finalize(lp, tracker, certificate)
+        # T(z): x' ← [x − τ(w − N y)]₊, y' ← [y + σ(1 − N(2x' − x))]₊
+        _matvec(matrix, y, x_step)
+        x_step -= weights
+        x_step *= step
+        x_step += x
+        np.maximum(x_step, 0.0, out=x_step)
+        np.multiply(x_step, 2.0, out=x_bar)
+        x_bar -= x
+        _matvec(matrix, x_bar, y_step)
+        np.subtract(1.0, y_step, out=y_step)
+        y_step *= step
+        y_step += y
+        np.maximum(y_step, 0.0, out=y_step)
+        iteration += 1
+        epoch += 1
+        if iteration % _CHECK_EVERY == 0 or iteration == budget:
+            _matvec(matrix, x_step, coverage)
+            gap = _relative_gap(
+                tracker.offer_primal(x_step, coverage), tracker.offer_dual(y_step)
+            )
+            certificate = tracker.certificate(iteration)
+            if certificate is not None and certificate.certified:
+                return _finalize(lp, tracker, certificate)
+            restart = (
+                gap <= _RESTART_SUFFICIENT * restart_gap
+                or (gap <= _RESTART_NECESSARY * restart_gap and gap > previous_gap)
+                or epoch >= _RESTART_ARTIFICIAL * iteration
+            )
+            previous_gap = gap
+            if restart:
+                restart_gap = gap
+                epoch = 0
+                x_anchor[:] = x_step
+                y_anchor[:] = y_step
+                x[:] = x_step
+                y[:] = y_step
+                continue
+        # z ← (k+1)/(k+2) · (2T(z) − z) + 1/(k+2) · z₀, with k = epoch − 1.
+        pull = epoch / (epoch + 1.0)
+        np.subtract(x_bar, x_anchor, out=x)
+        x *= pull
+        x += x_anchor
+        np.subtract(y_step, y, out=y)
+        y += y_step
+        y -= y_anchor
+        y *= pull
+        y += y_anchor
     best = tracker.certificate(iteration)
     raise ConvergenceError(
         f"pdhg did not reach a certified gap of {tol} within {budget} "
         f"iterations (best verified gap: "
         f"{best.gap if best else float('inf'):.3e})",
-        best,
-    )
-
-
-def _solve_mwu(
-    lp: "DominatingSetLP", tol: float, budget: int, cadence: int
-) -> FirstOrderSolution:
-    """Multiplicative weights on constraints, parallel covering increments.
-
-    Constraint weights ``y_i ∝ exp(η(1 − coverage_i))`` concentrate on the
-    least covered nodes; every variable whose weighted coverage gain per
-    unit cost is within ``(1 − ε)`` of the best is incremented by a step
-    sized so no constraint's coverage moves by more than ``ε/η`` -- the
-    classic width-controlled parallel covering update.  Dual candidates
-    are the instantaneous exponential weights, their normalized running
-    average (the quantity the MWU regret analysis actually bounds), and
-    the Lemma-1 warm start -- each pushed through
-    :func:`~repro.lp.duality.feasible_dual_projection` and verified; the
-    tracker keeps whichever certifies best.
-    """
-    matrix, n, weights, x, y_seed = _prepare(lp)
-    # Certification, not the regret analysis, is the stop condition, so ε
-    # can sit at the aggressive end; η = ln(n)/ε is the classic width.
-    epsilon = min(0.25, max(tol / 2.0, 1e-3))
-    eta = np.log(max(n, 2)) / epsilon
-    step_cap = epsilon / eta
-
-    positive = weights > 0.0
-    # MWU mass is monotone non-decreasing, so paid coordinates must start
-    # from zero -- any surplus warm-start mass could never be removed and
-    # would wedge the primal objective above a certifiable level.
-    x[positive] = 0.0
-    safe_weights = np.where(positive, weights, np.inf)
-    coverage = np.empty(n)
-    deficit = np.empty(n)
-    y = np.empty(n)
-    y_avg = np.zeros(n)
-    y_unit = np.empty(n)
-    gain = np.empty(n)
-    chosen = np.empty(n)
-    increment = np.empty(n)
-
-    tracker = _PairTracker(lp, MWU, tol)
-    tracker.offer_dual(y_seed)
-    _matvec(matrix, x, coverage)
-    tracker.offer_primal(x, coverage)
-    certificate = tracker.certificate(0)
-    if certificate is not None and certificate.certified:
-        return _finalize(lp, tracker, certificate)
-    iteration = 0
-    while iteration < budget:
-        advanced = False
-        limit = min(iteration + cadence, budget)
-        while iteration < limit:
-            _matvec(matrix, x, coverage)
-            # y_i ∝ exp(η(1 − c_i)), rescaled by the max exponent so the
-            # weights stay representable at any coverage profile.
-            np.subtract(1.0, coverage, out=deficit)
-            deficit *= eta
-            deficit -= deficit.max()
-            np.exp(deficit, out=y, where=deficit > -60.0)
-            y[deficit <= -60.0] = 0.0
-            # Normalized running average: the MWU distribution's mean
-            # direction, usually a far better dual than any single round.
-            np.divide(y, y.sum(), out=y_unit)
-            y_avg += y_unit
-            # Per-variable weighted gain (N y)_j / w_j.
-            _matvec(matrix, y, gain)
-            gain /= safe_weights
-            top = float(gain.max())
-            if top <= 0.0:
-                break
-            selected = gain >= (1.0 - epsilon) * top
-            chosen[:] = 0.0
-            chosen[selected] = 1.0
-            # Step size: no constraint's coverage may move by more than ε/η.
-            _matvec(matrix, chosen, increment)
-            per_unit = float(increment.max())
-            if per_unit <= 0.0:
-                break
-            chosen *= step_cap / per_unit
-            x += chosen
-            iteration += 1
-            advanced = True
-        _matvec(matrix, x, coverage)
-        tracker.offer_primal(x, coverage)
-        if advanced:
-            tracker.offer_dual(y)
-            tracker.offer_dual(y_avg)
-        certificate = tracker.certificate(iteration)
-        if certificate is not None and certificate.certified:
-            return _finalize(lp, tracker, certificate)
-        if not advanced:
-            # Every gain is zero (all-free or unreachable columns): more
-            # rounds cannot change anything.
-            break
-    best = tracker.certificate(iteration)
-    raise ConvergenceError(
-        f"mwu did not reach a certified gap of {tol} within {budget} "
-        f"iterations (best verified gap: "
-        f"{best.gap if best else float('inf'):.3e}); multiplicative "
-        "weights certifies loose tolerances quickly but tightens slowly "
-        "-- prefer method='pdhg' for tight gaps",
         best,
     )
 

@@ -139,9 +139,16 @@ def weight_vector(
     """Canonical-order weight vector from a per-node cost mapping.
 
     ``None`` means unweighted (all ones); a mapping must cover every node.
+    Anything else is rejected: a sequence or array would be checked for
+    membership against its *values*, not matched to nodes.
     """
     if weights is None:
         return np.ones(bulk.n)
+    if not isinstance(weights, Mapping):
+        raise TypeError(
+            "weights must be a mapping from node to cost or None, "
+            f"not {type(weights).__name__}"
+        )
     missing = [node for node in bulk.nodes if node not in weights]
     if missing:
         raise ValueError(f"weights missing for nodes: {missing[:5]}")

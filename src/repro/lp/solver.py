@@ -11,8 +11,8 @@ Every solve runs on the CSR formulation of
 :func:`~repro.lp.formulation.build_lp`: networkx and
 :class:`~repro.simulator.bulk.BulkGraph` inputs alike are solved without
 ever building a dense n × n matrix, and HiGHS receives the sparse
-N = A + I.  ``method="pdhg"`` / ``method="mwu"`` route the solve to the
-matrix-free first-order methods in :mod:`repro.lp.firstorder` instead:
+N = A + I.  ``method="pdhg"`` routes the solve to the matrix-free
+first-order method in :mod:`repro.lp.firstorder` instead:
 the returned objective is then ε-optimal with a *verified* duality
 certificate (``solution.certificate``) bounding the relative gap by
 ``tol`` -- the right trade on solver-bound instances at n ≥ 20 000 and
@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING, Hashable, Mapping
 
 import networkx as nx
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.lp.formulation import DominatingSetLP, build_lp
 
@@ -35,11 +34,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.simulator.bulk import BulkGraph
 
 #: Method names accepted by the ``method=`` parameter of every solve
-#: entry point: exact HiGHS plus the two certified first-order methods.
-LP_METHODS = ("highs", "pdhg", "mwu")
+#: entry point: exact HiGHS plus the certified first-order method.
+LP_METHODS = ("highs", "pdhg")
 
 #: Default certificate tolerance (relative duality gap) for the
-#: first-order methods; ignored by ``method="highs"``.
+#: first-order method; ignored by ``method="highs"``.
 DEFAULT_LP_TOL = 1e-3
 
 
@@ -94,10 +93,10 @@ def solve_fractional_mds(
     tolerance:
         Feasibility tolerance used when validating the solver output.
     method:
-        ``"highs"`` (exact, default), ``"pdhg"`` or ``"mwu"``
-        (first-order with a verified ε-certificate).
+        ``"highs"`` (exact, default) or ``"pdhg"`` (first-order with a
+        verified ε-certificate).
     tol:
-        Target relative duality gap for the first-order methods.
+        Target relative duality gap for the first-order method.
 
     Returns
     -------
@@ -106,7 +105,7 @@ def solve_fractional_mds(
     Raises
     ------
     LPSolverError
-        If scipy reports failure, returns an infeasible point, or a
+        If scipy reports failure, returns an infeasible point, or the
         first-order method exhausts its budget uncertified.
     ValueError
         If the graph is empty or has a self-loop.
@@ -138,17 +137,18 @@ def solve_weighted_fractional_mds(
         Input graph (networkx or CSR
         :class:`~repro.simulator.bulk.BulkGraph`); memory stays O(n + m).
     weights:
-        Positive node costs; ``None`` means unweighted (all ones).
+        Positive node costs keyed by node; ``None`` means unweighted (all
+        ones).  Any other non-mapping raises ``TypeError``.
     tolerance:
         Feasibility tolerance for output validation.
     method:
-        ``"highs"`` (exact, default), ``"pdhg"`` or ``"mwu"`` -- the
-        latter two route to :func:`repro.lp.firstorder.solve_covering_lp`:
+        ``"highs"`` (exact, default) or ``"pdhg"``, which routes to
+        :func:`repro.lp.firstorder.solve_covering_lp`:
         the solution is then ε-optimal with ``solution.certificate``
         carrying the verified relative gap (≤ ``tol``) and
         ``solution.dual_values`` the feasible dual that proves it.
     tol:
-        Target relative duality gap for the first-order methods.
+        Target relative duality gap for the first-order method.
 
     Returns
     -------
@@ -165,6 +165,10 @@ def solve_weighted_fractional_mds(
     lp = build_lp(graph, weights=weights)
     certificate = dual_values = None
     if method == "highs":
+        # Imported here: scipy.optimize is the slowest import of the
+        # package and only the exact path needs it.
+        from scipy.optimize import linprog
+
         # linprog minimises c·x subject to A_ub·x ≤ b_ub, so the covering
         # constraint N·x ≥ 1 becomes -N·x ≤ -1.
         result = linprog(

@@ -13,6 +13,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro.graphs.bulk import bulk_graph_suite
 from repro.graphs.generators import graph_suite
 from repro.lp.duality import certified_lower_bound_lp, lemma1_lower_bound
 from repro.lp.feasibility import check_dual_feasible, check_primal_feasible
@@ -38,9 +39,8 @@ SUITE = sorted(graph_suite("tiny", seed=5).items()) + sorted(
     graph_suite("small", seed=3).items()
 )
 
-#: Per-method certification tolerances used throughout: PDHG converges
-#: to tight gaps, MWU is built for loose ones.
-TOLS = {"pdhg": 1e-3, "mwu": 0.05}
+#: Per-method certification tolerances used throughout.
+TOLS = {"pdhg": 1e-3}
 
 
 class TestPreconditioning:
@@ -101,6 +101,46 @@ class TestLocalPrimalRepair:
         tracker.offer_primal(x, lp.coverage(x))
         np.testing.assert_array_equal(tracker.primal, rescale)
         assert tracker.primal_objective == pytest.approx(101.0)
+
+
+    def test_offer_primal_returns_the_candidate_cost_not_the_best(self):
+        lp = build_lp(nx.path_graph(4))
+        tracker = _PairTracker(lp, PDHG, 1e-3)
+        cheap = np.array([1.0, 0.0, 0.0, 0.01])  # patch costs 2.99
+        assert tracker.offer_primal(cheap, lp.coverage(cheap)) == pytest.approx(2.99)
+        # A dearer iterate reports its own cost but leaves the best alone.
+        dear = np.array([1.0, 0.0, 1.0, 1.0])  # already tight: costs 3
+        assert tracker.offer_primal(dear, lp.coverage(dear)) == pytest.approx(3.0)
+        assert tracker.primal_objective == pytest.approx(2.99)
+
+    def test_offer_primal_returns_inf_when_nothing_verifies(self, monkeypatch):
+        import repro.lp.firstorder as firstorder
+
+        monkeypatch.setattr(
+            firstorder, "check_primal_feasible", lambda lp, candidate, tolerance: False
+        )
+        lp = build_lp(nx.path_graph(4))
+        tracker = _PairTracker(lp, PDHG, 1e-3)
+        x = np.ones(4)
+        assert tracker.offer_primal(x, lp.coverage(x)) == float("inf")
+        assert tracker.primal is None
+
+    def test_offer_dual_returns_the_verified_bound(self, monkeypatch):
+        import repro.lp.firstorder as firstorder
+
+        lp = build_lp(nx.path_graph(4))
+        tracker = _PairTracker(lp, PDHG, 1e-3)
+        # (0.5, 0, 0, 0.5) is already a feasible packing: bound 1.0.
+        assert tracker.offer_dual(np.array([0.5, 0.0, 0.0, 0.5])) == pytest.approx(1.0)
+        # A smaller bound is returned as is and does not replace the best.
+        assert tracker.offer_dual(np.array([0.25, 0.0, 0.0, 0.0])) == pytest.approx(0.25)
+        assert tracker.dual_objective == pytest.approx(1.0)
+
+        monkeypatch.setattr(
+            firstorder, "check_dual_feasible", lambda lp, candidate, tolerance: False
+        )
+        assert tracker.offer_dual(np.ones(4)) == float("-inf")
+        assert tracker.dual_objective == pytest.approx(1.0)
 
 
 class TestCertificateContract:
@@ -228,6 +268,11 @@ class TestDegenerateInputs:
         with pytest.raises(ValueError, match="unknown first-order method"):
             solve_covering_lp(lp, method="simplex", tol=1e-3)
 
+    def test_removed_mwu_method_rejected(self):
+        lp = build_lp(nx.path_graph(5))
+        with pytest.raises(ValueError, match="unknown first-order method 'mwu'"):
+            solve_covering_lp(lp, method="mwu", tol=0.05)
+
     def test_budget_exhaustion_raises_with_best_certificate(self):
         lp = build_lp(dict(SUITE)["erdos_renyi_n60"])
         with pytest.raises(ConvergenceError) as excinfo:
@@ -236,9 +281,88 @@ class TestDegenerateInputs:
         assert best is None or isinstance(best, DualityCertificate)
 
 
+class TestRestartedHalpern:
+    """Pins the iteration counts restarted Halpern PDHG reaches.
+
+    The ceilings sit well below plain Chambolle–Pock's 1,550 / 2,100 /
+    5,650 iterations on these rows at tol 10⁻³ (and 112,150 on grid_45x45
+    at tol 10⁻⁵), so losing the Halpern anchor or the restarts fails them.
+    """
+
+    @pytest.mark.parametrize(
+        "name,ceiling",
+        [
+            ("erdos_renyi_n2000", 700),
+            ("unit_disk_n2000", 1000),
+            ("grid_45x45", 1200),
+        ],
+    )
+    def test_iteration_ceiling_at_tol_1e3(self, name, ceiling):
+        lp = build_lp(bulk_graph_suite("large")[name])
+        certificate = solve_covering_lp(lp, tol=1e-3).certificate
+        assert certificate.certified
+        assert certificate.iterations <= ceiling
+
+    def test_grid_certifies_at_tight_tolerance(self):
+        lp = build_lp(bulk_graph_suite("large")["grid_45x45"])
+        # The budget turns a slower run into a ConvergenceError.
+        solution = solve_covering_lp(lp, tol=1e-5, max_iterations=10_000)
+        assert solution.certificate.gap <= 1e-5
+        assert check_primal_feasible(lp, solution.x, tolerance=1e-9)
+        assert check_dual_feasible(lp, solution.y, tolerance=1e-9)
+
+    def test_restarts_cut_iterations(self, monkeypatch):
+        # Restarts on erdos_renyi_n60 at tol 10⁻⁴ take the anchored
+        # iteration from 8,550 iterations down to 500.
+        import repro.lp.firstorder as firstorder
+
+        lp = build_lp(dict(SUITE)["erdos_renyi_n60"])
+        restarted = solve_covering_lp(lp, tol=1e-4).certificate
+        monkeypatch.setattr(firstorder, "_RESTART_SUFFICIENT", 0.0)
+        monkeypatch.setattr(firstorder, "_RESTART_NECESSARY", 0.0)
+        monkeypatch.setattr(firstorder, "_RESTART_ARTIFICIAL", float("inf"))
+        anchored = solve_covering_lp(lp, tol=1e-4).certificate
+        assert restarted.certified and anchored.certified
+        assert restarted.iterations <= 1000
+        assert anchored.iterations >= 5 * restarted.iterations
+
+    def test_best_pair_is_monotone_across_checks_and_restarts(self, monkeypatch):
+        # Restarts move the iterate, never the tracked pair: the best
+        # verified primal never rises and the best dual never falls.
+        primal_history, dual_history, offered = [], [], []
+        offer_primal = _PairTracker.offer_primal
+        offer_dual = _PairTracker.offer_dual
+
+        def spy_primal(self, x, coverage):
+            objective = offer_primal(self, x, coverage)
+            offered.append(objective)
+            primal_history.append(self.primal_objective)
+            return objective
+
+        def spy_dual(self, y):
+            objective = offer_dual(self, y)
+            dual_history.append(self.dual_objective)
+            return objective
+
+        monkeypatch.setattr(_PairTracker, "offer_primal", spy_primal)
+        monkeypatch.setattr(_PairTracker, "offer_dual", spy_dual)
+        lp = build_lp(bulk_graph_suite("large")["unit_disk_n2000"])
+        solution = solve_covering_lp(lp, tol=1e-3)
+        checks = solution.certificate.iterations // 50 + 1
+        assert len(primal_history) == len(dual_history) == checks
+        assert all(b <= a for a, b in zip(primal_history, primal_history[1:]))
+        assert all(b >= a for a, b in zip(dual_history, dual_history[1:]))
+        # The first check always restarts (its epoch is the whole run),
+        # so a run of many checks crosses at least one restart.
+        assert checks > 2
+        assert min(offered) == primal_history[-1]
+        assert solution.certificate.primal_objective == primal_history[-1]
+        assert solution.certificate.dual_objective == dual_history[-1]
+
+
 class TestSolverDispatch:
     def test_lp_methods_constant(self):
-        assert LP_METHODS == ("highs", "pdhg", "mwu")
+        assert LP_METHODS == ("highs", "pdhg")
 
     @pytest.mark.parametrize("method", FIRST_ORDER_METHODS)
     def test_bulk_entry_point_attaches_certificate(self, method):
@@ -290,10 +414,15 @@ class TestSolverDispatch:
         with pytest.raises(ValueError, match="unknown LP method"):
             solve_fractional_mds(bulk, method="ipm")
 
+    def test_removed_mwu_method_rejected_by_solver(self):
+        bulk = BulkGraph.from_graph(nx.path_graph(5))
+        with pytest.raises(ValueError, match="unknown LP method"):
+            solve_fractional_mds(bulk, method="mwu")
+
     def test_budget_exhaustion_surfaces_as_solver_error(self, monkeypatch):
         import repro.lp.firstorder as firstorder
 
-        monkeypatch.setitem(firstorder._MAX_ITERATIONS, "pdhg", 10)
+        monkeypatch.setattr(firstorder, "_MAX_ITERATIONS", 10)
         bulk = BulkGraph.from_graph(dict(SUITE)["erdos_renyi_n60"])
         with pytest.raises(LPSolverError, match="did not reach"):
             solve_fractional_mds(bulk, method="pdhg", tol=1e-9)

@@ -6,6 +6,8 @@ verdicts and duality gaps are checked against an independent dense oracle,
 ``nx.to_numpy_array(g, nodelist=sorted(g)) + np.eye(n)``, built inline.
 """
 
+from types import MappingProxyType
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -64,6 +66,19 @@ class TestBuildLP:
         weights = {node: 2.0 for node in path.nodes()}
         lp = build_lp(path, weights=weights)
         assert np.all(lp.weights == 2.0)
+
+    def test_sequence_weights_rejected(self, path):
+        with pytest.raises(TypeError, match="ndarray"):
+            build_lp(path, weights=np.ones(path.number_of_nodes()))
+
+    def test_list_of_node_ids_rejected(self, path):
+        # The values are node ids, so membership tests used to pass.
+        with pytest.raises(TypeError, match="list"):
+            build_lp(path, weights=sorted(path.nodes()))
+
+    def test_non_dict_mapping_accepted(self, path):
+        weights = MappingProxyType({node: 3.0 for node in path.nodes()})
+        assert np.all(build_lp(path, weights=weights).weights == 3.0)
 
     def test_missing_weights_rejected(self, path):
         with pytest.raises(ValueError, match="missing"):

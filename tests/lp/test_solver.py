@@ -6,6 +6,9 @@ checked against an independent HiGHS solve on the dense oracle
 ``nx.to_numpy_array(g, nodelist=sorted(g)) + np.eye(n)``, built inline.
 """
 
+import subprocess
+import sys
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -125,6 +128,34 @@ class TestWeightedSolver:
         cheap_only = 5.0  # covering every leaf by itself and hub by a leaf
         assert solution.objective <= cheap_only + 1e-6
         assert solution.objective < 100.0
+
+    @pytest.mark.parametrize(
+        "weights",
+        # The array's values are not node ids, so membership tests failed;
+        # the list's values happen to be, so it was silently accepted.
+        [np.array([1.0, 2.0, 3.0, 4.0]), [0, 1, 2, 3]],
+        ids=["array", "list-of-node-ids"],
+    )
+    def test_non_mapping_weights_rejected(self, weights):
+        with pytest.raises(TypeError, match=type(weights).__name__):
+            solve_weighted_fractional_mds(nx.path_graph(4), weights)
+
+
+class TestLazyImports:
+    def test_scipy_optimize_not_imported_until_highs_solve(self):
+        # scipy.optimize is the slowest import in the package and only the
+        # exact HiGHS path needs it, so importing the API must not load it.
+        probe = (
+            "import sys, repro.api, repro.lp.solver\n"
+            "assert 'scipy.optimize' not in sys.modules, 'eager'\n"
+            "import networkx as nx\n"
+            "repro.lp.solver.solve_fractional_mds(nx.path_graph(3))\n"
+            "assert 'scipy.optimize' in sys.modules, 'never loaded'\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestAgainstDenseOracle:

@@ -484,9 +484,12 @@ class TestCertifyCommand:
             build_parser().parse_args(["certify", "--lp-method", "simplex"])
         assert "invalid choice" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "lp_method,lp_tol", [("pdhg", "1e-3"), ("mwu", "0.05")]
-    )
+    def test_certify_rejects_removed_mwu_method(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["certify", "--lp-method", "mwu"])
+        assert "invalid choice: 'mwu'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lp_method,lp_tol", [("pdhg", "1e-3")])
     def test_certify_first_order_reports_certificate(
         self, capsys, lp_method, lp_tol
     ):

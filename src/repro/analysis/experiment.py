@@ -62,7 +62,7 @@ from repro.core.fractional_unknown import (
 from repro.core.kuhn_wattenhofer import FractionalVariant
 from repro.core.rounding import round_fractional_solution_batched
 from repro.core.vectorized import SHARDED, VECTORIZED, bulk_engine, validate_k
-from repro.simulator.bulk import BulkGraph
+from repro.simulator.bulk import BulkGraph, available_cpu_count
 from repro.domset.validation import is_dominating_set
 from repro.graphs.utils import max_degree
 from repro.lp.duality import lemma1_lower_bound
@@ -199,17 +199,13 @@ def _map_instances(
     picklable when ``jobs > 1``.
 
     The pool is never wider than the CPUs this process may actually use
-    (:func:`~repro.simulator.sharded.available_cpu_count`, which honours
+    (:func:`~repro.simulator.bulk.available_cpu_count`, which honours
     CPU affinity), and a worker failure -- serial or pooled -- is
     re-raised with the failing instance's name attached: a sweep over
     fifty graphs should say *which* one died.
     """
     if jobs == 1 or len(instances) <= 1:
         return _gather(instances, [partial(worker, instance) for instance in instances])
-    # Imported here: the pool path is the only user, and a top-level import
-    # would load the sharded engine wherever repro.analysis is imported.
-    from repro.simulator.sharded import available_cpu_count
-
     workers = max(1, min(jobs, len(instances), available_cpu_count()))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(worker, instance) for instance in instances]

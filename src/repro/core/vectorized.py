@@ -172,6 +172,29 @@ def resolve_bulk_input(graph, backend: str, bulk: BulkGraph | None = None):
     return bulk
 
 
+def _per_distinct(
+    values: np.ndarray, func: Callable[[int | float], float]
+) -> np.ndarray:
+    """``func`` evaluated once per distinct value of ``values``, scattered.
+
+    Non-negative integral values no larger than the array is long index a
+    ``bincount`` table directly (no sort); other values go through
+    ``np.unique``.  ``func`` receives a Python ``int`` or ``float`` equal to
+    the operand either way, so the result does not depend on the path.
+    """
+    values = np.asarray(values)
+    if values.size and 0 <= values.min() and values.max() <= values.size:
+        operands = values.astype(np.int64)
+        if np.array_equal(operands, values):
+            table = np.zeros(int(operands.max()) + 1, dtype=np.float64)
+            for operand in np.flatnonzero(np.bincount(operands)).tolist():
+                table[operand] = func(operand)
+            return table[operands]
+    unique, inverse = np.unique(values, return_inverse=True)
+    table = np.array([func(operand) for operand in unique.tolist()], dtype=np.float64)
+    return table[inverse]
+
+
 def _unique_powers_cached(
     values: np.ndarray,
     exponent: float,
@@ -187,22 +210,20 @@ def _unique_powers_cached(
     engine reuse one cache across its whole k sweep; entries are exact
     ``float.__pow__`` results, so sharing cannot change a single bit.
     """
-    unique, inverse = np.unique(values, return_inverse=True)
-    table = np.empty(unique.size, dtype=np.float64)
-    for position, operand in enumerate(unique):
+
+    def power(operand: int | float) -> float:
         key = (float(operand), exponent)
         result = cache.get(key)
         if result is None:
             result = cache[key] = float(operand) ** exponent
-        table[position] = result
-    return table[inverse]
+        return result
+
+    return _per_distinct(values, power)
 
 
 def _unique_map(values: np.ndarray, func: Callable[[int], float]) -> np.ndarray:
     """Apply an int -> float function once per distinct value and scatter."""
-    unique, inverse = np.unique(values, return_inverse=True)
-    table = np.array([func(int(value)) for value in unique], dtype=np.float64)
-    return table[inverse]
+    return _per_distinct(values, lambda operand: func(int(operand)))
 
 
 class _TraceRecorder:
@@ -338,6 +359,21 @@ def _degree_maxima(bulk: BulkGraph, schedule) -> tuple[np.ndarray, np.ndarray]:
     return delta_one, bulk.closed_max(delta_one, edge_mask=second)
 
 
+def _newly_covered(
+    bulk: BulkGraph, x: np.ndarray, white: np.ndarray, edge_mask: np.ndarray | None
+) -> np.ndarray:
+    """The white nodes whose coverage ``x_i + Σ_{j ∈ N(i)} x_j`` reaches 1.
+
+    Only white nodes read their coverage after an x-exchange, so only the
+    white rows are summed; each sum is bitwise the full pass's.
+    """
+    white_rows = np.flatnonzero(white)
+    covered = np.zeros(bulk.n, dtype=bool)
+    coverage = x[white_rows] + bulk.neighbor_sum(x, edge_mask=edge_mask, rows=white_rows)
+    covered[white_rows] = coverage >= 1.0
+    return covered
+
+
 def algorithm2_exchanges(k: int) -> int:
     """Delivery rounds of Algorithm 2 with locality ``k`` (2k²)."""
     return 2 * k * k
@@ -462,14 +498,12 @@ def run_algorithm2_bulk_multi_k(
                 metrics.record_exchange(
                     float_payload_bits(x), senders=schedule.senders(exchange)
                 )
-                coverage = x + bulk.neighbor_sum(
-                    x, edge_mask=schedule.delivered_edges(exchange)
+                covered = _newly_covered(
+                    bulk, x, white, schedule.delivered_edges(exchange)
                 )
                 if recorder is not None:
-                    recorder.colored_gray(
-                        metrics.exchange_count, ell, m, white & (coverage >= 1.0)
-                    )
-                white = _gated(schedule.alive(exchange), white & (coverage < 1.0), white)
+                    recorder.colored_gray(metrics.exchange_count, ell, m, covered)
+                white = _gated(schedule.alive(exchange), white & ~covered, white)
                 exchange += 1
 
                 # Exchange colours; recompute the dynamic degree (lines 9-10).
@@ -595,14 +629,12 @@ def run_algorithm3_bulk_multi_k(
                 metrics.record_exchange(
                     float_payload_bits(x), senders=schedule.senders(exchange)
                 )
-                coverage = x + bulk.neighbor_sum(
-                    x, edge_mask=schedule.delivered_edges(exchange)
+                covered = _newly_covered(
+                    bulk, x, white, schedule.delivered_edges(exchange)
                 )
                 if recorder is not None:
-                    recorder.colored_gray(
-                        metrics.exchange_count, ell, m, white & (coverage >= 1.0)
-                    )
-                white = _gated(schedule.alive(exchange), white & (coverage < 1.0), white)
+                    recorder.colored_gray(metrics.exchange_count, ell, m, covered)
+                white = _gated(schedule.alive(exchange), white & ~covered, white)
                 exchange += 1
 
                 # Lines 20-21: exchange colours, recompute dynamic degree.

@@ -76,8 +76,13 @@ def bulk_erdos_renyi_graph(n: int, p: float, seed: int | None = None) -> BulkGra
 
     # Invert the triangular flattening: pair t belongs to row u with
     # offsets[u] ≤ t < offsets[u+1], then v = u + 1 + (t − offsets[u]).
+    # ``linear`` is sorted, so n searches for the row starts in it give
+    # each row's pair count (m searches into ``offsets`` give the same u).
     offsets = _row_offsets(n)
-    u = np.searchsorted(offsets, linear, side="right") - 1
+    row_starts = np.searchsorted(linear, offsets)
+    u = np.repeat(
+        np.arange(n, dtype=np.int64), np.diff(row_starts, append=linear.size)
+    )
     v = linear - offsets[u] + u + 1
     return BulkGraph.from_edges(n, u, v)
 

@@ -8,7 +8,7 @@ an alternative *bulk-synchronous* execution style: every "send X to all
 neighbours / receive" step of the paper's algorithms is one whole-graph
 array operation over a CSR view of the adjacency structure.
 
-Two invariants tie this module to the simulator so the two backends stay
+Four invariants tie this module to the simulator so the two backends stay
 numerically interchangeable:
 
 * **Ordering.**  :class:`BulkGraph` stores nodes in sorted order and each
@@ -27,6 +27,13 @@ numerically interchangeable:
   the 2m adjacency entries, and *pull* every row otherwise.  Counts and
   maxima do not depend on the order of their terms, so both paths return
   the same integers.
+* **Row partitions.**  Every CSR row is one node's local computation, so
+  a pass may run its rows in any partition: :func:`_over_row_ranges`
+  splits a large pass into two row halves balanced by entry count (one on
+  a worker thread, one in the caller), and :meth:`BulkGraph.neighbor_sum`
+  sums only the ``rows`` a kernel reads.  Each row is still computed by
+  the same kernel, left to right from ``0.0``, so a split or frontier pass
+  is bitwise equal to the serial full pass.
 * **Metrics.**  :class:`BulkMetricsBuilder` models the messages a
   fault-free simulated execution would have sent (one payload broadcast per
   node per exchange) and lays the per-round counters out exactly like
@@ -38,7 +45,9 @@ numerically interchangeable:
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Sequence
+import os
+import threading
+from typing import Callable, Hashable, Iterable, Sequence
 
 import networkx as nx
 import numpy as np
@@ -57,6 +66,101 @@ FLOAT_PAYLOAD_BITS = 32
 # a pushed count wins below ≈ 25% of the nodes, a pushed maximum below ≈ 50%.
 _PUSH_COUNT_FRACTION = 0.25
 _PUSH_MAX_FRACTION = 0.5
+
+# A neighbour sum over a row subset gathers those rows while their degree
+# sum is below this fraction of the 2m entries, and runs the full pass and
+# picks the rows above it.  Measured on the same graphs (CHANGES.md), the
+# gather wins below ≈ 30% of the entries against a split full pass and
+# below ≈ 45% against a serial one.  On graphs with fewer than
+# _GATHER_MIN_ENTRIES entries the whole pass costs less than the gather's
+# fixed overhead (≈ 15 µs), so they always take the full pass.
+_GATHER_SUM_FRACTION = 0.3
+_GATHER_MIN_ENTRIES = 1 << 14
+
+# A CSR pass over at least this many entries runs as two row halves on two
+# cores; smaller passes run serially.  Measured crossover (CHANGES.md): the
+# split matvec wins from ≈ 10⁵ entries alone, but inside Algorithm 3's loop
+# it pays only from ≈ 2¹⁹ entries.
+_PARALLEL_MIN_ENTRIES = 1 << 19
+
+# The one worker thread that runs the first half of a split pass: created
+# on the first split call, dropped in a forked child (which inherits the
+# executor but not its thread).
+_row_pool = None
+_row_pool_lock = threading.Lock()
+
+
+def _forget_row_pool() -> None:
+    global _row_pool, _row_pool_lock
+    _row_pool = None
+    _row_pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_row_pool)
+
+
+def available_cpu_count() -> int:
+    """CPUs usable by this process (affinity-aware where the OS tells us)."""
+    process_cpu_count = getattr(os, "process_cpu_count", None)
+    if process_cpu_count is not None:  # Python >= 3.13
+        return process_cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
+    return os.cpu_count() or 1
+
+
+def _row_ranges(indptr: np.ndarray) -> list[tuple[int, int]]:
+    """The row ranges of one pass over a CSR with row pointer ``indptr``.
+
+    Two halves balanced by entry count when the CSR has at least
+    :data:`_PARALLEL_MIN_ENTRIES` entries and two CPUs are usable; the one
+    full range otherwise.
+    """
+    rows = indptr.size - 1
+    entries = int(indptr[-1])
+    if entries < _PARALLEL_MIN_ENTRIES or available_cpu_count() < 2:
+        return [(0, rows)]
+    middle = int(np.searchsorted(indptr, entries // 2))
+    return [(0, middle), (middle, rows)]
+
+
+def _over_row_ranges(
+    indptr: np.ndarray, kernel: Callable[[int, int], None]
+) -> None:
+    """Run ``kernel(start, stop)`` over the row ranges of one CSR pass.
+
+    The serial pass is the one-range case.  Split, the first half runs on
+    the worker thread and the second in the caller; the kernels are numpy
+    and scipy calls that release the GIL.  If the worker has not started
+    its half when the caller finishes, the caller runs it, so a split pass
+    never waits on a descheduled thread.  ``kernel`` writes only into
+    buffers the caller allocated and must not start another split pass:
+    the pool has one worker, so a nested submit would deadlock.
+    """
+    ranges = _row_ranges(indptr)
+    if len(ranges) == 1:
+        kernel(*ranges[0])
+        return
+    global _row_pool
+    with _row_pool_lock:
+        if _row_pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _row_pool = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="repro-rows"
+            )
+        future = _row_pool.submit(kernel, *ranges[0])
+    try:
+        kernel(*ranges[1])
+    finally:
+        # A worker that has not started its half by now (a busy host, a
+        # slow wake-up) loses it: the caller runs that half as well.
+        overtaken = future.cancel()
+        if not overtaken:
+            future.result()
+    if overtaken:
+        kernel(*ranges[0])
 
 
 def int_payload_bits(values: np.ndarray) -> np.ndarray:
@@ -80,13 +184,23 @@ def float_payload_bits(values: np.ndarray) -> np.ndarray:
 def _csr_matvec(
     indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, vector
 ) -> np.ndarray:
-    """scipy's ``csr_matvec``: each row summed left to right from ``0.0``."""
+    """scipy's ``csr_matvec``: each row summed left to right from ``0.0``.
+
+    A row range passes its slice of ``indptr`` (the offsets stay absolute
+    into ``indices`` / ``data``) and writes its slice of the result.
+    """
     from scipy.sparse import _sparsetools
 
-    rows = indptr.size - 1
     vector = np.ascontiguousarray(vector, dtype=np.float64)
-    result = np.zeros(rows)
-    _sparsetools.csr_matvec(rows, vector.size, indptr, indices, data, vector, result)
+    result = np.zeros(indptr.size - 1)
+
+    def rows_matvec(start: int, stop: int) -> None:
+        _sparsetools.csr_matvec(
+            stop - start, vector.size, indptr[start : stop + 1], indices, data,
+            vector, result[start:stop],
+        )
+
+    _over_row_ranges(indptr, rows_matvec)
     return result
 
 
@@ -147,21 +261,17 @@ class BulkGraph:
             raise ValueError("bulk graph must not contain self loops")
         # Each row must list its neighbours strictly ascending -- the
         # simulator-equivalence invariant every neighbourhood operator
-        # relies on (and it rules out duplicate entries).
-        if col.size > 1:
-            interior = np.ones(col.size - 1, dtype=bool)
-            starts = indptr[1:-1]
-            starts = starts[(starts > 0) & (starts < col.size)]
-            interior[starts - 1] = False
-            if not np.all(np.diff(col)[interior] > 0):
-                raise ValueError(
-                    "CSR rows must be strictly ascending; build through "
-                    "from_edges or from_graph to normalise the adjacency"
-                )
-        # The adjacency must be symmetric (undirected communication).  The
-        # rows are strictly ascending by now, so the forward keys already
-        # come out sorted.
+        # relies on (and it rules out duplicate entries).  With every col
+        # in 0..n-1, that holds exactly when the (row, col) keys strictly
+        # increase: a key never falls across a row boundary.
         forward = self.row * np.int64(n) + col
+        if not np.all(forward[1:] > forward[:-1]):
+            raise ValueError(
+                "CSR rows must be strictly ascending; build through "
+                "from_edges or from_graph to normalise the adjacency"
+            )
+        # The adjacency must be symmetric (undirected communication): the
+        # sorted transposed keys must equal the forward keys.
         backward = np.sort(col * np.int64(n) + self.row)
         if not np.array_equal(forward, backward):
             raise ValueError("bulk graph adjacency must be symmetric")
@@ -350,17 +460,20 @@ class BulkGraph:
     # ``0.0 * value`` -- an exact +0.0 only for *finite* values, the
     # operators' precondition (every payload the kernels exchange is).
 
+    def _matrix_data(self, edge_mask: np.ndarray | None) -> np.ndarray:
+        """The adjacency's data: 1.0, or ``edge_mask`` as 0.0 / 1.0."""
+        if edge_mask is None:
+            return self.adjacency.data
+        return np.asarray(edge_mask, dtype=np.float64)
+
     def _matvec(
         self, values: np.ndarray, edge_mask: np.ndarray | None
     ) -> np.ndarray:
         """``A @ values`` (``edge_mask`` as the matrix data when given)."""
         adjacency = self.adjacency
-        data = (
-            adjacency.data
-            if edge_mask is None
-            else np.asarray(edge_mask, dtype=np.float64)
+        return _csr_matvec(
+            adjacency.indptr, adjacency.indices, self._matrix_data(edge_mask), values
         )
-        return _csr_matvec(adjacency.indptr, adjacency.indices, data, values)
 
     def _frontier_entries(
         self, sources: np.ndarray, fraction: float
@@ -379,7 +492,10 @@ class BulkGraph:
         return np.arange(reach, dtype=np.int64) + np.repeat(starts, lengths), lengths
 
     def neighbor_sum(
-        self, values: np.ndarray, edge_mask: np.ndarray | None = None
+        self,
+        values: np.ndarray,
+        edge_mask: np.ndarray | None = None,
+        rows: np.ndarray | None = None,
     ) -> np.ndarray:
         """Per-node sum of ``values`` over the *open* neighbourhood.
 
@@ -389,8 +505,34 @@ class BulkGraph:
         masked-out entries into ``+0.0`` terms, so the sum equals the
         simulated inbox sum of only the delivered messages, bit for bit.
         ``values`` must be finite.
+
+        ``rows`` (node positions) sums only those rows and
+        returns one sum per listed row.  While their degree sum is small
+        the rows are gathered into a sub-CSR (scipy's ``csr_row_index``)
+        for the same matvec; every sum is bitwise the full pass's.
         """
-        return self._matvec(values, edge_mask)
+        if rows is None:
+            return self._matvec(values, edge_mask)
+        lengths = self.degrees[rows]
+        reach = int(lengths.sum())
+        if (
+            self.col.size < _GATHER_MIN_ENTRIES
+            or reach >= _GATHER_SUM_FRACTION * self.col.size
+        ):
+            return self._matvec(values, edge_mask)[rows]
+        from scipy.sparse import _sparsetools
+
+        adjacency = self.adjacency
+        index_type = adjacency.indices.dtype
+        indptr = np.zeros(lengths.size + 1, dtype=index_type)
+        np.cumsum(lengths, out=indptr[1:])
+        indices = np.empty(reach, dtype=index_type)
+        data = np.empty(reach)
+        _sparsetools.csr_row_index(
+            lengths.size, np.asarray(rows, dtype=index_type), adjacency.indptr,
+            adjacency.indices, self._matrix_data(edge_mask), indices, data,
+        )
+        return _csr_matvec(indptr, indices, data, values)
 
     def neighbor_count(
         self, flags: np.ndarray, edge_mask: np.ndarray | None = None
@@ -451,22 +593,44 @@ class BulkGraph:
                     result, self.col[positions], np.repeat(values[sources], lengths)
                 )
                 return result
-        contributions = np.take(values, self.col)
-        keep: np.ndarray | None = None
+        # Pull: gather every entry's value, drop the masked entries to the
+        # dtype's floor, and reduce each non-empty row.  A row range
+        # handles its own entries and rows, into the caller's buffers.
+        # (numpy's reduceat holds the GIL, so only the gathers overlap.)
+        drop: np.ndarray | None = None
         if senders is not None:
-            keep = np.take(np.asarray(senders, dtype=bool), self.col)
+            drop = ~np.take(np.asarray(senders, dtype=bool), self.col)
         if edge_mask is not None:
-            edge_mask = np.asarray(edge_mask, dtype=bool)
-            keep = edge_mask if keep is None else keep & edge_mask
-        if keep is not None:
+            dropped = ~np.asarray(edge_mask, dtype=bool)
+            drop = dropped if drop is None else drop | dropped
+        if drop is not None:
             floor = (
                 np.iinfo(values.dtype).min
                 if np.issubdtype(values.dtype, np.integer)
                 else -np.inf
             )
-            contributions = np.where(keep, contributions, floor)
-        row_max = np.maximum.reduceat(contributions, self._nonempty_starts)
-        result[self._nonempty] = np.maximum(values[self._nonempty], row_max)
+        contributions = np.empty(self.col.size, dtype=values.dtype)
+        row_max = np.empty(self._nonempty.size, dtype=values.dtype)
+        indptr, col = self.indptr, self.col
+        nonempty, starts = self._nonempty, self._nonempty_starts
+
+        def rows_max(start: int, stop: int) -> None:
+            low, high = int(indptr[start]), int(indptr[stop])
+            # mode="clip" writes into ``out`` directly (the default
+            # "raise" copies it); every col entry is in range anyway.
+            np.take(values, col[low:high], out=contributions[low:high], mode="clip")
+            if drop is not None:
+                np.copyto(contributions[low:high], floor, where=drop[low:high])
+            first = int(np.searchsorted(nonempty, start))
+            last = int(np.searchsorted(nonempty, stop))
+            # The last row's reduction runs to the end of the array passed,
+            # so pass the prefix that ends with this range's entries.
+            np.maximum.reduceat(
+                contributions[:high], starts[first:last], out=row_max[first:last]
+            )
+
+        _over_row_ranges(indptr, rows_max)
+        result[nonempty] = np.maximum(values[nonempty], row_max)
         return result
 
     def neighbor_any(

@@ -67,7 +67,6 @@ single-process vectorized backend in the parent.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import resource
 import secrets
 import traceback
@@ -85,7 +84,7 @@ from repro.core.vectorized import (
     run_rounding_bulk_batched,
     validate_k,
 )
-from repro.simulator.bulk import BulkGraph
+from repro.simulator.bulk import BulkGraph, available_cpu_count
 from repro.simulator.fault_schedule import FaultSchedule
 from repro.simulator.metrics import ExecutionMetrics, RoundMetrics
 
@@ -103,16 +102,6 @@ DEFAULT_MAX_SHARDS = 8
 #: n = 10⁶ takes milliseconds -- but bounded, so a crashed worker breaks
 #: the barrier for everyone instead of hanging CI forever.
 _BARRIER_TIMEOUT = 600.0
-
-
-def available_cpu_count() -> int:
-    """CPUs usable by this process (affinity-aware where the OS tells us)."""
-    process_cpu_count = getattr(os, "process_cpu_count", None)
-    if process_cpu_count is not None:  # Python >= 3.13
-        return process_cpu_count() or 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) or 1
-    return os.cpu_count() or 1
 
 
 def resolve_shard_count(shards: int | None) -> int:
@@ -274,7 +263,10 @@ class ShardSlab:
     # ------------------------------------------------------------------ #
 
     def neighbor_sum(
-        self, values: np.ndarray, edge_mask: np.ndarray | None = None
+        self,
+        values: np.ndarray,
+        edge_mask: np.ndarray | None = None,
+        rows: np.ndarray | None = None,
     ) -> np.ndarray:
         """Per-node open-neighbourhood sum; row order matches the global CSR.
 
@@ -282,23 +274,27 @@ class ShardSlab:
         :class:`~repro.simulator.fault_schedule.SlabScheduleView`) drops
         masked-out entries from the accumulation, exactly as the
         whole-graph operator does for the matching global positions.
+        ``rows`` picks the listed owned rows out of the full slab pass (the
+        exchange is a superstep every shard must join).
         """
         ghost_values = self._exchange(values)
         combined = np.concatenate(
             (np.asarray(values, dtype=np.float64), ghost_values)
         )
         if edge_mask is None:
-            return np.bincount(
+            sums = np.bincount(
                 self.layout.row,
                 weights=combined[self.layout.col],
                 minlength=self.n,
             )
-        edge_mask = np.asarray(edge_mask, dtype=bool)
-        return np.bincount(
-            self.layout.row[edge_mask],
-            weights=combined[self.layout.col[edge_mask]],
-            minlength=self.n,
-        )
+        else:
+            edge_mask = np.asarray(edge_mask, dtype=bool)
+            sums = np.bincount(
+                self.layout.row[edge_mask],
+                weights=combined[self.layout.col[edge_mask]],
+                minlength=self.n,
+            )
+        return sums if rows is None else sums[rows]
 
     def neighbor_count(
         self, flags: np.ndarray, edge_mask: np.ndarray | None = None

@@ -13,6 +13,9 @@ Two contracts are pinned here:
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 import repro.core.vectorized as vectorized_module
@@ -157,3 +160,58 @@ class TestSingleExecutionSweeps:
         multi2, multi3 = engine_counters["multi"]
         assert multi2.calls == 1  # the fractional sweep (known Δ)
         assert multi3.calls == 1  # the pipeline sweep (unknown Δ)
+
+
+class TestDistinctOperandTables:
+    """``_per_distinct``: the bincount table and np.unique agree bitwise."""
+
+    @staticmethod
+    def reference(values, func):
+        unique, inverse = np.unique(values, return_inverse=True)
+        return np.array([func(value) for value in unique.tolist()])[inverse]
+
+    @pytest.mark.parametrize(
+        "values, exponents",
+        [
+            # Integral, non-negative and no larger than the length: table.
+            (np.array([3.0, 1.0, 3.0, 7.0, 0.0, 1.0, 2.0, 7.0]), (0.5, 2.0)),
+            (np.array([2, 9, 2, 5, 5, 1, 4, 8, 3, 6], dtype=np.int64), (0.5, -2 / 3)),
+            # Everything else: np.unique.
+            (np.array([1.5, 2.0, 1.5, 4.25]), (0.5, -2 / 3)),
+            (np.array([2.0, 1e9, 2.0]), (0.5, -2 / 3)),
+            (np.array([-1.0, 2.0, 2.0]), (2.0, 3.0)),
+            (np.array([5.0]), (0.5,)),
+        ],
+    )
+    def test_powers_match_float_pow_per_operand(self, values, exponents):
+        for exponent in exponents:
+            cache: dict = {}
+            got = vectorized_module._unique_powers_cached(values, exponent, cache)
+            expected = self.reference(
+                values.astype(np.float64), lambda v: float(v) ** exponent
+            )
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+            assert set(cache) == {(float(v), exponent) for v in np.unique(values)}
+
+    def test_map_calls_func_once_per_distinct_int(self):
+        values = np.array([4, 0, 4, 2, 2, 9, 1, 1, 3, 0], dtype=np.int64)
+        seen: list = []
+
+        def func(operand):
+            seen.append(operand)
+            assert type(operand) is int
+            return math.log(operand + 1)
+
+        got = vectorized_module._unique_map(values, func)
+        assert seen == sorted(set(values.tolist()))
+        expected = self.reference(values, lambda v: math.log(int(v) + 1))
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    def test_table_path_skips_the_sort(self, monkeypatch):
+        def no_unique(*args, **kwargs):
+            raise AssertionError("np.unique called on integral operands")
+
+        monkeypatch.setattr(vectorized_module.np, "unique", no_unique)
+        values = np.arange(100, dtype=np.float64) % 7
+        vectorized_module._unique_powers_cached(values, 0.5, {})
+        vectorized_module._unique_map(values.astype(np.int64), float)

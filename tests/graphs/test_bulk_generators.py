@@ -104,6 +104,45 @@ class TestFromEdges:
         with pytest.raises(ValueError, match="ascending"):
             BulkGraph(np.array([0, 2, 4]), np.array([1, 1, 0, 0]))
 
+    def test_ascending_is_checked_before_symmetry(self):
+        # Row 1 is out of order *and* 1→2 has no reverse entry.
+        with pytest.raises(ValueError, match="ascending"):
+            BulkGraph(np.array([0, 1, 3, 3]), np.array([1, 2, 0]))
+
+    def test_rows_may_descend_across_a_row_boundary(self):
+        # Row 0 ends with 3 and row 1 starts with 0: both rows ascend.
+        bulk = BulkGraph(np.array([0, 2, 4, 5, 8]), np.array([1, 3, 0, 3, 3, 0, 1, 2]))
+        assert bulk.number_of_edges == 4
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 5), max_size=5), min_size=1, max_size=6
+        )
+    )
+    def test_ascending_check_matches_a_per_row_reference(self, rows):
+        n = len(rows)
+        rows = [[c % n for c in row] for row in rows]
+        indptr = np.concatenate(([0], np.cumsum([len(row) for row in rows])))
+        col = np.array([c for row in rows for c in row], dtype=np.int64)
+        loops = any(i in row for i, row in enumerate(rows))
+        ascending = all(
+            all(a < b for a, b in zip(row, row[1:])) for row in rows
+        )
+        edges = {(i, c) for i, row in enumerate(rows) for c in row}
+        symmetric = all((c, i) in edges for i, c in edges)
+        if loops:
+            message = "self loops"
+        elif not ascending:
+            message = "ascending"
+        elif not symmetric:
+            message = "symmetric"
+        else:
+            assert BulkGraph(indptr, col).n == n
+            return
+        with pytest.raises(ValueError, match=message):
+            BulkGraph(indptr, col)
+
     def test_feasibility_matches_dense_check(self):
         from repro.lp.feasibility import check_primal_feasible
         from repro.lp.formulation import build_lp

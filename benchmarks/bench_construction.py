@@ -10,7 +10,11 @@ claims of the CSR-native substrate:
 * the direct-to-CSR generators build the whole ``"xlarge"`` suite
   (n ≥ 20 000 per instance) in seconds without per-edge Python objects, and
 * the bucket-queue greedy matches the set-based greedy's output at a
-  fraction of the cost, keeping the reference point comparable at scale.
+  fraction of the cost, keeping the reference point comparable at scale,
+  and
+* the ``solve-er`` instance, ``bulk_erdos_renyi_graph(200_000, 10/(n-1))``,
+  builds through the one counting-sort CSR builder into the CSR that
+  Python sets give for the generator's edges (median of 5 builds).
 
 Quick mode (``REPRO_BENCH_QUICK=1``) shrinks the pairwise comparison to
 n = 3000 so CI stays a sub-minute smoke run; the speedup floor applies in
@@ -25,10 +29,16 @@ import time
 import numpy as np
 import pytest
 
+from repro.simulator.bulk import BulkGraph
+
 from repro.analysis.tables import render_table
 from repro.baselines.bulk_greedy import greedy_dominating_set_bulk
 from repro.baselines.greedy import greedy_dominating_set
-from repro.graphs.bulk import bulk_graph_suite, bulk_unit_disk_graph
+from repro.graphs.bulk import (
+    bulk_erdos_renyi_graph,
+    bulk_graph_suite,
+    bulk_unit_disk_graph,
+)
 from repro.graphs.generators import random_unit_disk_graph
 from repro.graphs.unit_disk import random_unit_disk_positions, unit_disk_edges
 
@@ -44,6 +54,9 @@ N_GREEDY = 600 if QUICK else 2000
 #: Radius keeping the greedy instance moderately dense (expected degree
 #: ≈ 40 at full scale) so the span-update cost dominates both variants.
 GREEDY_RADIUS = 0.12 if QUICK else 0.08
+#: The ``solve-er`` instance (mean degree 10), built ER_BUILDS times.
+N_ER = 200_000
+ER_BUILDS = 5
 
 
 def _timed(function):
@@ -52,8 +65,52 @@ def _timed(function):
     return result, time.perf_counter() - start
 
 
+def _set_reference_csr(n, u, v) -> tuple[list[int], list[int]]:
+    """The CSR of an undirected edge list, built from Python sets."""
+    neighbors = [set() for _ in range(n)]
+    for a, b in zip(u, v):
+        neighbors[a].add(b)
+        neighbors[b].add(a)
+    indptr = [0]
+    col: list[int] = []
+    for row in neighbors:
+        col.extend(sorted(row))
+        indptr.append(len(col))
+    return indptr, col
+
+
+def _er_build(seed: int, monkeypatch) -> dict:
+    """Median build time of the ``solve-er`` graph and its set-reference check."""
+    p = 10 / (N_ER - 1)
+    times = [
+        _timed(lambda: bulk_erdos_renyi_graph(N_ER, p, seed=seed))[1]
+        for _ in range(ER_BUILDS)
+    ]
+    edges = []
+    from_edges = BulkGraph.from_edges.__func__
+
+    def recording(cls, n, u, v, nodes=None):
+        edges.append((np.asarray(u).tolist(), np.asarray(v).tolist()))
+        return from_edges(cls, n, u, v, nodes)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(BulkGraph, "from_edges", classmethod(recording))
+        built = bulk_erdos_renyi_graph(N_ER, p, seed=seed)
+    (u, v), = edges
+    return {
+        "n": N_ER,
+        "edges": built.number_of_edges,
+        "builds": ER_BUILDS,
+        "median_s": round(float(np.median(times)), 4),
+        "set_match": (built.indptr.tolist(), built.col.tolist())
+        == _set_reference_csr(N_ER, u, v),
+    }
+
+
 @pytest.mark.benchmark(group="construction")
-def test_construction_speedup(benchmark, bench_seed, emit_table, emit_json):
+def test_construction_speedup(
+    benchmark, bench_seed, emit_table, emit_json, monkeypatch
+):
     """Grid-bucket unit-disk construction: ≥ 20× over the pairwise scan."""
     points = random_unit_disk_positions(N_CONSTRUCTION, seed=bench_seed)
     (grid_u, grid_v), grid_time = _timed(
@@ -78,6 +135,8 @@ def test_construction_speedup(benchmark, bench_seed, emit_table, emit_json):
     bulk_set, bulk_time = _timed(lambda: greedy_dominating_set_bulk(bulk_small))
     greedy_match = reference_set == bulk_set
 
+    er_build = _er_build(bench_seed, monkeypatch)
+
     rows = [
         {
             "measurement": f"unit_disk_edges n={N_CONSTRUCTION}",
@@ -99,6 +158,13 @@ def test_construction_speedup(benchmark, bench_seed, emit_table, emit_json):
             "fast_s": round(suite_time, 4),
             "speedup": None,
             "identical": True,
+        },
+        {
+            "measurement": f"bulk_erdos_renyi_graph n={N_ER} build (median)",
+            "baseline_s": None,
+            "fast_s": er_build["median_s"],
+            "speedup": None,
+            "identical": er_build["set_match"],
         },
     ]
     emit_table(
@@ -123,6 +189,7 @@ def test_construction_speedup(benchmark, bench_seed, emit_table, emit_json):
             "grid_s": round(grid_time, 4),
             "speedup": round(construction_speedup, 1),
             "edges_match": bool(edges_match),
+            "erdos_renyi_build": er_build,
             "xlarge_suite_nodes": {name: g.n for name, g in suite.items()},
             "xlarge_suite_build_s": round(suite_time, 3),
             "greedy": {
@@ -136,6 +203,7 @@ def test_construction_speedup(benchmark, bench_seed, emit_table, emit_json):
 
     assert edges_match, "grid bucketing changed the edge set"
     assert greedy_match, "bucket-queue greedy diverged from the reference"
+    assert er_build["set_match"], "the ER CSR differs from the set reference"
     assert construction_speedup >= MIN_SPEEDUP, (
         f"construction speedup {construction_speedup:.1f}× below the "
         f"{MIN_SPEEDUP}× floor"

@@ -26,18 +26,6 @@ import numpy as np
 from repro.simulator.bulk import BulkGraph
 
 
-def _gather_rows(bulk: BulkGraph, rows: np.ndarray) -> np.ndarray:
-    """Concatenate the CSR adjacency rows of ``rows`` (multi-slice gather)."""
-    counts = bulk.degrees[rows]
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    block = np.repeat(np.arange(rows.size, dtype=np.int64), counts)
-    local = np.arange(total, dtype=np.int64) - offsets[block]
-    return bulk.col[bulk.indptr[rows][block] + local]
-
-
 def greedy_dominating_set_bulk(graph: BulkGraph | nx.Graph) -> frozenset:
     """Greedy dominating set on a CSR graph with a bucket queue.
 
@@ -94,7 +82,7 @@ def greedy_dominating_set_bulk(graph: BulkGraph | nx.Graph) -> frozenset:
 
         # Every dominator of a newly covered node loses one unit of span.
         decrements = np.bincount(
-            np.concatenate((_gather_rows(bulk, newly), newly)), minlength=n
+            np.concatenate((bulk.neighbors_of(newly), newly)), minlength=n
         )
         changed = np.flatnonzero(decrements)
         spans[changed] -= decrements[changed]

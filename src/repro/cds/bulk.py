@@ -18,18 +18,6 @@ import numpy as np
 from repro.simulator.bulk import BulkGraph
 
 
-def _gather_rows(bulk: BulkGraph, rows: np.ndarray) -> np.ndarray:
-    """Concatenate the CSR adjacency rows of ``rows`` (multi-slice gather)."""
-    counts = bulk.degrees[rows]
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    block = np.repeat(np.arange(rows.size, dtype=np.int64), counts)
-    local = np.arange(total, dtype=np.int64) - offsets[block]
-    return bulk.col[bulk.indptr[rows][block] + local]
-
-
 def bulk_connected_components(
     bulk: BulkGraph, subset: np.ndarray | None = None
 ) -> np.ndarray:
@@ -63,7 +51,7 @@ def bulk_connected_components(
         unvisited[cursor] = False
         labels[cursor] = current
         while frontier.size:
-            neighbors = _gather_rows(bulk, frontier)
+            neighbors = bulk.neighbors_of(frontier)
             fresh = neighbors[unvisited[neighbors]]
             if fresh.size == 0:
                 break
@@ -136,7 +124,7 @@ def bulk_bfs_distances(
     depth = 0
     while frontier.size:
         depth += 1
-        neighbors = _gather_rows(bulk, frontier)
+        neighbors = bulk.neighbors_of(frontier)
         fresh = np.unique(
             neighbors[include[neighbors] & (distances[neighbors] < 0)]
         )

@@ -33,11 +33,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from repro.cds.bulk import (
-    _gather_rows,
-    bulk_is_connected,
-    is_connected_dominating_set_bulk,
-)
+from repro.cds.bulk import bulk_is_connected, is_connected_dominating_set_bulk
 from repro.simulator.bulk import BulkGraph
 
 WHITE, GRAY, BLACK = 0, 1, 2
@@ -92,9 +88,7 @@ def guha_khuller_connected_dominating_set_bulk(bulk: BulkGraph) -> frozenset:
             np.append(newly_gray, node) if was_white else newly_gray
         )
         if stopped_white.size:
-            decrements = np.bincount(
-                _gather_rows(bulk, stopped_white), minlength=n
-            )
+            decrements = np.bincount(bulk.neighbors_of(stopped_white), minlength=n)
             changed = np.flatnonzero(decrements)
             gains[changed] -= decrements[changed]
         # New gray candidates enter the queue at their *current* gain.

@@ -72,7 +72,7 @@ def bulk_erdos_renyi_graph(n: int, p: float, seed: int | None = None) -> BulkGra
             chunks.append(positions)
             position = int(positions[-1])
         linear = np.concatenate(chunks)
-        linear = linear[linear < total_pairs]
+        linear = linear[: np.searchsorted(linear, total_pairs)]
 
     # Invert the triangular flattening: pair t belongs to row u with
     # offsets[u] ≤ t < offsets[u+1], then v = u + 1 + (t − offsets[u]).

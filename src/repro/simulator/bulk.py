@@ -8,6 +8,11 @@ an alternative *bulk-synchronous* execution style: every "send X to all
 neighbours / receive" step of the paper's algorithms is one whole-graph
 array operation over a CSR view of the adjacency structure.
 
+Inputs are checked once, at the boundary: the constructor validates a raw
+``(indptr, col)`` CSR, and :meth:`BulkGraph.from_edges` (behind
+``from_graph`` and every generator) checks its edge arrays, then assembles
+the CSR its counting sort builds, valid by construction, without a re-check.
+
 Four invariants tie this module to the simulator so the two backends stay
 numerically interchangeable:
 
@@ -62,9 +67,10 @@ FLOAT_PAYLOAD_BITS = 32
 
 # Push from the frontier while its degree sum is below this fraction of the
 # 2m adjacency entries; pull every row above it.  The crossovers were
-# measured on ER graphs with n = 2·10⁵ and mean degree 10 (CHANGES.md):
-# a pushed count wins below ≈ 25% of the nodes, a pushed maximum below ≈ 50%.
-_PUSH_COUNT_FRACTION = 0.25
+# measured on ER graphs with n = 2·10⁵ and mean degree 10 against the
+# split pull (CHANGES.md): a pushed count wins below ≈ 30% of the entries,
+# a pushed maximum below ≈ 50%.
+_PUSH_COUNT_FRACTION = 0.3
 _PUSH_MAX_FRACTION = 0.5
 
 # A neighbour sum over a row subset gathers those rows while their degree
@@ -241,22 +247,11 @@ class BulkGraph:
         n = indptr.size - 1
         if indptr[0] != 0 or indptr[-1] != col.size:
             raise ValueError("indptr must start at 0 and end at len(col)")
-        degrees = np.diff(indptr)
-        if np.any(degrees < 0):
+        if np.any(indptr[1:] < indptr[:-1]):
             raise ValueError("indptr must be non-decreasing")
         if col.size and (col.min() < 0 or col.max() >= n):
             raise ValueError("col entries must index nodes (0..n-1)")
-
-        self.nodes: tuple[Hashable, ...] = (
-            tuple(range(n)) if nodes is None else tuple(nodes)
-        )
-        if len(self.nodes) != n:
-            raise ValueError("nodes must provide one identifier per CSR row")
-        self.n = n
-        self.degrees = degrees
-        self.indptr = indptr
-        self.col = col
-        self.row = np.repeat(np.arange(self.n, dtype=np.int64), degrees)
+        self._assemble(indptr, col, nodes)
         if np.any(self.row == col):
             raise ValueError("bulk graph must not contain self loops")
         # Each row must list its neighbours strictly ascending -- the
@@ -275,8 +270,22 @@ class BulkGraph:
         backward = np.sort(col * np.int64(n) + self.row)
         if not np.array_equal(forward, backward):
             raise ValueError("bulk graph adjacency must be symmetric")
+
+    def _assemble(self, indptr: np.ndarray, col: np.ndarray, nodes) -> None:
+        """Set the fields of a valid ``int64`` CSR; checks only ``nodes``."""
+        n = indptr.size - 1
+        self.nodes: tuple[Hashable, ...] = (
+            tuple(range(n)) if nodes is None else tuple(nodes)
+        )
+        if len(self.nodes) != n:
+            raise ValueError("nodes must provide one identifier per CSR row")
+        self.n = n
+        self.degrees = np.diff(indptr)
+        self.indptr = indptr
+        self.col = col
+        self.row = np.repeat(np.arange(n, dtype=np.int64), self.degrees)
         # Row starts of the non-empty CSR rows, for reduceat-based maxima.
-        self._nonempty = np.flatnonzero(degrees > 0)
+        self._nonempty = np.flatnonzero(self.degrees > 0)
         self._nonempty_starts = self.indptr[self._nonempty]
         # node -> position, built lazily by index_of.
         self._index: dict[Hashable, int] | None = None
@@ -295,32 +304,18 @@ class BulkGraph:
 
     @classmethod
     def from_graph(cls, graph: nx.Graph) -> "BulkGraph":
-        """Build a :class:`BulkGraph` from a networkx graph."""
-        if graph.number_of_nodes() == 0:
-            raise ValueError("bulk graph must contain at least one node")
-        if any(u == v for u, v in graph.edges()):
-            raise ValueError("bulk graph must not contain self loops")
+        """Build a :class:`BulkGraph` from a networkx graph (sorted nodes).
 
+        The edges map to node positions and go through :meth:`from_edges`.
+        """
         nodes: tuple[Hashable, ...] = tuple(sorted(graph.nodes()))
-        n = len(nodes)
         index = {node: position for position, node in enumerate(nodes)}
-
-        degrees = np.zeros(n, dtype=np.int64)
-        col_chunks: list[np.ndarray] = []
-        for position, node in enumerate(nodes):
-            # Sorting identifiers and then mapping to indices preserves the
-            # simulator's ascending-neighbour delivery order because the
-            # index assignment above is monotone in the sorted identifiers.
-            neighbor_indices = np.fromiter(
-                (index[neighbor] for neighbor in sorted(graph.neighbors(node))),
-                dtype=np.int64,
-            )
-            degrees[position] = neighbor_indices.size
-            col_chunks.append(neighbor_indices)
-
-        indptr = np.concatenate(([0], np.cumsum(degrees)))
-        col = np.concatenate(col_chunks) if col_chunks else np.empty(0, dtype=np.int64)
-        return cls(indptr, col, nodes=nodes)
+        ends = np.fromiter(
+            (index[end] for edge in graph.edges() for end in edge),
+            dtype=np.int64,
+            count=2 * graph.number_of_edges(),
+        )
+        return cls.from_edges(len(nodes), ends[0::2], ends[1::2], nodes=nodes)
 
     @classmethod
     def from_edges(
@@ -335,7 +330,9 @@ class BulkGraph:
         Duplicate edges (in either orientation) are merged; self loops are
         rejected.  The CSR rows come out in ascending neighbour order, so
         the result is interchangeable with :meth:`from_graph` of the same
-        edge set.
+        edge set.  The edge arrays are checked here; the CSR built from
+        them is valid by construction, so :meth:`__init__`'s checks are
+        skipped.
         """
         if n <= 0:
             raise ValueError("bulk graph must contain at least one node")
@@ -350,17 +347,32 @@ class BulkGraph:
         if np.any(u == v):
             raise ValueError("bulk graph must not contain self loops")
 
-        # Symmetrize, then dedupe via the flattened (row, col) key: sort,
-        # keep each run's first key (faster than np.unique's hashing).
-        keys = np.sort(np.concatenate([u * np.int64(n) + v, v * np.int64(n) + u]))
-        if keys.size:
+        # Canonical edges lo < hi with keys lo·n + hi.  Edges that arrive
+        # in strictly increasing key order (bulk_erdos_renyi_graph's) are
+        # used as they are; any others are sorted and deduped on the m keys.
+        lo = np.minimum(u, v).ravel()
+        hi = np.maximum(u, v).ravel()
+        keys = lo * np.int64(n) + hi
+        if not np.all(keys[1:] > keys[:-1]):
+            keys = np.sort(keys)
             keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-        row = keys // n
-        col = keys % n
-        indptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(row, minlength=n)))
-        ).astype(np.int64)
-        return cls(indptr, col, nodes=nodes)
+            lo, hi = np.divmod(keys, n)
+        # One stable counting sort (scipy's coo_tocsr, O(n + m)) of the
+        # entries (hi, lo) followed by (lo, hi): each row lists its lower
+        # neighbours ascending, then its upper neighbours ascending.
+        from scipy.sparse import _sparsetools
+
+        entries = 2 * keys.size
+        indptr = np.empty(n + 1, dtype=np.int64)
+        col = np.empty(entries, dtype=np.int64)
+        _sparsetools.coo_tocsr(
+            n, n, entries, np.concatenate((hi, lo)), np.concatenate((lo, hi)),
+            np.zeros(entries, dtype=bool), indptr, col,
+            np.empty(entries, dtype=bool),
+        )
+        graph = cls.__new__(cls)
+        graph._assemble(indptr, col, nodes)
+        return graph
 
     def to_networkx(self) -> nx.Graph:
         """Materialise the equivalent networkx graph (for tests/interop)."""
@@ -475,21 +487,41 @@ class BulkGraph:
             adjacency.indptr, adjacency.indices, self._matrix_data(edge_mask), values
         )
 
+    def _gather_rows(
+        self, rows: np.ndarray, lengths: np.ndarray, data: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The adjacency's indices and ``data`` on ``rows``, row after row.
+
+        scipy's ``csr_row_index``; ``lengths`` are the rows' degrees.
+        """
+        from scipy.sparse import _sparsetools
+
+        index_type = self.adjacency.indices.dtype
+        indices = np.empty(int(lengths.sum()), dtype=index_type)
+        gathered = np.empty(indices.size, dtype=data.dtype)
+        _sparsetools.csr_row_index(
+            lengths.size, np.asarray(rows, dtype=index_type), self.adjacency.indptr,
+            self.adjacency.indices, data, indices, gathered,
+        )
+        return indices, gathered
+
+    def neighbors_of(self, rows: np.ndarray) -> np.ndarray:
+        """The neighbours of ``rows``, row after row (ascending within a row)."""
+        return self._gather_rows(rows, self.degrees[rows], self.adjacency.data)[0]
+
     def _frontier_entries(
         self, sources: np.ndarray, fraction: float
     ) -> tuple[np.ndarray, np.ndarray] | None:
-        """CSR positions of ``sources``' rows, if worth pushing from.
+        """The neighbours in ``sources``' rows, if worth pushing from.
 
-        Returns ``(positions, lengths)`` when the sources' degree sum is
-        below ``fraction`` of the 2m adjacency entries, else ``None``.
+        Returns ``(neighbours, lengths)``, the rows' entries one after the
+        other and their degrees, when the sources' degree sum is below
+        ``fraction`` of the 2m adjacency entries, else ``None``.
         """
         lengths = self.degrees[sources]
-        reach = int(lengths.sum())
-        if reach >= fraction * self.col.size:
+        if int(lengths.sum()) >= fraction * self.col.size:
             return None
-        # Concatenate the ranges indptr[s] .. indptr[s] + degree(s).
-        starts = self.indptr[sources] - (np.cumsum(lengths) - lengths)
-        return np.arange(reach, dtype=np.int64) + np.repeat(starts, lengths), lengths
+        return self._gather_rows(sources, lengths, self.adjacency.data)[0], lengths
 
     def neighbor_sum(
         self,
@@ -520,18 +552,9 @@ class BulkGraph:
             or reach >= _GATHER_SUM_FRACTION * self.col.size
         ):
             return self._matvec(values, edge_mask)[rows]
-        from scipy.sparse import _sparsetools
-
-        adjacency = self.adjacency
-        index_type = adjacency.indices.dtype
-        indptr = np.zeros(lengths.size + 1, dtype=index_type)
+        indptr = np.zeros(lengths.size + 1, dtype=self.adjacency.indices.dtype)
         np.cumsum(lengths, out=indptr[1:])
-        indices = np.empty(reach, dtype=index_type)
-        data = np.empty(reach)
-        _sparsetools.csr_row_index(
-            lengths.size, np.asarray(rows, dtype=index_type), adjacency.indptr,
-            adjacency.indices, self._matrix_data(edge_mask), indices, data,
-        )
+        indices, data = self._gather_rows(rows, lengths, self._matrix_data(edge_mask))
         return _csr_matvec(indptr, indices, data, values)
 
     def neighbor_count(
@@ -551,7 +574,7 @@ class BulkGraph:
                 np.flatnonzero(flags), _PUSH_COUNT_FRACTION
             )
             if frontier is not None:
-                return np.bincount(self.col[frontier[0]], minlength=self.n)
+                return np.bincount(frontier[0], minlength=self.n)
         return self._matvec(flags, edge_mask).astype(np.int64)
 
     def closed_max(
@@ -588,9 +611,9 @@ class BulkGraph:
             sources = np.flatnonzero(values)
             frontier = self._frontier_entries(sources, _PUSH_MAX_FRACTION)
             if frontier is not None:
-                positions, lengths = frontier
+                neighbours, lengths = frontier
                 np.maximum.at(
-                    result, self.col[positions], np.repeat(values[sources], lengths)
+                    result, neighbours, np.repeat(values[sources], lengths)
                 )
                 return result
         # Pull: gather every entry's value, drop the masked entries to the

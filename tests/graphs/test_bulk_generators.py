@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,15 @@ from repro.simulator.bulk import BulkGraph
 def assert_same_csr(a: BulkGraph, b: BulkGraph) -> None:
     assert np.array_equal(a.indptr, b.indptr)
     assert np.array_equal(a.col, b.col)
+
+
+def assert_same_fields(built: BulkGraph, validated: BulkGraph) -> None:
+    """Every field the builders assemble, array for array."""
+    assert built.n == validated.n and built.nodes == validated.nodes
+    for name in ("indptr", "col", "row", "degrees", "_nonempty", "_nonempty_starts"):
+        ours, theirs = getattr(built, name), getattr(validated, name)
+        assert ours.dtype == theirs.dtype == np.int64, name
+        assert np.array_equal(ours, theirs), name
 
 
 def set_reference_csr(n, u, v) -> tuple[list[int], list[int]]:
@@ -195,6 +205,8 @@ class TestFromEdgesMatchesSetReference:
         assert built.indptr.dtype == np.int64 and built.col.dtype == np.int64
         assert built.indptr.tolist() == indptr
         assert built.col.tolist() == col
+        # from_edges skips __init__'s checks; they would have passed.
+        assert_same_fields(built, BulkGraph(built.indptr, built.col))
 
     def test_empty_edge_list(self):
         empty = np.array([], dtype=np.int64)
@@ -226,9 +238,66 @@ class TestFromEdgesMatchesSetReference:
         assert (built.indptr.tolist(), built.col.tolist()) == set_reference_csr(n, u, v)
 
 
+class TestBuildersPassTheValidatingConstructor:
+    """from_graph goes through from_edges, which skips ``__init__``'s
+    adjacency checks: the validating constructor must accept every CSR it
+    assembles and rebuild it field for field."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(edge_lists())
+    def test_from_graph(self, case):
+        n, u, v = case
+        # String labels sort differently from their numbers ("v10" < "v2").
+        labels = [f"v{i}" for i in range(n)]
+        graph = nx.Graph()
+        graph.add_nodes_from(labels)
+        graph.add_edges_from((labels[a], labels[b]) for a, b in zip(u, v))
+        built = BulkGraph.from_graph(graph)
+        assert built.nodes == tuple(sorted(labels))
+        assert_same_fields(built, BulkGraph(built.indptr, built.col, built.nodes))
+        position = {label: i for i, label in enumerate(built.nodes)}
+        relabel = np.array([position[label] for label in labels], dtype=np.int64)
+        assert (built.indptr.tolist(), built.col.tolist()) == set_reference_csr(
+            n, relabel[u].tolist(), relabel[v].tolist()
+        )
+
+    def test_from_graph_keeps_its_errors(self):
+        with pytest.raises(ValueError, match="at least one node"):
+            BulkGraph.from_graph(nx.Graph())
+        with pytest.raises(ValueError, match="self loops"):
+            BulkGraph.from_graph(nx.Graph([(0, 1), (2, 2)]))
+
+    def test_from_edges_checks_the_node_labels(self):
+        with pytest.raises(ValueError, match="one identifier per CSR row"):
+            BulkGraph.from_edges(3, np.array([0]), np.array([1]), nodes=("a", "b"))
+
+    def test_edge_order_orientation_and_duplicates_do_not_matter(self):
+        canonical = bulk_erdos_renyi_graph(500, 0.02, seed=9)
+        upper = canonical.row < canonical.col
+        u, v = canonical.row[upper], canonical.col[upper]
+        rng = np.random.default_rng(0)
+        order = rng.permutation(u.size)
+        flip = rng.random(u.size) < 0.5
+        variants = {
+            "canonical": (u, v),
+            "shuffled": (u[order], v[order]),
+            "flipped": (v, u),
+            "mixed": (np.where(flip, v, u)[order], np.where(flip, u, v)[order]),
+            "duplicated": (
+                np.concatenate((u, v, u[order])), np.concatenate((v, u, v[order]))
+            ),
+            "int32": (u.astype(np.int32), v.astype(np.int32)),
+        }
+        for name, (a, b) in variants.items():
+            built = BulkGraph.from_edges(canonical.n, a, b)
+            assert built.indptr.dtype == built.col.dtype == np.int64, name
+            assert_same_fields(built, canonical)
+
+
 #: sha256 prefixes of ``indptr`` and ``col`` (little-endian int64) of the
 #: generators' CSR for fixed seeds, recorded with ``np.unique``-based
-#: deduplication; the sort-based dedupe must reproduce them byte for byte.
+#: deduplication; the counting-sort builder must reproduce them byte for
+#: byte.
 PINNED_CSR_DIGESTS = {
     "erdos_renyi_n2000": "42ee264c53d8c45a",
     "unit_disk_n2000": "9d015c09a3b23bd2",

@@ -93,6 +93,16 @@ def bits(array: np.ndarray) -> np.ndarray:
     return np.asarray(array, dtype=np.float64).view(np.int64)
 
 
+@settings(max_examples=100, deadline=None)
+@given(csr_graphs(), st.data())
+def test_neighbors_of_concatenates_the_rows(bulk, data):
+    rows = np.array(
+        data.draw(st.lists(st.integers(0, bulk.n - 1), max_size=12)), dtype=np.int64
+    )
+    expected = [c for r in rows for c in bulk.col[bulk.indptr[r] : bulk.indptr[r + 1]]]
+    assert bulk.neighbors_of(rows).tolist() == expected
+
+
 class TestMatvecMatchesBincount:
     @settings(max_examples=200, deadline=None)
     @given(operator_cases())

@@ -6,7 +6,9 @@ O(log Δ) bits.
 The benchmark fixes n and sweeps Δ (via bounded-degree random graphs) and
 k, reporting the maximum per-node message count against the explicit
 (rounds × Δ) bound and the maximum message payload in bits against the
-O(log Δ) accounting bound.
+O(log Δ) accounting bound.  Every row also runs on the vectorized backend,
+whose modeled accounting must equal the simulated messages exactly
+(``metrics_match``).
 """
 
 from __future__ import annotations
@@ -25,6 +27,18 @@ DEGREE_TARGETS = [4, 8, 16, 24]
 K_VALUES = [1, 2, 3]
 
 
+def _accounting(metrics) -> tuple:
+    """Rounds, message and bit totals, the largest message, per-node dicts."""
+    return (
+        metrics.round_count,
+        metrics.total_messages,
+        metrics.total_bits,
+        metrics.max_message_bits,
+        dict(metrics.messages_per_node),
+        dict(metrics.bits_per_node),
+    )
+
+
 @pytest.mark.benchmark(group="E7-messages")
 def test_e7_message_complexity(benchmark, bench_seed, emit_table):
     """Regenerate the E7 table: per-node messages and message size vs. Δ and k."""
@@ -36,6 +50,9 @@ def test_e7_message_complexity(benchmark, bench_seed, emit_table):
         delta = max_degree(graph)
         for k in K_VALUES:
             result = kuhn_wattenhofer_dominating_set(graph, k=k, seed=bench_seed)
+            vectorized = kuhn_wattenhofer_dominating_set(
+                graph, k=k, seed=bench_seed, backend="vectorized"
+            )
             fractional_metrics = result.fractional.metrics
             rows.append(
                 {
@@ -48,6 +65,11 @@ def test_e7_message_complexity(benchmark, bench_seed, emit_table):
                     "bound_O(logΔ)_bits": message_size_bound_bits(delta),
                     "total_messages": result.total_messages,
                     "rounds": result.total_rounds,
+                    "metrics_match": all(
+                        _accounting(getattr(result, phase).metrics)
+                        == _accounting(getattr(vectorized, phase).metrics)
+                        for phase in ("fractional", "rounding")
+                    ),
                 }
             )
 
@@ -60,6 +82,7 @@ def test_e7_message_complexity(benchmark, bench_seed, emit_table):
     )
 
     for row in rows:
+        assert row["metrics_match"], row
         assert row["max_msgs_per_node"] <= row["bound_O(k^2*Δ)"]
         assert row["max_message_bits"] <= row["bound_O(logΔ)_bits"]
 

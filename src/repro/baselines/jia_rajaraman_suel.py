@@ -46,7 +46,7 @@ from repro.core.vectorized import (
     resolve_bulk_input,
     validate_backend,
 )
-from repro.graphs.utils import max_degree, validate_simple_graph
+from repro.graphs.utils import max_degree
 from repro.simulator.bulk import BulkGraph
 from repro.simulator.metrics import ExecutionMetrics
 from repro.simulator.network import Network
@@ -243,8 +243,6 @@ def lrg_dominating_set(
     """
     validate_backend(backend)
     _bulk = resolve_bulk_input(graph, backend, _bulk)
-    if _bulk is not graph:
-        validate_simple_graph(graph)
     n = graph.n if isinstance(graph, BulkGraph) else graph.number_of_nodes()
     delta = max_degree(graph)
     if max_phases is None:

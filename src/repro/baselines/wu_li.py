@@ -35,7 +35,6 @@ from repro.core.vectorized import (
     validate_backend,
 )
 from repro.domset.validation import uncovered_nodes
-from repro.graphs.utils import validate_simple_graph
 from repro.simulator.bulk import BulkGraph
 from repro.simulator.metrics import ExecutionMetrics
 from repro.simulator.network import Network
@@ -185,8 +184,6 @@ def wu_li_dominating_set(
     """
     validate_backend(backend)
     _bulk = resolve_bulk_input(graph, backend, _bulk)
-    if _bulk is not graph:
-        validate_simple_graph(graph)
 
     if backend == VECTORIZED:
         from repro.baselines.bulk_wu_li import run_wu_li_bulk

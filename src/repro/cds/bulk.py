@@ -248,13 +248,10 @@ def backbone_statistics_bulk(
     import random
 
     from repro.cds.validation import BackboneStatistics
-    from repro.domset.validation import is_dominating_set
 
     members = set(backbone)
-    dominating = bool(members) and is_dominating_set(bulk, members)
-    flags = np.zeros(bulk.n, dtype=bool)
-    if members:
-        flags[bulk.index_of(members & set(bulk.nodes))] = True
+    flags = bulk.member_mask(members)
+    dominating = bool(members) and bulk.is_dominating_set(flags)
     member_positions = np.flatnonzero(flags)
     connected = bool(members) and bulk_is_connected(bulk, flags)
 

@@ -33,10 +33,10 @@ spirit) to the two-phase algorithms the paper cites in its related work.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Hashable, Iterable
 
 import networkx as nx
-import numpy as np
 
 from repro.cds.validation import is_connected_dominating_set
 from repro.core.kuhn_wattenhofer import PipelineResult, kuhn_wattenhofer_dominating_set
@@ -101,19 +101,9 @@ def connect_dominating_set(graph: nx.Graph, dominating_set: Iterable[Hashable]) 
     if isinstance(graph, BulkGraph):
         from repro.cds.bulk import connect_dominating_set_bulk
 
-        members = set(dominating_set)
-        unknown = members - set(graph.nodes)
-        if unknown:
-            raise ValueError(
-                f"candidate contains nodes not in the graph: {sorted(unknown)[:5]}"
-            )
-        flags = np.zeros(graph.n, dtype=bool)
-        if members:
-            flags[graph.index_of(members)] = True
+        flags = graph.member_mask(dominating_set)
         selected = connect_dominating_set_bulk(graph, flags)
-        return frozenset(
-            node for node, flag in zip(graph.nodes, selected) if flag
-        )
+        return frozenset(compress(graph.nodes, selected.tolist()))
     members = set(dominating_set)
     if not is_dominating_set(graph, members):
         raise ValueError("input is not a dominating set")

@@ -30,7 +30,6 @@ from repro.core.vectorized import (
     resolve_bulk_input,
     validate_backend,
 )
-from repro.graphs.utils import validate_simple_graph
 from repro.simulator.bulk import BulkGraph
 
 WHITE, GRAY, BLACK = 0, 1, 2
@@ -73,10 +72,8 @@ def guha_khuller_connected_dominating_set(
         )
 
         if bulk is None:
-            validate_simple_graph(graph)
             bulk = BulkGraph.from_graph(graph)
         return guha_khuller_connected_dominating_set_bulk(bulk)
-    validate_simple_graph(graph)
     if not nx.is_connected(graph):
         raise ValueError("a disconnected graph has no connected dominating set")
     if graph.number_of_nodes() == 1:

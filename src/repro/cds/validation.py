@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable
 
 import networkx as nx
-import numpy as np
 
 from repro.domset.validation import is_dominating_set
 from repro.graphs.utils import is_bulk_graph
@@ -31,14 +30,7 @@ def is_connected_dominating_set(graph: nx.Graph, candidate: Iterable[Hashable]) 
     if is_bulk_graph(graph):
         from repro.cds.bulk import is_connected_dominating_set_bulk
 
-        unknown = members - set(graph.nodes)
-        if unknown:
-            raise ValueError(
-                f"candidate contains nodes not in the graph: {sorted(unknown)[:5]}"
-            )
-        flags = np.zeros(graph.n, dtype=bool)
-        flags[graph.index_of(members)] = True
-        return is_connected_dominating_set_bulk(graph, flags)
+        return is_connected_dominating_set_bulk(graph, graph.member_mask(members))
     if not is_dominating_set(graph, members):
         return False
     induced = graph.subgraph(members)

@@ -33,7 +33,7 @@ from repro.core.vectorized import (
     validate_k,
 )
 from repro.simulator.columnar import ColumnarTrace
-from repro.graphs.utils import max_degree, validate_simple_graph
+from repro.graphs.utils import max_degree
 from repro.simulator.bulk import BulkGraph
 from repro.simulator.fault_schedule import FaultSchedule, FaultSpec, FaultSummary
 from repro.simulator.metrics import ExecutionMetrics
@@ -210,27 +210,32 @@ def _traces_for(k: int, trace: ColumnarTrace | None):
     return None if trace is None else {k: trace}
 
 
-def _resolve_fault_schedule(
-    faults: "FaultSpec | None",
-    schedule: "FaultSchedule | None",
-    csr: BulkGraph,
+def _phase_csr_and_faults(
+    graph,
+    backend: str,
+    bulk: BulkGraph | None,
+    faults: FaultSpec | None,
+    schedule: FaultSchedule | None,
     exchanges: int,
-    salt: int = 0,
-) -> "FaultSchedule | None":
-    """Materialize one phase's fault schedule (or pass a prebuilt one through).
+) -> tuple[BulkGraph | None, FaultSchedule | None, FaultSummary | None]:
+    """One phase's ``(csr, schedule, summary)``.
 
-    The pipeline materializes its phases' schedules itself (to chain the
-    crash state between them) and hands them down via the private
-    ``_schedule`` parameters; standalone callers pass a :class:`FaultSpec`
-    and get the default ``salt=0`` stream.
+    The CSR is ``bulk``, or one built from ``graph`` when a bulk backend or
+    a fault schedule needs it.  The pipeline materializes its phases'
+    schedules itself (to chain the crash state between them) and hands
+    them down as ``schedule``; standalone callers pass a :class:`FaultSpec`
+    and get the ``salt=0`` stream.  Fault-free, both are ``None``.
     """
-    if schedule is not None:
-        return schedule
-    if faults is None:
-        return None
-    if not isinstance(faults, FaultSpec):
-        raise TypeError("faults must be a FaultSpec")
-    return faults.materialize(csr, rounds=exchanges, salt=salt)
+    faulted = faults is not None or schedule is not None
+    if bulk is None and (faulted or backend != SIMULATED):
+        bulk = BulkGraph.from_graph(graph)
+    if not faulted:
+        return bulk, None, None
+    if schedule is None:
+        if not isinstance(faults, FaultSpec):
+            raise TypeError("faults must be a FaultSpec")
+        schedule = faults.materialize(bulk, rounds=exchanges, salt=0)
+    return bulk, schedule, schedule.summary(exchanges)
 
 
 def _program_factory(k: int, delta: int):
@@ -308,8 +313,6 @@ def approximate_fractional_mds(
     """
     validate_backend(backend, supported=BACKENDS)
     _bulk = resolve_bulk_input(graph, backend, _bulk)
-    if _bulk is not graph:
-        validate_simple_graph(graph)
     k = validate_k(k)
     true_delta = max_degree(graph)
     if delta is None:
@@ -319,7 +322,6 @@ def approximate_fractional_mds(
             f"delta={delta} is smaller than the true maximum degree {true_delta}"
         )
 
-    schedule = summary = None
     if faults is not None or _schedule is not None:
         if collect_trace and backend != SIMULATED:
             raise CapabilityError(
@@ -328,10 +330,6 @@ def approximate_fractional_mds(
                 backend,
                 (SIMULATED,),
             )
-        _bulk = _bulk if _bulk is not None else BulkGraph.from_graph(graph)
-        exchanges = algorithm2_exchanges(k)
-        schedule = _resolve_fault_schedule(faults, _schedule, _bulk, exchanges)
-        summary = schedule.summary(exchanges)
     elif collect_trace and backend == SHARDED:
         raise CapabilityError(
             "approximate_fractional_mds",
@@ -339,9 +337,11 @@ def approximate_fractional_mds(
             SHARDED,
             (SIMULATED, VECTORIZED),
         )
+    bulk, schedule, summary = _phase_csr_and_faults(
+        graph, backend, _bulk, faults, _schedule, algorithm2_exchanges(k)
+    )
 
     if backend != SIMULATED:
-        bulk = _bulk if _bulk is not None else BulkGraph.from_graph(graph)
         trace = ColumnarTrace() if collect_trace else None
         with bulk_engine(bulk, backend, shards, _executor) as engine:
             values, metrics = engine.run_algorithm2_multi_k(
@@ -354,7 +354,7 @@ def approximate_fractional_mds(
     network = Network(graph, _program_factory(k, delta), seed=seed)
     runner = SynchronousRunner(
         network,
-        fault_model=None if schedule is None else schedule.fault_model(_bulk.nodes),
+        fault_model=None if schedule is None else schedule.fault_model(bulk.nodes),
         max_rounds=2 * k * k + 10,
         collect_trace=collect_trace,
     )
@@ -367,7 +367,7 @@ def approximate_fractional_mds(
     else:
         # Crashed programs never reach result(); their frozen in-place
         # state carries the x-value they died with.
-        x = {node: float(network.program(node).x) for node in _bulk.nodes}
+        x = {node: float(network.program(node).x) for node in bulk.nodes}
     return FractionalResult(
         x=x,
         objective=float(sum(x.values())),
@@ -413,8 +413,6 @@ def approximate_fractional_mds_multi_k(
         }
 
     _bulk = resolve_bulk_input(graph, backend, _bulk)
-    if _bulk is not graph:
-        validate_simple_graph(graph)
     true_delta = max_degree(graph)
     if delta is None:
         delta = true_delta

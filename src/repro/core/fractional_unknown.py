@@ -28,7 +28,7 @@ from repro.core.fractional import (
     WHITE,
     FractionalResult,
     _package_fractional,
-    _resolve_fault_schedule,
+    _phase_csr_and_faults,
     _traces_for,
 )
 from repro.core.vectorized import (
@@ -43,7 +43,7 @@ from repro.core.vectorized import (
     validate_backend,
     validate_k,
 )
-from repro.graphs.utils import max_degree, validate_simple_graph
+from repro.graphs.utils import max_degree
 from repro.simulator.bulk import BulkGraph
 from repro.simulator.columnar import ColumnarTrace
 from repro.simulator.fault_schedule import FaultSchedule, FaultSpec
@@ -261,12 +261,9 @@ def approximate_fractional_mds_unknown_delta(
     """
     validate_backend(backend, supported=BACKENDS)
     _bulk = resolve_bulk_input(graph, backend, _bulk)
-    if _bulk is not graph:
-        validate_simple_graph(graph)
     k = validate_k(k)
     true_delta = max_degree(graph)
 
-    schedule = summary = None
     if faults is not None or _schedule is not None:
         if collect_trace and backend != SIMULATED:
             raise CapabilityError(
@@ -275,10 +272,6 @@ def approximate_fractional_mds_unknown_delta(
                 backend,
                 (SIMULATED,),
             )
-        _bulk = _bulk if _bulk is not None else BulkGraph.from_graph(graph)
-        exchanges = algorithm3_exchanges(k)
-        schedule = _resolve_fault_schedule(faults, _schedule, _bulk, exchanges)
-        summary = schedule.summary(exchanges)
     elif collect_trace and backend == SHARDED:
         raise CapabilityError(
             "approximate_fractional_mds_unknown_delta",
@@ -286,9 +279,11 @@ def approximate_fractional_mds_unknown_delta(
             SHARDED,
             (SIMULATED, VECTORIZED),
         )
+    bulk, schedule, summary = _phase_csr_and_faults(
+        graph, backend, _bulk, faults, _schedule, algorithm3_exchanges(k)
+    )
 
     if backend != SIMULATED:
-        bulk = _bulk if _bulk is not None else BulkGraph.from_graph(graph)
         trace = ColumnarTrace() if collect_trace else None
         with bulk_engine(bulk, backend, shards, _executor) as engine:
             values, metrics = engine.run_algorithm3_multi_k(
@@ -301,7 +296,7 @@ def approximate_fractional_mds_unknown_delta(
     network = Network(graph, _program_factory(k), seed=seed)
     runner = SynchronousRunner(
         network,
-        fault_model=None if schedule is None else schedule.fault_model(_bulk.nodes),
+        fault_model=None if schedule is None else schedule.fault_model(bulk.nodes),
         max_rounds=4 * k * k + 6 * k + 12,
         collect_trace=collect_trace,
     )
@@ -314,7 +309,7 @@ def approximate_fractional_mds_unknown_delta(
     else:
         # Crashed programs never reach result(); their frozen in-place
         # state carries the x-value they died with.
-        x = {node: float(network.program(node).x) for node in _bulk.nodes}
+        x = {node: float(network.program(node).x) for node in bulk.nodes}
     return FractionalResult(
         x=x,
         objective=float(sum(x.values())),
@@ -358,8 +353,6 @@ def approximate_fractional_mds_unknown_delta_multi_k(
         }
 
     _bulk = resolve_bulk_input(graph, backend, _bulk)
-    if _bulk is not graph:
-        validate_simple_graph(graph)
 
     true_delta = max_degree(graph)
     bulk = _bulk if _bulk is not None else BulkGraph.from_graph(graph)

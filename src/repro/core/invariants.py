@@ -128,11 +128,6 @@ def _outer_start_events(trace: ExecutionTrace) -> dict[int, dict[Hashable, dict]
     return grouped
 
 
-def _iteration_order(k: int) -> list[tuple[int, int]]:
-    """(ell, m) pairs in execution order (both loops count down)."""
-    return [(ell, m) for ell in range(k - 1, -1, -1) for m in range(k - 1, -1, -1)]
-
-
 def _reconstruct_z_values(
     graph: nx.Graph,
     trace: ExecutionTrace,

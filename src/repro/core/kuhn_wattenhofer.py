@@ -54,7 +54,7 @@ from repro.simulator.bulk import BulkGraph
 from repro.simulator.fault_schedule import FaultSpec
 from repro.domset.repair import RepairReport, repair_dominating_set
 from repro.domset.validation import is_dominating_set
-from repro.graphs.utils import max_degree, validate_simple_graph
+from repro.graphs.utils import max_degree
 
 
 class FractionalVariant(str, enum.Enum):
@@ -208,8 +208,6 @@ def kuhn_wattenhofer_dominating_set(
     if faults is not None and not isinstance(faults, FaultSpec):
         raise TypeError("faults must be a FaultSpec")
     _bulk = resolve_bulk_input(graph, backend, _bulk)
-    if _bulk is not graph:
-        validate_simple_graph(graph)
     delta = max_degree(graph)
     k = log_delta_parameter(delta) if k is None else validate_k(k)
 

@@ -31,7 +31,7 @@ from typing import Hashable, Mapping, Sequence
 import networkx as nx
 import numpy as np
 
-from repro.core.fractional import _resolve_fault_schedule
+from repro.core.fractional import _phase_csr_and_faults
 from repro.core.vectorized import (
     BACKENDS,
     ROUNDING_EXCHANGES,
@@ -41,7 +41,6 @@ from repro.core.vectorized import (
     validate_backend,
     x_array_from_mapping,
 )
-from repro.graphs.utils import validate_simple_graph
 from repro.simulator.bulk import BulkGraph
 from repro.simulator.fault_schedule import FaultSchedule, FaultSpec, FaultSummary
 from repro.simulator.metrics import ExecutionMetrics
@@ -74,6 +73,30 @@ def rounding_multiplier(delta_two: int, rule: RoundingRule) -> float:
     return max(log_term - correction, 0.0)
 
 
+class _MemberSet:
+    """A frozenset field that may be given as ``(nodes, mask)``.
+
+    The labels where the mask is set are built on first read; the lazy
+    state holds the label tuple and the mask, never the graph.
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self._slot = "_" + name
+
+    def __get__(self, result, owner=None) -> frozenset:
+        if result is None:
+            raise AttributeError(self._slot[1:])  # a field with no default
+        value = result.__dict__[self._slot]
+        if not isinstance(value, frozenset):
+            nodes, mask = value
+            value = frozenset(compress(nodes, mask.tolist()))
+            result.__dict__[self._slot] = value
+        return value
+
+    def __set__(self, result, value) -> None:
+        result.__dict__[self._slot] = value
+
+
 @dataclass(frozen=True)
 class RoundingResult:
     """Output of a distributed rounding execution.
@@ -86,7 +109,9 @@ class RoundingResult:
         Nodes selected in the randomized step (line 3).
     joined_as_fallback:
         Nodes that joined because their closed neighbourhood contained no
-        dominator after the random step (line 6).
+        dominator after the random step (line 6).  The bulk backends keep
+        both joined sets as bool masks and build each on first read;
+        equality, ``repr`` and pickling see the frozensets.
     rounds:
         Number of synchronous rounds used.
     metrics:
@@ -94,8 +119,8 @@ class RoundingResult:
     """
 
     dominating_set: frozenset
-    joined_randomly: frozenset
-    joined_as_fallback: frozenset
+    joined_randomly: frozenset = _MemberSet()
+    joined_as_fallback: frozenset = _MemberSet()
     rounds: int
     metrics: ExecutionMetrics
     #: What the fault schedule did to this run (``None`` for fault-free runs).
@@ -196,16 +221,16 @@ def _bulk_rounding_result(
 ) -> RoundingResult:
     """Package the vectorized runner's arrays as a :class:`RoundingResult`.
 
-    ``itertools.compress`` over the bool columns replaces the per-node
-    generator loops -- same frozensets, a fraction of the packaging cost at
-    n ≥ 10⁶ (this is serial time both the vectorized and sharded backends
-    pay per trial).
+    ``itertools.compress`` over the bool columns builds the dominating set;
+    the two joined sets stay ``(bulk.nodes, mask)`` until first read (this
+    is serial time both the vectorized and sharded backends pay per trial).
     """
-    in_set.flags.writeable = False
+    for mask in (in_set, randomly, fallback):
+        mask.flags.writeable = False
     return RoundingResult(
         dominating_set=frozenset(compress(bulk.nodes, in_set.tolist())),
-        joined_randomly=frozenset(compress(bulk.nodes, randomly.tolist())),
-        joined_as_fallback=frozenset(compress(bulk.nodes, fallback.tolist())),
+        joined_randomly=(bulk.nodes, randomly),
+        joined_as_fallback=(bulk.nodes, fallback),
         rounds=metrics.round_count,
         metrics=metrics,
         faults=faults,
@@ -311,21 +336,13 @@ def round_fractional_solution(
     """
     validate_backend(backend, supported=BACKENDS)
     _bulk = resolve_bulk_input(graph, backend, _bulk)
-    if _bulk is not graph:
-        validate_simple_graph(graph)
+    bulk, schedule, summary = _phase_csr_and_faults(
+        graph, backend, _bulk, faults, _schedule, ROUNDING_EXCHANGES
+    )
     if require_feasible:
-        _check_rounding_input_feasible(graph, _bulk, x)
-
-    schedule = summary = None
-    if faults is not None or _schedule is not None:
-        _bulk = _bulk if _bulk is not None else BulkGraph.from_graph(graph)
-        schedule = _resolve_fault_schedule(
-            faults, _schedule, _bulk, ROUNDING_EXCHANGES
-        )
-        summary = schedule.summary(ROUNDING_EXCHANGES)
+        _check_rounding_input_feasible(graph, bulk, x)
 
     if backend != SIMULATED:
-        bulk = _bulk if _bulk is not None else BulkGraph.from_graph(graph)
         return _bulk_rounding(
             bulk, x, [seed], rule, backend, shards, _executor, schedule, summary
         )[0]
@@ -333,7 +350,7 @@ def round_fractional_solution(
     network = Network(graph, _program_factory(x, rule), seed=seed)
     runner = SynchronousRunner(
         network,
-        fault_model=None if schedule is None else schedule.fault_model(_bulk.nodes),
+        fault_model=None if schedule is None else schedule.fault_model(bulk.nodes),
         max_rounds=16,
     )
     execution = runner.run()
@@ -398,8 +415,6 @@ def round_fractional_solution_batched(
     """
     validate_backend(backend, supported=BACKENDS)
     _bulk = resolve_bulk_input(graph, backend, _bulk)
-    if _bulk is not graph:
-        validate_simple_graph(graph)
     if require_feasible:
         _check_rounding_input_feasible(graph, _bulk, x)
 

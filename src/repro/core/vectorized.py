@@ -49,6 +49,7 @@ from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from repro.graphs.utils import validate_simple_graph
 from repro.simulator.bulk import (
     BOOL_PAYLOAD_BITS,
     BulkGraph,
@@ -159,7 +160,8 @@ def resolve_bulk_input(graph, backend: str, bulk: BulkGraph | None = None):
     them.  Returns the :class:`BulkGraph` to use for bulk execution -- the
     input itself when it already is one, otherwise the caller-provided
     prebuilt ``bulk`` (which may be ``None``, meaning "build from the
-    networkx graph on demand").
+    networkx graph on demand").  A networkx ``graph`` is checked here, once,
+    with :func:`~repro.graphs.utils.validate_simple_graph`.
     """
     if isinstance(graph, BulkGraph):
         if backend not in (VECTORIZED, SHARDED):
@@ -169,6 +171,7 @@ def resolve_bulk_input(graph, backend: str, bulk: BulkGraph | None = None):
                 "per-node programs"
             )
         return graph
+    validate_simple_graph(graph)
     return bulk
 
 

@@ -39,7 +39,7 @@ from repro.core.vectorized import (
 )
 from repro.domset.validation import is_dominating_set
 from repro.domset.weighted import validate_weights, weighted_cost
-from repro.graphs.utils import max_degree, validate_simple_graph
+from repro.graphs.utils import max_degree
 from repro.simulator.bulk import BulkGraph
 from repro.simulator.metrics import ExecutionMetrics
 from repro.simulator.network import Network
@@ -222,8 +222,6 @@ def approximate_weighted_fractional_mds(
     """
     validate_backend(backend, supported=BACKENDS)
     _bulk = resolve_bulk_input(graph, backend, _bulk)
-    if _bulk is not graph:
-        validate_simple_graph(graph)
     k = validate_k(k)
     node_ids = _bulk.nodes if _bulk is graph else tuple(graph.nodes())
     c_max = float(max(weights[node] for node in node_ids))

@@ -87,14 +87,7 @@ def repair_dominating_set(
     """
     bulk = graph if is_bulk_graph(graph) else BulkGraph.from_graph(graph)
     members = set(candidate)
-    unknown = members - set(bulk.nodes)
-    if unknown:
-        raise ValueError(
-            f"candidate contains nodes not in the graph: {sorted(unknown)[:5]}"
-        )
-    flags = np.zeros(bulk.n, dtype=bool)
-    if members:
-        flags[bulk.index_of(members)] = True
+    flags = bulk.member_mask(members)
 
     uncovered = ~(flags | bulk.neighbor_any(flags))
     deficit = int(np.count_nonzero(uncovered))

@@ -8,6 +8,7 @@ number is reported.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Hashable, Iterable
 
 import networkx as nx
@@ -29,34 +30,13 @@ def is_dominating_set(graph: nx.Graph, candidate: Iterable[Hashable]) -> bool:
         if candidate.shape != (graph.n,):
             raise ValueError("a membership mask needs one bool per graph node")
         return graph.is_dominating_set(candidate)
-    members = set(candidate)
     if is_bulk_graph(graph):
-        unknown = members - set(graph.nodes)
-        if unknown:
-            raise ValueError(
-                f"candidate contains nodes not in the graph: {sorted(unknown)[:5]}"
-            )
-        flags = np.zeros(graph.n, dtype=bool)
-        if members:
-            flags[graph.index_of(members)] = True
-        return graph.is_dominating_set(flags)
+        return graph.is_dominating_set(graph.member_mask(candidate))
+    members = set(candidate)
     unknown = members - set(graph.nodes())
     if unknown:
         raise ValueError(f"candidate contains nodes not in the graph: {sorted(unknown)[:5]}")
     return len(uncovered_nodes(graph, members)) == 0
-
-
-def _bulk_member_flags(graph, candidate: Iterable[Hashable]) -> np.ndarray:
-    """Boolean member flags for a candidate set on a CSR graph.
-
-    Nodes outside the graph are ignored, matching the networkx branches of
-    the coverage helpers (which intersect against actual neighbourhoods).
-    """
-    members = set(candidate) & set(graph.nodes)
-    flags = np.zeros(graph.n, dtype=bool)
-    if members:
-        flags[graph.index_of(members)] = True
-    return flags
 
 
 def uncovered_nodes(graph: nx.Graph, candidate: Iterable[Hashable]) -> set[Hashable]:
@@ -67,7 +47,9 @@ def uncovered_nodes(graph: nx.Graph, candidate: Iterable[Hashable]) -> set[Hasha
     """
     members = set(candidate)
     if is_bulk_graph(graph):
-        flags = _bulk_member_flags(graph, members)
+        # Nodes outside the graph are ignored, as the networkx branch's
+        # neighbourhood intersections ignore them.
+        flags = graph.member_mask(members, ignore_unknown=True)
         uncovered_flags = ~(flags | graph.neighbor_any(flags))
         return {graph.nodes[position] for position in np.flatnonzero(uncovered_flags)}
     uncovered = set()
@@ -90,7 +72,7 @@ def coverage_counts(graph: nx.Graph, candidate: Iterable[Hashable]) -> dict[Hash
     """
     members = set(candidate)
     if is_bulk_graph(graph):
-        flags = _bulk_member_flags(graph, members)
+        flags = graph.member_mask(members, ignore_unknown=True)
         counts = graph.neighbor_count(flags) + flags
         return {node: int(count) for node, count in zip(graph.nodes, counts)}
     return {
@@ -150,15 +132,7 @@ def prune_redundant_bulk(graph, candidate: Iterable[Hashable]) -> frozenset:
     the per-member droppability test reads one closed-neighbourhood slice
     of the coverage-count vector.
     """
-    members = set(candidate)
-    unknown = members - set(graph.nodes)
-    if unknown:
-        raise ValueError(
-            f"candidate contains nodes not in the graph: {sorted(unknown)[:5]}"
-        )
-    flags = np.zeros(graph.n, dtype=bool)
-    if members:
-        flags[graph.index_of(members)] = True
+    flags = graph.member_mask(candidate)
     if not graph.is_dominating_set(flags):
         raise ValueError("candidate must be dominating before pruning")
     counts = (graph.neighbor_count(flags) + flags).tolist()
@@ -178,6 +152,4 @@ def prune_redundant_bulk(graph, candidate: Iterable[Hashable]) -> frozenset:
             keep[position] = False
             for covered in closed:
                 counts[covered] -= 1
-    return frozenset(
-        node for node, kept in zip(graph.nodes, keep) if kept
-    )
+    return frozenset(compress(graph.nodes, keep))

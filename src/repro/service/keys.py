@@ -40,7 +40,7 @@ from typing import Any, Mapping
 import networkx as nx
 
 from repro.api import AlgorithmSpec, get_spec, normalized_params
-from repro.simulator.bulk import BulkGraph
+from repro.simulator.bulk import BulkGraph, range_labels
 
 #: Version tag mixed into every digest so a future change to the key
 #: layout can never collide with keys minted by an older layout.
@@ -69,8 +69,10 @@ def graph_fingerprint(graph: nx.Graph | BulkGraph) -> str:
     digest.update(bulk.col.tobytes())
     digest.update(b"|")
     # Integer labels 0..n-1 (the direct-to-CSR generators' default) are
-    # the common case; skip materialising their repr.
-    if bulk.nodes != tuple(range(bulk.n)):
+    # the common case; skip materialising their repr.  Unlabelled graphs
+    # share the interned labels, so identity settles most keys.
+    labels = range_labels(bulk.n)
+    if bulk.nodes is not labels and bulk.nodes != labels:
         digest.update(repr(bulk.nodes).encode())
     return digest.hexdigest()
 

@@ -50,9 +50,11 @@ numerically interchangeable:
 
 from __future__ import annotations
 
+import functools
+import itertools
 import os
 import threading
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Collection, Hashable, Iterable, Sequence
 
 import networkx as nx
 import numpy as np
@@ -170,21 +172,41 @@ def _over_row_ranges(
 
 
 def int_payload_bits(values: np.ndarray) -> np.ndarray:
-    """Vectorized ``payload_size_bits`` for integer payloads.
+    """Vectorized ``payload_size_bits`` for integer payloads (``int64``).
 
     Matches ``_int_bits`` in :mod:`repro.simulator.message`: one bit for
-    zero, otherwise ``bit_length + 1`` (sign bit).  ``numpy.frexp`` returns
-    the exact binary exponent, i.e. the bit length, for integers below 2⁵³.
+    zero, otherwise ``bit_length + 1`` (sign bit).  Values in the table's
+    range are looked up; others (negative or larger) take ``numpy.frexp``,
+    whose exponent is the exact bit length for integers below 2⁵³.
     """
-    magnitude = np.abs(np.asarray(values, dtype=np.int64))
+    values = np.asarray(values, dtype=np.int64)
+    if values.size and values.min() >= 0 and values.max() < _INT_BITS.size:
+        return np.take(_INT_BITS, values)
+    magnitude = np.abs(values)
     _, exponent = np.frexp(magnitude.astype(np.float64))
-    return np.where(magnitude == 0, 1, exponent + 1)
+    return np.where(magnitude == 0, 1, exponent.astype(np.int64) + 1)
+
+
+# The bits of 0..2¹⁶-1, which cover every count and degree a kernel sends
+# while Δ < 2¹⁶: filled by the frexp path above (the table starts empty).
+_INT_BITS = np.zeros(0, dtype=np.int64)
+_INT_BITS = int_payload_bits(np.arange(1 << 16))
 
 
 def float_payload_bits(values: np.ndarray) -> np.ndarray:
     """Vectorized ``payload_size_bits`` for real payloads (1 bit for 0.0)."""
     values = np.asarray(values, dtype=np.float64)
     return np.where(values == 0.0, 1, FLOAT_PAYLOAD_BITS)
+
+
+@functools.lru_cache(maxsize=8)
+def range_labels(n: int) -> tuple[int, ...]:
+    """The labels ``0..n-1``, interned for the last 8 sizes.
+
+    Unlabelled graphs of one size share the tuple, so label checks can
+    test identity before equality.
+    """
+    return tuple(range(n))
 
 
 def _csr_matvec(
@@ -222,7 +244,8 @@ class BulkGraph:
     ----------
     nodes:
         Node identifiers in sorted order; array index ``i`` corresponds to
-        ``nodes[i]`` everywhere in the vectorized backend.
+        ``nodes[i]`` everywhere in the vectorized backend.  Unlabelled
+        graphs of the same size share one interned ``range_labels(n)``.
     degrees:
         Per-node degree δ_i as an ``int64`` array.
     indptr / col:
@@ -231,7 +254,7 @@ class BulkGraph:
     row:
         ``col``'s companion: ``row[j]`` is the node that owns adjacency
         entry ``j`` (i.e. ``indptr`` expanded back to one entry per edge
-        endpoint).
+        endpoint).  Built on first read: the kernels never need it.
     """
 
     def __init__(
@@ -275,7 +298,7 @@ class BulkGraph:
         """Set the fields of a valid ``int64`` CSR; checks only ``nodes``."""
         n = indptr.size - 1
         self.nodes: tuple[Hashable, ...] = (
-            tuple(range(n)) if nodes is None else tuple(nodes)
+            range_labels(n) if nodes is None else tuple(nodes)
         )
         if len(self.nodes) != n:
             raise ValueError("nodes must provide one identifier per CSR row")
@@ -283,11 +306,11 @@ class BulkGraph:
         self.degrees = np.diff(indptr)
         self.indptr = indptr
         self.col = col
-        self.row = np.repeat(np.arange(n, dtype=np.int64), self.degrees)
+        self._row: np.ndarray | None = None
         # Row starts of the non-empty CSR rows, for reduceat-based maxima.
         self._nonempty = np.flatnonzero(self.degrees > 0)
         self._nonempty_starts = self.indptr[self._nonempty]
-        # node -> position, built lazily by index_of.
+        # node -> position, built lazily by _positions.
         self._index: dict[Hashable, int] | None = None
         # Lazy scipy CSR of the adjacency A (data = 1.0), the matrix behind
         # neighbor_sum / neighbor_count / neighbor_any.
@@ -387,6 +410,13 @@ class BulkGraph:
         return graph
 
     @property
+    def row(self) -> np.ndarray:
+        """The owner of each adjacency entry, built on first read."""
+        if self._row is None:
+            self._row = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
+        return self._row
+
+    @property
     def node_index(self) -> np.ndarray:
         """Each row's position in sorted node order: its coin-stream index."""
         return np.arange(self.n, dtype=np.int64)
@@ -401,13 +431,37 @@ class BulkGraph:
         """Number of undirected edges m."""
         return int(self.col.size // 2)
 
+    def _positions(self) -> dict[Hashable, int]:
+        """node -> array position, built on first use."""
+        if self._index is None:
+            self._index = dict(zip(self.nodes, range(self.n)))
+        return self._index
+
     def index_of(self, items: Iterable[Hashable]) -> np.ndarray:
         """Map node identifiers to their array positions."""
-        if self._index is None:
-            self._index = {
-                node: position for position, node in enumerate(self.nodes)
-            }
-        return np.fromiter((self._index[item] for item in items), dtype=np.int64)
+        return np.fromiter(map(self._positions().__getitem__, items), dtype=np.int64)
+
+    def member_mask(
+        self, candidate: Iterable[Hashable], ignore_unknown: bool = False
+    ) -> np.ndarray:
+        """Bool mask, in ``nodes`` order, of the nodes in ``candidate``.
+
+        A node not in the graph raises ``ValueError`` (a stale set from
+        another graph is a bug worth surfacing) unless ``ignore_unknown``.
+        """
+        positions = self._positions()
+        members = candidate if isinstance(candidate, Collection) else list(candidate)
+        found = np.fromiter(
+            map(positions.get, members, itertools.repeat(-1)), np.int64, len(members)
+        )
+        if not ignore_unknown and found.min(initial=0) < 0:
+            unknown = sorted({node for node in members if node not in positions})
+            raise ValueError(
+                f"candidate contains nodes not in the graph: {unknown[:5]}"
+            )
+        flags = np.zeros(self.n, dtype=bool)
+        flags[found[found >= 0]] = True
+        return flags
 
     def is_dominating_set(self, flags: np.ndarray) -> bool:
         """Whether the flagged nodes dominate every node (closed coverage)."""
@@ -730,14 +784,20 @@ class BulkMetricsBuilder:
     def __init__(self, degrees: np.ndarray) -> None:
         self._degrees = np.asarray(degrees, dtype=np.int64)
         self._has_neighbors = self._degrees > 0
+        # A full broadcast's message count, and the nodes that send in it
+        # (True: every node has a neighbour, so its maximum needs no mask).
+        self._broadcast_messages = int(self._degrees.sum())
+        self._broadcast_senders = (
+            True if self._has_neighbors.all() else self._has_neighbors
+        )
         # (messages, total_bits, max_bits) per exchange, in execution order.
         self._exchanges: list[tuple[int, int, int]] = []
         self._bits_per_node = np.zeros(self._degrees.size, dtype=np.int64)
         self._messages_per_node = np.zeros(self._degrees.size, dtype=np.int64)
-        # Exchanges in which every node broadcast, and the summed uniform
-        # payload bits among them: both scale the degrees once, in build.
+        # Exchanges in which every node broadcast, and the per-node payload
+        # bits summed over them: both scale the degrees once, in build.
         self._broadcasts = 0
-        self._broadcast_bits = 0
+        self._broadcast_bits: np.ndarray | int = 0
 
     def record_exchange(
         self, payload_bits: np.ndarray | int, senders: np.ndarray | None = None
@@ -758,25 +818,24 @@ class BulkMetricsBuilder:
         """
         bits = np.asarray(payload_bits, dtype=np.int64)
         if senders is None:
-            sent, active = self._degrees, self._has_neighbors
+            active, messages = self._broadcast_senders, self._broadcast_messages
             self._broadcasts += 1
+            self._broadcast_bits += bits
+            total_bits = (
+                int(np.dot(bits, self._degrees)) if bits.ndim else int(bits) * messages
+            )
         else:
             active = np.asarray(senders, dtype=bool) & self._has_neighbors
             sent = np.where(active, self._degrees, 0)
-            self._messages_per_node += sent
-        messages = int(sent.sum())
-        if bits.ndim == 0:
-            total_bits = int(bits) * messages
-            max_bits = int(bits) if messages else 0
-            if senders is None:
-                self._broadcast_bits += int(bits)
-            else:
-                self._bits_per_node += bits * sent
-        else:
             sent_bits = bits * sent
-            total_bits = int(sent_bits.sum())
-            max_bits = int(bits.max(where=active, initial=0))
+            self._messages_per_node += sent
             self._bits_per_node += sent_bits
+            messages = int(sent.sum())
+            total_bits = int(sent_bits.sum())
+        if bits.ndim == 0:
+            max_bits = int(bits) if messages else 0
+        else:
+            max_bits = int(bits.max(where=active, initial=0))
         self._exchanges.append((messages, total_bits, max_bits))
 
     @property

@@ -12,7 +12,7 @@ from repro.service.keys import (
     graph_fingerprint,
     params_token,
 )
-from repro.simulator.bulk import BulkGraph
+from repro.simulator.bulk import BulkGraph, range_labels
 from repro.simulator.fault_schedule import FaultSpec
 
 
@@ -39,6 +39,10 @@ class TestGraphFingerprint:
         from_edges = BulkGraph.from_edges(
             graph.number_of_nodes(), edges[:, 0], edges[:, 1]
         )
+        # The unlabelled graph's labels are interned; from_graph's labels
+        # 0..n-1 are an equal tuple of its own.
+        assert from_edges.nodes is range_labels(from_edges.n)
+        assert bulk.nodes == from_edges.nodes and bulk.nodes is not from_edges.nodes
         assert (
             graph_fingerprint(graph)
             == graph_fingerprint(bulk)

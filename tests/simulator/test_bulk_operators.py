@@ -6,13 +6,19 @@
   otherwise; both paths must agree on every frontier size.
 * The bulk fractional results keep their x-vector and per-node message
   counts as arrays; the lazily built mappings must equal the eager ones.
+* The rounding results keep their joined sets as masks, graphs build
+  ``row`` on first read and share their labels, and payload bits come
+  from a table and a broadcast fast path: each must equal the eager or
+  general computation it replaces.
 """
 
 from __future__ import annotations
 
+import gc
 import pickle
 import sys
 import threading
+import weakref
 from types import SimpleNamespace
 
 import networkx as nx
@@ -23,13 +29,24 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import repro.simulator.bulk as bulk_module
-from repro.core.fractional import _package_fractional
+from repro.api import solve
+from repro.core.fractional import _package_fractional, approximate_fractional_mds
 from repro.core.fractional_unknown import approximate_fractional_mds_unknown_delta
 from repro.core.kuhn_wattenhofer import kuhn_wattenhofer_dominating_set
+from repro.core.rounding import round_fractional_solution
 from repro.core.vectorized import NodeValues, x_array_from_mapping
 from repro.domset.validation import is_dominating_set
 from repro.graphs.bulk import bulk_erdos_renyi_graph
-from repro.simulator.bulk import BulkGraph
+from repro.lp.duality import lemma1_lower_bound
+from repro.simulator.bulk import (
+    BOOL_PAYLOAD_BITS,
+    FLOAT_PAYLOAD_BITS,
+    BulkGraph,
+    BulkMetricsBuilder,
+    int_payload_bits,
+    range_labels,
+)
+from repro.simulator.message import payload_size_bits
 
 
 def bincount_sum(bulk: BulkGraph, values, edge_mask=None) -> np.ndarray:
@@ -348,3 +365,117 @@ class TestArrayHandOff:
         assert not is_dominating_set(bulk, np.zeros(bulk.n, dtype=bool))
         with pytest.raises(ValueError):
             is_dominating_set(bulk, in_set[:-1])
+
+
+class TestLazyResults:
+    def test_joined_sets_equal_the_simulated_ones(self):
+        graph = nx.gnp_random_graph(60, 0.1, seed=5)
+        x = approximate_fractional_mds(graph, k=2).x
+        simulated = round_fractional_solution(graph, x, seed=3)
+        for backend, shards in (("vectorized", None), ("sharded", 2)):
+            def run():
+                return round_fractional_solution(
+                    graph, x, seed=3, backend=backend, shards=shards
+                )
+
+            # repr as the first read shows the frozensets.
+            assert "joined_as_fallback=frozenset(" in repr(run())
+            lazy = run()
+            # Pickled before the first read, and read afterwards.
+            clone = pickle.loads(pickle.dumps(lazy))
+            for result in (clone, lazy, run()):
+                assert result == simulated
+                assert result.joined_randomly == simulated.joined_randomly
+                assert result.joined_as_fallback == simulated.joined_as_fallback
+                assert isinstance(result.joined_randomly, frozenset)
+            assert pickle.loads(pickle.dumps(lazy)) == simulated
+
+    def test_results_do_not_keep_the_graph_alive(self):
+        graph = bulk_erdos_renyi_graph(2_000, 6 / 1_999, seed=4)
+        report = solve("kuhn-wattenhofer", graph, seed=4, k=2, backend="vectorized")
+        rounding = report.raw.rounding
+        alive = weakref.ref(graph)
+        del graph
+        gc.collect()
+        assert alive() is None
+        assert (
+            rounding.joined_randomly | rounding.joined_as_fallback
+            == report.dominating_set
+        )
+
+
+class TestLabelsAndRow:
+    def test_unlabelled_graphs_share_their_labels(self):
+        first = bulk_erdos_renyi_graph(500, 0.01, seed=1)
+        second = BulkGraph.from_edges(500, np.array([0]), np.array([1]))
+        assert first.nodes is second.nodes is range_labels(500)
+        assert first.nodes == tuple(range(500))
+        labelled = BulkGraph.from_graph(nx.path_graph(500))
+        assert labelled.nodes == first.nodes
+
+    def test_pipeline_and_checks_leave_row_unbuilt(self):
+        graph = bulk_erdos_renyi_graph(20_000, 10 / 19_999, seed=2)
+        report = solve("kuhn-wattenhofer", graph, seed=2, k=2)
+        assert is_dominating_set(graph, report.dominating_set)
+        assert 0 < lemma1_lower_bound(graph) <= report.size
+        assert graph._row is None
+        expected = np.repeat(np.arange(graph.n, dtype=np.int64), graph.degrees)
+        assert np.array_equal(graph.row, expected)
+        assert graph.row is graph.row
+
+    def test_member_mask(self):
+        bulk = BulkGraph.from_graph(nx.relabel_nodes(nx.path_graph(5), str))
+        assert bulk.member_mask({"1", "3"}).tolist() == [False, True, False, True, False]
+        assert bulk.member_mask(iter(["4", "4"])).tolist() == [False] * 4 + [True]
+        assert not bulk.member_mask(frozenset()).any()
+        with pytest.raises(ValueError, match=r"not in the graph: \['7', 'x'\]"):
+            bulk.member_mask(["1", "x", "7"])
+        assert bulk.member_mask({"0", "x"}, ignore_unknown=True).tolist() == [
+            True, False, False, False, False,
+        ]
+
+
+def broadcast_cases() -> list[np.ndarray]:
+    edgeless = BulkGraph.from_edges(4, np.empty(0, dtype=np.int64), np.empty(0))
+    return [
+        star(6).degrees,  # isolated nodes beside the hub
+        edgeless.degrees,
+        np.zeros(0, dtype=np.int64),  # a shard slab that owns no rows
+        bulk_erdos_renyi_graph(300, 0.03, seed=3).degrees,
+    ]
+
+
+class TestPayloadAccounting:
+    def test_int_payload_bits_match_the_per_message_sizes(self):
+        powers = [2**j + offset for j in range(53) for offset in (-1, 0, 1)]
+        signed = np.array([0, *powers, *(-p for p in powers)], dtype=np.int64)
+        table = signed[(signed >= 0) & (signed < 1 << 16)]
+        for values in (
+            signed,
+            table,  # every value in the table
+            np.array([(1 << 16) - 1, 1 << 16]),  # one value beyond it
+            np.array([3, -3]),
+            np.array([0]),
+            np.array([], dtype=np.int64),
+        ):
+            expected = [payload_size_bits(int(value)) for value in values]
+            assert int_payload_bits(values).tolist() == expected
+
+    @pytest.mark.parametrize("degrees", broadcast_cases())
+    def test_broadcast_fast_path_equals_the_masked_path(self, degrees):
+        rng = np.random.default_rng(0)
+        payloads = [
+            BOOL_PAYLOAD_BITS,
+            int_payload_bits(rng.integers(0, 40, degrees.size)),
+            FLOAT_PAYLOAD_BITS,
+            int_payload_bits(rng.integers(0, 9, degrees.size)),
+        ]
+        fast, general = BulkMetricsBuilder(degrees), BulkMetricsBuilder(degrees)
+        for bits in payloads:
+            fast.record_exchange(bits)
+            general.record_exchange(bits, senders=np.ones(degrees.size, dtype=bool))
+        nodes = tuple(range(degrees.size))
+        built, reference = fast.build(nodes), general.build(nodes)
+        assert built.rounds == reference.rounds
+        assert built.messages_per_node == reference.messages_per_node
+        assert built.bits_per_node == reference.bits_per_node

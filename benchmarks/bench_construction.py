@@ -14,7 +14,11 @@ claims of the CSR-native substrate:
   and
 * the ``solve-er`` instance, ``bulk_erdos_renyi_graph(200_000, 10/(n-1))``,
   builds through the one counting-sort CSR builder into the CSR that
-  Python sets give for the generator's edges (median of 5 builds).
+  Python sets give for the generator's edges (median of 5 builds), and
+* ``BulkGraph.from_graph`` -- the networkx → CSR conversion every
+  networkx request pays once -- turns G(n, p) at n = 1024 (mean degree
+  4, the ``service-mixed`` misses) and n = 20 000 (mean degree 10) into
+  the set-reference CSR of the graph's edges (median of 21 builds).
 
 Quick mode (``REPRO_BENCH_QUICK=1``) shrinks the pairwise comparison to
 n = 3000 so CI stays a sub-minute smoke run; the speedup floor applies in
@@ -39,7 +43,7 @@ from repro.graphs.bulk import (
     bulk_graph_suite,
     bulk_unit_disk_graph,
 )
-from repro.graphs.generators import random_unit_disk_graph
+from repro.graphs.generators import erdos_renyi_graph, random_unit_disk_graph
 from repro.graphs.unit_disk import random_unit_disk_positions, unit_disk_edges
 
 QUICK = bool(int(os.environ.get("REPRO_BENCH_QUICK", "0")))
@@ -57,6 +61,9 @@ GREEDY_RADIUS = 0.12 if QUICK else 0.08
 #: The ``solve-er`` instance (mean degree 10), built ER_BUILDS times.
 N_ER = 200_000
 ER_BUILDS = 5
+#: networkx G(n, p) instances ``(n, mean degree)`` converted NX_BUILDS times.
+NX_SIZES = ((1024, 4), (20_000, 10))
+NX_BUILDS = 21
 
 
 def _timed(function):
@@ -107,6 +114,26 @@ def _er_build(seed: int, monkeypatch) -> dict:
     }
 
 
+def _networkx_build(n: int, mean_degree: int, seed: int) -> dict:
+    """Median ``from_graph`` time of one G(n, p) and its set-reference check."""
+    graph = erdos_renyi_graph(n, p=mean_degree / (n - 1), seed=seed)
+    times = [_timed(lambda: BulkGraph.from_graph(graph))[1] for _ in range(NX_BUILDS)]
+    built = BulkGraph.from_graph(graph)
+    position = {node: index for index, node in enumerate(sorted(graph.nodes()))}
+    u = [position[a] for a, _ in graph.edges()]
+    v = [position[b] for _, b in graph.edges()]
+    return {
+        "n": n,
+        "mean_degree": mean_degree,
+        "edges": graph.number_of_edges(),
+        "builds": NX_BUILDS,
+        "median_s": round(float(np.median(times)), 5),
+        "set_match": built.nodes == tuple(position)
+        and (built.indptr.tolist(), built.col.tolist())
+        == _set_reference_csr(n, u, v),
+    }
+
+
 @pytest.mark.benchmark(group="construction")
 def test_construction_speedup(
     benchmark, bench_seed, emit_table, emit_json, monkeypatch
@@ -136,6 +163,9 @@ def test_construction_speedup(
     greedy_match = reference_set == bulk_set
 
     er_build = _er_build(bench_seed, monkeypatch)
+    nx_builds = [
+        _networkx_build(n, mean_degree, bench_seed) for n, mean_degree in NX_SIZES
+    ]
 
     rows = [
         {
@@ -166,6 +196,17 @@ def test_construction_speedup(
             "speedup": None,
             "identical": er_build["set_match"],
         },
+        *(
+            {
+                "measurement": f"networkx G(n={build['n']}, mean degree "
+                f"{build['mean_degree']}) -> CSR (median)",
+                "baseline_s": None,
+                "fast_s": build["median_s"],
+                "speedup": None,
+                "identical": build["set_match"],
+            }
+            for build in nx_builds
+        ),
     ]
     emit_table(
         "construction_speedup",
@@ -190,6 +231,7 @@ def test_construction_speedup(
             "speedup": round(construction_speedup, 1),
             "edges_match": bool(edges_match),
             "erdos_renyi_build": er_build,
+            "networkx_build": nx_builds,
             "xlarge_suite_nodes": {name: g.n for name, g in suite.items()},
             "xlarge_suite_build_s": round(suite_time, 3),
             "greedy": {
@@ -204,6 +246,10 @@ def test_construction_speedup(
     assert edges_match, "grid bucketing changed the edge set"
     assert greedy_match, "bucket-queue greedy diverged from the reference"
     assert er_build["set_match"], "the ER CSR differs from the set reference"
+    for build in nx_builds:
+        assert build["set_match"], (
+            f"from_graph at n={build['n']} differs from the set reference"
+        )
     assert construction_speedup >= MIN_SPEEDUP, (
         f"construction speedup {construction_speedup:.1f}× below the "
         f"{MIN_SPEEDUP}× floor"

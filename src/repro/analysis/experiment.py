@@ -61,7 +61,7 @@ from repro.core.fractional_unknown import (
 )
 from repro.core.kuhn_wattenhofer import FractionalVariant
 from repro.core.rounding import round_fractional_solution_batched
-from repro.core.vectorized import SHARDED, VECTORIZED, bulk_engine, validate_k
+from repro.core.vectorized import SHARDED, bulk_engine, resolve_bulk_input, validate_k
 from repro.simulator.bulk import BulkGraph, available_cpu_count
 from repro.domset.validation import is_dominating_set
 from repro.graphs.utils import max_degree
@@ -270,16 +270,13 @@ def _kw_instance_records(
         if trials
         else float("nan"),
     )
-    bulk = None
-    if backend in (VECTORIZED, SHARDED) and not instance.is_bulk:
-        bulk = BulkGraph.from_graph(instance.graph)
+    bulk = resolve_bulk_input(instance.graph, backend)
     if variant is FractionalVariant.KNOWN_DELTA:
         multi_k = approximate_fractional_mds_multi_k
     else:
         multi_k = approximate_fractional_mds_unknown_delta_multi_k
     seeds = [seed + trial for trial in range(trials)]
-    engine_graph = instance.graph if bulk is None else bulk
-    with bulk_engine(engine_graph, backend, shards) as executor:
+    with bulk_engine(bulk, backend, shards) as executor:
         fractional_by_k = multi_k(
             instance.graph,
             k_values,
@@ -307,7 +304,7 @@ def _kw_instance_records(
             if not (
                 is_dominating_set(instance.graph, rounding.dominating_set)
                 if rounding.in_set is None
-                else is_dominating_set(engine_graph, rounding.in_set)
+                else is_dominating_set(bulk, rounding.in_set)
             ):
                 raise RuntimeError(
                     f"pipeline produced a non-dominating set on {instance.name}"

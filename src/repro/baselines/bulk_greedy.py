@@ -23,6 +23,7 @@ from collections import defaultdict
 import networkx as nx
 import numpy as np
 
+from repro.core.vectorized import VECTORIZED, resolve_bulk_input
 from repro.simulator.bulk import BulkGraph
 
 
@@ -33,7 +34,7 @@ def greedy_dominating_set_bulk(graph: BulkGraph | nx.Graph) -> frozenset:
     ----------
     graph:
         A :class:`~repro.simulator.bulk.BulkGraph`; a networkx graph is
-        accepted for convenience and converted.
+        accepted for convenience, checked and converted.
 
     Returns
     -------
@@ -41,7 +42,7 @@ def greedy_dominating_set_bulk(graph: BulkGraph | nx.Graph) -> frozenset:
         The same dominating set ``greedy_dominating_set`` selects (maximum
         span first, ties broken by node id).
     """
-    bulk = graph if isinstance(graph, BulkGraph) else BulkGraph.from_graph(graph)
+    bulk = resolve_bulk_input(graph, VECTORIZED)
     n = bulk.n
     spans = (bulk.degrees + 1).astype(np.int64)
     covered = np.zeros(n, dtype=bool)

@@ -28,7 +28,7 @@ from typing import Hashable, Iterable, Mapping
 import networkx as nx
 import numpy as np
 
-from repro.graphs.utils import validate_simple_graph
+from repro.core.vectorized import VECTORIZED, resolve_bulk_input
 from repro.simulator.bulk import BulkGraph
 
 
@@ -149,11 +149,7 @@ def greedy_set_cover_dominating_set_bulk(graph: BulkGraph | nx.Graph) -> frozens
     :func:`repro.baselines.greedy_set_cover.greedy_set_cover_dominating_set`
     (and therefore to the classical greedy dominating set).
     """
-    if isinstance(graph, BulkGraph):
-        bulk = graph
-    else:
-        validate_simple_graph(graph)
-        bulk = BulkGraph.from_graph(graph)
+    bulk = resolve_bulk_input(graph, VECTORIZED)
     # Closed neighbourhoods as CSR sets: each row is the adjacency row plus
     # the node itself (appended; order within a set is irrelevant to gains).
     indptr = np.concatenate(([0], np.cumsum(bulk.degrees + 1)))

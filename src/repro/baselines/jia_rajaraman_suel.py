@@ -242,9 +242,9 @@ def lrg_dominating_set(
     LRGResult
     """
     validate_backend(backend)
-    _bulk = resolve_bulk_input(graph, backend, _bulk)
+    bulk = resolve_bulk_input(graph, backend, _bulk)
     n = graph.n if isinstance(graph, BulkGraph) else graph.number_of_nodes()
-    delta = max_degree(graph)
+    delta = max_degree(bulk or graph)
     if max_phases is None:
         max_phases = 4 * (math.ceil(math.log2(max(n, 2))) + 2) * (
             math.ceil(math.log2(delta + 2)) + 2
@@ -253,7 +253,6 @@ def lrg_dominating_set(
     if backend == VECTORIZED:
         from repro.baselines.bulk_lrg import run_lrg_bulk
 
-        bulk = _bulk if _bulk is not None else BulkGraph.from_graph(graph)
         in_set, phases, metrics = run_lrg_bulk(bulk, seed=seed, max_phases=max_phases)
         return LRGResult(
             dominating_set=frozenset(

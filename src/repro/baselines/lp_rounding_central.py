@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import networkx as nx
 
 from repro.core.rounding import RoundingResult, RoundingRule, round_fractional_solution
-from repro.core.vectorized import SIMULATED, validate_backend
+from repro.core.vectorized import SIMULATED, resolve_bulk_input, validate_backend
 from repro.lp.solver import LPSolution, solve_fractional_mds
 
 
@@ -90,7 +90,9 @@ def central_lp_rounding_dominating_set(
     CentralLPRoundingResult
     """
     validate_backend(backend)
-    lp_solution = solve_fractional_mds(graph, method=lp_method, tol=lp_tol)
+    # One check and one CSR build serve the LP and the rounding.
+    bulk = resolve_bulk_input(graph, backend, csr=True)
+    lp_solution = solve_fractional_mds(bulk, method=lp_method, tol=lp_tol)
     rounding = round_fractional_solution(
         graph,
         lp_solution.values,
@@ -98,6 +100,7 @@ def central_lp_rounding_dominating_set(
         rule=rule,
         require_feasible=True,
         backend=backend,
+        _bulk=bulk,
     )
     return CentralLPRoundingResult(
         dominating_set=rounding.dominating_set,

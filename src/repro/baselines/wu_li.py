@@ -183,12 +183,11 @@ def wu_li_dominating_set(
     WuLiResult
     """
     validate_backend(backend)
-    _bulk = resolve_bulk_input(graph, backend, _bulk)
+    bulk = resolve_bulk_input(graph, backend, _bulk)
 
     if backend == VECTORIZED:
         from repro.baselines.bulk_wu_li import run_wu_li_bulk
 
-        bulk = _bulk if _bulk is not None else BulkGraph.from_graph(graph)
         final, marked_flags, metrics = run_wu_li_bulk(
             bulk, apply_pruning=apply_pruning
         )

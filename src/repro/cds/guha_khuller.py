@@ -30,7 +30,6 @@ from repro.core.vectorized import (
     resolve_bulk_input,
     validate_backend,
 )
-from repro.simulator.bulk import BulkGraph
 
 WHITE, GRAY, BLACK = 0, 1, 2
 
@@ -71,8 +70,6 @@ def guha_khuller_connected_dominating_set(
             guha_khuller_connected_dominating_set_bulk,
         )
 
-        if bulk is None:
-            bulk = BulkGraph.from_graph(graph)
         return guha_khuller_connected_dominating_set_bulk(bulk)
     if not nx.is_connected(graph):
         raise ValueError("a disconnected graph has no connected dominating set")

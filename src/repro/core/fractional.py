@@ -108,6 +108,10 @@ class Algorithm2Program(GeneratorNodeProgram):
         self.color = WHITE
         self.dynamic_degree = 0
 
+    def _active(self, ell: int, base: float) -> bool:
+        """Line 6's activity test ``δ̃(v_i) ≥ (Δ+1)^{ℓ/k}``."""
+        return self.dynamic_degree >= base ** (ell / self.k)
+
     # ------------------------------------------------------------------ #
 
     def run(self, ctx: NodeContext):
@@ -135,7 +139,7 @@ class Algorithm2Program(GeneratorNodeProgram):
             # Line 4: inner loop over m = k-1 .. 0.
             for m in range(k - 1, -1, -1):
                 # Lines 6-8: active nodes raise their x-value.
-                active = self.dynamic_degree >= base ** (ell / k)
+                active = self._active(ell, base)
                 if active:
                     self.x = max(self.x, 1.0 / base ** (m / k))
                 self.trace_event(
@@ -210,32 +214,26 @@ def _traces_for(k: int, trace: ColumnarTrace | None):
     return None if trace is None else {k: trace}
 
 
-def _phase_csr_and_faults(
-    graph,
-    backend: str,
+def _phase_faults(
     bulk: BulkGraph | None,
     faults: FaultSpec | None,
     schedule: FaultSchedule | None,
     exchanges: int,
-) -> tuple[BulkGraph | None, FaultSchedule | None, FaultSummary | None]:
-    """One phase's ``(csr, schedule, summary)``.
+) -> tuple[FaultSchedule | None, FaultSummary | None]:
+    """One phase's ``(schedule, summary)`` on its CSR ``bulk``.
 
-    The CSR is ``bulk``, or one built from ``graph`` when a bulk backend or
-    a fault schedule needs it.  The pipeline materializes its phases'
-    schedules itself (to chain the crash state between them) and hands
-    them down as ``schedule``; standalone callers pass a :class:`FaultSpec`
-    and get the ``salt=0`` stream.  Fault-free, both are ``None``.
+    The pipeline materializes its phases' schedules itself (to chain the
+    crash state between them) and hands them down as ``schedule``;
+    standalone callers pass a :class:`FaultSpec` and get the ``salt=0``
+    stream.  Fault-free, both are ``None``.
     """
-    faulted = faults is not None or schedule is not None
-    if bulk is None and (faulted or backend != SIMULATED):
-        bulk = BulkGraph.from_graph(graph)
-    if not faulted:
-        return bulk, None, None
+    if faults is None and schedule is None:
+        return None, None
     if schedule is None:
         if not isinstance(faults, FaultSpec):
             raise TypeError("faults must be a FaultSpec")
         schedule = faults.materialize(bulk, rounds=exchanges, salt=0)
-    return bulk, schedule, schedule.summary(exchanges)
+    return schedule, schedule.summary(exchanges)
 
 
 def _program_factory(k: int, delta: int):
@@ -312,9 +310,10 @@ def approximate_fractional_mds(
     FractionalResult
     """
     validate_backend(backend, supported=BACKENDS)
-    _bulk = resolve_bulk_input(graph, backend, _bulk)
+    faulted = faults is not None or _schedule is not None
+    bulk = resolve_bulk_input(graph, backend, _bulk, csr=faulted)
     k = validate_k(k)
-    true_delta = max_degree(graph)
+    true_delta = max_degree(bulk or graph)
     if delta is None:
         delta = true_delta
     elif delta < true_delta:
@@ -322,7 +321,7 @@ def approximate_fractional_mds(
             f"delta={delta} is smaller than the true maximum degree {true_delta}"
         )
 
-    if faults is not None or _schedule is not None:
+    if faulted:
         if collect_trace and backend != SIMULATED:
             raise CapabilityError(
                 "approximate_fractional_mds",
@@ -337,9 +336,7 @@ def approximate_fractional_mds(
             SHARDED,
             (SIMULATED, VECTORIZED),
         )
-    bulk, schedule, summary = _phase_csr_and_faults(
-        graph, backend, _bulk, faults, _schedule, algorithm2_exchanges(k)
-    )
+    schedule, summary = _phase_faults(bulk, faults, _schedule, algorithm2_exchanges(k))
 
     if backend != SIMULATED:
         trace = ColumnarTrace() if collect_trace else None
@@ -412,15 +409,14 @@ def approximate_fractional_mds_multi_k(
             for k in k_values
         }
 
-    _bulk = resolve_bulk_input(graph, backend, _bulk)
-    true_delta = max_degree(graph)
+    bulk = resolve_bulk_input(graph, backend, _bulk)
+    true_delta = bulk.max_degree
     if delta is None:
         delta = true_delta
     elif delta < true_delta:
         raise ValueError(
             f"delta={delta} is smaller than the true maximum degree {true_delta}"
         )
-    bulk = _bulk if _bulk is not None else BulkGraph.from_graph(graph)
     with bulk_engine(bulk, backend, shards, _executor) as engine:
         snapshots = engine.run_algorithm2_multi_k(tuple(k_values), delta)
     return {

@@ -28,7 +28,7 @@ from repro.core.fractional import (
     WHITE,
     FractionalResult,
     _package_fractional,
-    _phase_csr_and_faults,
+    _phase_faults,
     _traces_for,
 )
 from repro.core.vectorized import (
@@ -260,11 +260,12 @@ def approximate_fractional_mds_unknown_delta(
     FractionalResult
     """
     validate_backend(backend, supported=BACKENDS)
-    _bulk = resolve_bulk_input(graph, backend, _bulk)
+    faulted = faults is not None or _schedule is not None
+    bulk = resolve_bulk_input(graph, backend, _bulk, csr=faulted)
     k = validate_k(k)
-    true_delta = max_degree(graph)
+    true_delta = max_degree(bulk or graph)
 
-    if faults is not None or _schedule is not None:
+    if faulted:
         if collect_trace and backend != SIMULATED:
             raise CapabilityError(
                 "approximate_fractional_mds_unknown_delta",
@@ -279,9 +280,7 @@ def approximate_fractional_mds_unknown_delta(
             SHARDED,
             (SIMULATED, VECTORIZED),
         )
-    bulk, schedule, summary = _phase_csr_and_faults(
-        graph, backend, _bulk, faults, _schedule, algorithm3_exchanges(k)
-    )
+    schedule, summary = _phase_faults(bulk, faults, _schedule, algorithm3_exchanges(k))
 
     if backend != SIMULATED:
         trace = ColumnarTrace() if collect_trace else None
@@ -352,10 +351,8 @@ def approximate_fractional_mds_unknown_delta_multi_k(
             for k in k_values
         }
 
-    _bulk = resolve_bulk_input(graph, backend, _bulk)
-
-    true_delta = max_degree(graph)
-    bulk = _bulk if _bulk is not None else BulkGraph.from_graph(graph)
+    bulk = resolve_bulk_input(graph, backend, _bulk)
+    true_delta = bulk.max_degree
     with bulk_engine(bulk, backend, shards, _executor) as engine:
         snapshots = engine.run_algorithm3_multi_k(tuple(k_values))
     return {

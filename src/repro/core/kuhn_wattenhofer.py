@@ -54,7 +54,6 @@ from repro.simulator.bulk import BulkGraph
 from repro.simulator.fault_schedule import FaultSpec
 from repro.domset.repair import RepairReport, repair_dominating_set
 from repro.domset.validation import is_dominating_set
-from repro.graphs.utils import max_degree
 
 
 class FractionalVariant(str, enum.Enum):
@@ -207,35 +206,24 @@ def kuhn_wattenhofer_dominating_set(
         )
     if faults is not None and not isinstance(faults, FaultSpec):
         raise TypeError("faults must be a FaultSpec")
-    _bulk = resolve_bulk_input(graph, backend, _bulk)
-    delta = max_degree(graph)
+    # One check and one CSR build serve both phases, the fault schedules
+    # and the self-checks (callers running many pipelines on one graph can
+    # pass theirs in).
+    bulk = resolve_bulk_input(graph, backend, _bulk, csr=True)
+    delta = bulk.max_degree
     k = log_delta_parameter(delta) if k is None else validate_k(k)
-
-    # One CSR build serves both vectorized phases (callers running many
-    # pipelines on one graph can pass theirs in).
-    if _bulk is not None:
-        bulk = _bulk
-    else:
-        bulk = (
-            BulkGraph.from_graph(graph) if backend in (VECTORIZED, SHARDED) else None
-        )
 
     # Each phase draws its own salted fault pattern; nodes crashed during
     # the fractional phase enter the rounding phase already dead.  Both
     # schedules are materialized once up front from the same CSR so every
     # backend (including each shard worker) sees identical masks.
+    known_delta = variant is FractionalVariant.KNOWN_DELTA
     frac_schedule = rounding_schedule = None
-    schedule_csr = None
     if faults is not None:
-        schedule_csr = bulk if bulk is not None else BulkGraph.from_graph(graph)
-        frac_exchanges = (
-            algorithm2_exchanges(k)
-            if variant is FractionalVariant.KNOWN_DELTA
-            else algorithm3_exchanges(k)
-        )
-        frac_schedule = faults.materialize(schedule_csr, rounds=frac_exchanges, salt=0)
+        exchanges = algorithm2_exchanges(k) if known_delta else algorithm3_exchanges(k)
+        frac_schedule = faults.materialize(bulk, rounds=exchanges, salt=0)
         rounding_schedule = faults.materialize(
-            schedule_csr,
+            bulk,
             rounds=ROUNDING_EXCHANGES,
             salt=1,
             already_dead=frac_schedule.ever_crashed,
@@ -245,28 +233,21 @@ def kuhn_wattenhofer_dominating_set(
     # partitioning happen once, then the fractional and rounding supersteps
     # run against the same resident workers.
     with bulk_engine(bulk, backend, shards) as executor:
-        if variant is FractionalVariant.KNOWN_DELTA:
-            fractional = approximate_fractional_mds(
-                graph,
-                k=k,
-                seed=seed,
-                collect_trace=collect_trace,
-                backend=backend,
-                _bulk=bulk,
-                _executor=executor,
-                _schedule=frac_schedule,
-            )
-        else:
-            fractional = approximate_fractional_mds_unknown_delta(
-                graph,
-                k=k,
-                seed=seed,
-                collect_trace=collect_trace,
-                backend=backend,
-                _bulk=bulk,
-                _executor=executor,
-                _schedule=frac_schedule,
-            )
+        fractional_phase = (
+            approximate_fractional_mds
+            if known_delta
+            else approximate_fractional_mds_unknown_delta
+        )
+        fractional = fractional_phase(
+            graph,
+            k=k,
+            seed=seed,
+            collect_trace=collect_trace,
+            backend=backend,
+            _bulk=bulk,
+            _executor=executor,
+            _schedule=frac_schedule,
+        )
 
         if faults is None:
             feasible, _ = solution_feasibility(graph, fractional.x, _bulk=bulk)
@@ -292,17 +273,14 @@ def kuhn_wattenhofer_dominating_set(
     repair_report = None
     if faults is None:
         # The bulk backends validate the rounding's membership mask.
-        if not (
-            is_dominating_set(graph, dominating_set)
-            if rounding.in_set is None
-            else is_dominating_set(bulk, rounding.in_set)
-        ):
+        in_set = dominating_set if rounding.in_set is None else rounding.in_set
+        if not is_dominating_set(bulk, in_set):
             raise RuntimeError(
                 "rounding phase returned a non-dominating set; "
                 "this indicates a bug in Algorithm 1's fallback step"
             )
     elif repair:
-        repair_report = repair_dominating_set(schedule_csr, dominating_set)
+        repair_report = repair_dominating_set(bulk, dominating_set)
         dominating_set = repair_report.repaired_set
 
     return PipelineResult(

@@ -31,11 +31,12 @@ from typing import Hashable, Mapping, Sequence
 import networkx as nx
 import numpy as np
 
-from repro.core.fractional import _phase_csr_and_faults
+from repro.core.fractional import _phase_faults
 from repro.core.vectorized import (
     BACKENDS,
     ROUNDING_EXCHANGES,
     SIMULATED,
+    VECTORIZED,
     bulk_engine,
     resolve_bulk_input,
     validate_backend,
@@ -193,21 +194,19 @@ def solution_feasibility(
     """``(feasible, max_violation)`` of ``x`` for LP_MDS (``N·x ≥ 1, x ≥ 0``).
 
     The constraint is checked on a CSR view in O(n + m): a BulkGraph
-    input, the prebuilt ``_bulk`` of a vectorized run, or else one built
-    from the networkx graph.  Shared by the rounding precondition and the
+    input, the prebuilt ``_bulk`` of a vectorized run, or else one that
+    :func:`~repro.core.vectorized.resolve_bulk_input` checks and builds.  Shared by the rounding precondition and the
     pipeline's post-fractional self-check.
     """
-    bulk = _bulk
-    if bulk is None:
-        bulk = graph if isinstance(graph, BulkGraph) else BulkGraph.from_graph(graph)
+    bulk = resolve_bulk_input(graph, VECTORIZED, _bulk)
     return bulk.check_lp_feasible(x_array_from_mapping(bulk, x), tolerance=tolerance)
 
 
 def _check_rounding_input_feasible(
-    graph, bulk: BulkGraph | None, x: Mapping[Hashable, float]
+    bulk: BulkGraph, x: Mapping[Hashable, float]
 ) -> None:
-    """Verify the Theorem-3 precondition ``N·x ≥ 1`` for either input kind."""
-    feasible, violation = solution_feasibility(graph, x, _bulk=bulk)
+    """Verify the Theorem-3 precondition ``N·x ≥ 1`` on the CSR ``bulk``."""
+    feasible, violation = solution_feasibility(bulk, x)
     if not feasible:
         raise ValueError(
             "input is not a feasible LP_MDS solution "
@@ -335,12 +334,13 @@ def round_fractional_solution(
         infeasible inputs, as long as every node runs the fallback step).
     """
     validate_backend(backend, supported=BACKENDS)
-    _bulk = resolve_bulk_input(graph, backend, _bulk)
-    bulk, schedule, summary = _phase_csr_and_faults(
-        graph, backend, _bulk, faults, _schedule, ROUNDING_EXCHANGES
+    faulted = faults is not None or _schedule is not None
+    bulk = resolve_bulk_input(
+        graph, backend, _bulk, csr=faulted or require_feasible
     )
+    schedule, summary = _phase_faults(bulk, faults, _schedule, ROUNDING_EXCHANGES)
     if require_feasible:
-        _check_rounding_input_feasible(graph, bulk, x)
+        _check_rounding_input_feasible(bulk, x)
 
     if backend != SIMULATED:
         return _bulk_rounding(
@@ -414,17 +414,16 @@ def round_fractional_solution_batched(
         One result per seed, in seed order.
     """
     validate_backend(backend, supported=BACKENDS)
-    _bulk = resolve_bulk_input(graph, backend, _bulk)
+    bulk = resolve_bulk_input(graph, backend, _bulk, csr=require_feasible)
     if require_feasible:
-        _check_rounding_input_feasible(graph, _bulk, x)
+        _check_rounding_input_feasible(bulk, x)
 
     if backend != SIMULATED:
-        bulk = _bulk if _bulk is not None else BulkGraph.from_graph(graph)
         return _bulk_rounding(bulk, x, seeds, rule, backend, shards, _executor)
 
     return [
         round_fractional_solution(
-            graph, x, seed=seed, rule=rule, require_feasible=False, backend=backend
+            graph, x, seed, rule, require_feasible=False, backend=backend, _bulk=bulk
         )
         for seed in seeds
     ]

@@ -150,18 +150,23 @@ def validate_k(k) -> int:
     return int(k)
 
 
-def resolve_bulk_input(graph, backend: str, bulk: BulkGraph | None = None):
-    """Support :class:`BulkGraph` instances passed as the ``graph`` argument.
+def resolve_bulk_input(
+    graph, backend: str, bulk: BulkGraph | None = None, csr: bool = False
+) -> BulkGraph | None:
+    """The one input boundary: check ``graph`` once, return the CSR to run on.
 
-    The CSR-native generators produce :class:`BulkGraph` objects directly;
-    the public entry points accept them wherever ``backend="vectorized"``
-    (or its multiprocess sibling ``"sharded"``) is in effect -- there is no
-    per-node program to run them through, so the simulated backend rejects
-    them.  Returns the :class:`BulkGraph` to use for bulk execution -- the
-    input itself when it already is one, otherwise the caller-provided
-    prebuilt ``bulk`` (which may be ``None``, meaning "build from the
-    networkx graph on demand").  A networkx ``graph`` is checked here, once,
-    with :func:`~repro.graphs.utils.validate_simple_graph`.
+    * A :class:`BulkGraph` ``graph`` (the CSR-native generators build them
+      directly) is returned as it is.  It needs a bulk backend
+      (``"vectorized"`` or ``"sharded"``): there is no per-node program to
+      run it through, so the simulated backend rejects it.
+    * A caller's prebuilt ``bulk`` is returned without a second check.  Only
+      a CSR that came out of this function for the same networkx graph (a
+      pipeline or sweep handing its phases one build) may be passed in.
+    * Otherwise the networkx ``graph`` is checked, once, with
+      :func:`~repro.graphs.utils.validate_simple_graph`, and converted with
+      :meth:`BulkGraph.from_graph` when a bulk backend runs it or ``csr``
+      asks for a CSR anyway (fault schedules, feasibility checks); the
+      simulated backend gets ``None`` otherwise.
     """
     if isinstance(graph, BulkGraph):
         if backend not in (VECTORIZED, SHARDED):
@@ -171,8 +176,12 @@ def resolve_bulk_input(graph, backend: str, bulk: BulkGraph | None = None):
                 "per-node programs"
             )
         return graph
+    if bulk is not None:
+        return bulk
     validate_simple_graph(graph)
-    return bulk
+    if csr or backend in (VECTORIZED, SHARDED):
+        return BulkGraph.from_graph(graph)
+    return None
 
 
 def _per_distinct(

@@ -24,7 +24,7 @@ from typing import Hashable, Mapping
 import networkx as nx
 import numpy as np
 
-from repro.core.fractional import GRAY, WHITE, _traces_for
+from repro.core.fractional import Algorithm2Program, _traces_for
 from repro.core.rounding import RoundingResult, RoundingRule, round_fractional_solution
 from repro.core.vectorized import (
     BACKENDS,
@@ -43,9 +43,7 @@ from repro.graphs.utils import max_degree
 from repro.simulator.bulk import BulkGraph
 from repro.simulator.metrics import ExecutionMetrics
 from repro.simulator.network import Network
-from repro.simulator.node import NodeContext
 from repro.simulator.runtime import SynchronousRunner
-from repro.simulator.script import GeneratorNodeProgram
 from repro.simulator.columnar import ColumnarTrace
 from repro.simulator.trace import ExecutionTrace
 
@@ -84,8 +82,11 @@ class WeightedFractionalResult:
     trace: ExecutionTrace | ColumnarTrace = field(default_factory=ExecutionTrace)
 
 
-class WeightedAlgorithm2Program(GeneratorNodeProgram):
+class WeightedAlgorithm2Program(Algorithm2Program):
     """Per-node program for the weighted variant of Algorithm 2.
+
+    Algorithm 2 with the remark's activity rule; the message pattern is
+    unchanged.
 
     Parameters
     ----------
@@ -101,80 +102,17 @@ class WeightedAlgorithm2Program(GeneratorNodeProgram):
     """
 
     def __init__(self, k: int, delta: int, cost: float, c_max: float) -> None:
-        super().__init__()
-        k = validate_k(k)
+        super().__init__(k, delta)
         if cost < 1.0 or cost > c_max:
             raise ValueError("cost must lie in [1, c_max]")
-        self.k = k
-        self.delta = delta
         self.cost = float(cost)
         self.c_max = float(c_max)
-        self.x = 0.0
-        self.color = WHITE
-        self.dynamic_degree = 0
 
-    def run(self, ctx: NodeContext):
-        k = self.k
-        base = self.delta + 1.0
-        weighted_base = self.c_max * base
-
-        self.x = 0.0
-        self.dynamic_degree = ctx.degree + 1
-        self.color = WHITE
-        round_counter = 0
-
-        for ell in range(k - 1, -1, -1):
-            self.trace_event(
-                round_counter,
-                ctx.node_id,
-                "outer-loop-start",
-                ell=ell,
-                dynamic_degree=self.dynamic_degree,
-                x=self.x,
-                color=self.color,
-            )
-            for m in range(k - 1, -1, -1):
-                # Weighted activity rule from the remark: a node is active
-                # when its cost-scaled dynamic degree is large.
-                scaled_degree = (self.c_max / self.cost) * self.dynamic_degree
-                active = scaled_degree >= weighted_base ** (ell / k)
-                if active:
-                    self.x = max(self.x, 1.0 / base ** (m / k))
-                self.trace_event(
-                    round_counter,
-                    ctx.node_id,
-                    "inner-loop",
-                    ell=ell,
-                    m=m,
-                    active=active,
-                    x=self.x,
-                    color=self.color,
-                    dynamic_degree=self.dynamic_degree,
-                )
-
-                # Same proof-consistent exchange order as the unweighted
-                # Algorithm 2 implementation: x-values first, colours second.
-                inbox = yield ctx.send_all(self.x, tag="x-value")
-                round_counter += 1
-                neighbor_x = self.inbox_by_sender(inbox)
-                coverage = self.x + sum(neighbor_x.values())
-                if coverage >= 1.0:
-                    if self.color == WHITE:
-                        self.trace_event(
-                            round_counter, ctx.node_id, "colored-gray", ell=ell, m=m
-                        )
-                    self.color = GRAY
-
-                inbox = yield ctx.send_all(self.color == WHITE, tag="color")
-                round_counter += 1
-                colors = self.inbox_by_sender(inbox)
-                white_neighbors = sum(1 for flag in colors.values() if flag)
-                self.dynamic_degree = white_neighbors + (
-                    1 if self.color == WHITE else 0
-                )
-
-        self._result = self.x
-        return self.x
+    def _active(self, ell: int, base: float) -> bool:
+        # Weighted activity rule from the remark: a node is active when its
+        # cost-scaled dynamic degree is large.
+        scaled_degree = (self.c_max / self.cost) * self.dynamic_degree
+        return scaled_degree >= (self.c_max * base) ** (ell / self.k)
 
 
 def approximate_weighted_fractional_mds(
@@ -221,12 +159,12 @@ def approximate_weighted_fractional_mds(
     WeightedFractionalResult
     """
     validate_backend(backend, supported=BACKENDS)
-    _bulk = resolve_bulk_input(graph, backend, _bulk)
+    bulk = resolve_bulk_input(graph, backend, _bulk)
     k = validate_k(k)
-    node_ids = _bulk.nodes if _bulk is graph else tuple(graph.nodes())
+    node_ids = bulk.nodes if bulk is graph else tuple(graph.nodes())
     c_max = float(max(weights[node] for node in node_ids))
     validate_weights(graph, weights, c_max=c_max)
-    delta = max_degree(graph)
+    delta = max_degree(bulk or graph)
 
     if backend != SIMULATED:
         if collect_trace and backend == SHARDED:
@@ -236,7 +174,6 @@ def approximate_weighted_fractional_mds(
                 SHARDED,
                 (SIMULATED, VECTORIZED),
             )
-        bulk = _bulk if _bulk is not None else BulkGraph.from_graph(graph)
         costs = np.array(
             [float(weights[node]) for node in bulk.nodes], dtype=np.float64
         )
@@ -366,12 +303,10 @@ def weighted_kuhn_wattenhofer_dominating_set(
     WeightedPipelineResult
     """
     validate_backend(backend, supported=BACKENDS)
-    _bulk = resolve_bulk_input(graph, backend, _bulk)
-    if _bulk is None and backend in (VECTORIZED, SHARDED):
-        # One CSR build serves both phases.
-        _bulk = BulkGraph.from_graph(graph)
-    # As in the unweighted pipeline, one shard pool serves both phases.
-    with bulk_engine(_bulk, backend, shards) as executor:
+    # One check and one CSR build serve both phases and the feasibility
+    # check; as in the unweighted pipeline, one shard pool does too.
+    bulk = resolve_bulk_input(graph, backend, _bulk, csr=True)
+    with bulk_engine(bulk, backend, shards) as executor:
         fractional = approximate_weighted_fractional_mds(
             graph,
             weights,
@@ -379,7 +314,7 @@ def weighted_kuhn_wattenhofer_dominating_set(
             seed=seed,
             collect_trace=collect_trace,
             backend=backend,
-            _bulk=_bulk,
+            _bulk=bulk,
             _executor=executor,
         )
         rounding = round_fractional_solution(
@@ -389,7 +324,7 @@ def weighted_kuhn_wattenhofer_dominating_set(
             rule=rounding_rule,
             require_feasible=True,
             backend=backend,
-            _bulk=_bulk,
+            _bulk=bulk,
             _executor=executor,
         )
     if not is_dominating_set(graph, rounding.dominating_set):

@@ -59,21 +59,26 @@ def graph_fingerprint(graph: nx.Graph | BulkGraph) -> str:
     the generators produce).
     """
     bulk = graph if isinstance(graph, BulkGraph) else BulkGraph.from_graph(graph)
-    digest = hashlib.sha256()
-    digest.update(_KEY_VERSION)
-    digest.update(b"|graph|")
-    digest.update(str(bulk.n).encode())
-    digest.update(b"|")
-    digest.update(bulk.indptr.tobytes())
-    digest.update(b"|")
-    digest.update(bulk.col.tobytes())
-    digest.update(b"|")
+    parts = [str(bulk.n).encode(), bulk.indptr.tobytes(), bulk.col.tobytes(), b""]
     # Integer labels 0..n-1 (the direct-to-CSR generators' default) are
     # the common case; skip materialising their repr.  Unlabelled graphs
     # share the interned labels, so identity settles most keys.
     labels = range_labels(bulk.n)
     if bulk.nodes is not labels and bulk.nodes != labels:
-        digest.update(repr(bulk.nodes).encode())
+        parts[-1] = repr(bulk.nodes).encode()
+    if bulk is not graph and graph.is_directed():
+        # from_graph symmetrises a digraph, which solve() rejects: keep
+        # its requests off the cache entries of its undirected twin.
+        parts.append(b"directed")
+    return _digest(b"graph", *parts)
+
+
+def _digest(kind: bytes, *parts: bytes) -> str:
+    """Hex sha256 of the version tag, ``kind`` and the ``|``-joined parts."""
+    digest = hashlib.sha256(_KEY_VERSION + b"|" + kind + b"|" + parts[0])
+    for part in parts[1:]:
+        digest.update(b"|")
+        digest.update(part)
     return digest.hexdigest()
 
 
@@ -139,17 +144,13 @@ def cache_key(
     spec = get_spec(algorithm)
     if graph_hash is None:
         graph_hash = graph_fingerprint(graph)
-    digest = hashlib.sha256()
-    digest.update(_KEY_VERSION)
-    digest.update(b"|request|")
-    digest.update(graph_hash.encode())
-    digest.update(b"|")
-    digest.update(spec.name.encode())
-    digest.update(b"|")
-    digest.update(params_token(spec, params).encode())
-    digest.update(b"|")
-    digest.update(repr(seed).encode())
-    return digest.hexdigest()
+    return _digest(
+        b"request",
+        graph_hash.encode(),
+        spec.name.encode(),
+        params_token(spec, params).encode(),
+        repr(seed).encode(),
+    )
 
 
 def coalesce_key(
@@ -185,16 +186,11 @@ def coalesce_key(
     rest = {name: value for name, value in normalized.items() if name != "k"}
     if graph_hash is None:
         graph_hash = graph_fingerprint(graph)
-    digest = hashlib.sha256()
-    digest.update(_KEY_VERSION)
-    digest.update(b"|coalesce|")
-    digest.update(graph_hash.encode())
-    digest.update(b"|")
-    digest.update(spec.name.encode())
-    digest.update(b"|")
-    digest.update(canonical_token(rest).encode())
-    digest.update(b"|")
-    digest.update(repr(seed).encode())
-    digest.update(b"|")
-    digest.update(backend.encode())
-    return digest.hexdigest()
+    return _digest(
+        b"coalesce",
+        graph_hash.encode(),
+        spec.name.encode(),
+        canonical_token(rest).encode(),
+        repr(seed).encode(),
+        backend.encode(),
+    )

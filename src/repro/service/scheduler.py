@@ -41,8 +41,6 @@ from typing import Any, Sequence
 
 from repro.api import (
     RunReport,
-    SHARDED,
-    VECTORIZED,
     get_spec,
     normalized_params,
     resolve_backend,
@@ -58,10 +56,8 @@ from repro.core.rounding import (
     round_fractional_solution,
     solution_feasibility,
 )
-from repro.core.vectorized import bulk_engine
+from repro.core.vectorized import bulk_engine, resolve_bulk_input
 from repro.domset.validation import is_dominating_set
-from repro.graphs.utils import max_degree
-from repro.simulator.bulk import BulkGraph
 
 _request_ids = itertools.count()
 
@@ -169,13 +165,8 @@ def _coalesced_pipeline_reports(
     k_values = sorted({request.params["k"] for request in requests})
 
     started = time.perf_counter()
-    is_bulk = isinstance(graph, BulkGraph)
-    bulk = (
-        graph
-        if is_bulk
-        else (BulkGraph.from_graph(graph) if backend in (VECTORIZED, SHARDED) else None)
-    )
-    delta = max_degree(graph)
+    bulk = resolve_bulk_input(graph, backend, csr=True)
+    delta = bulk.max_degree
     multi_k = (
         approximate_fractional_mds_multi_k
         if variant is FractionalVariant.KNOWN_DELTA
@@ -209,11 +200,10 @@ def _coalesced_pipeline_reports(
                 _bulk=bulk,
                 _executor=executor,
             )
-            if not (
-                is_dominating_set(graph, rounding.dominating_set)
-                if rounding.in_set is None
-                else is_dominating_set(bulk, rounding.in_set)
-            ):
+            in_set = (
+                rounding.dominating_set if rounding.in_set is None else rounding.in_set
+            )
+            if not is_dominating_set(bulk, in_set):
                 raise RuntimeError(
                     "rounding phase returned a non-dominating set; "
                     "this indicates a bug in Algorithm 1's fallback step"

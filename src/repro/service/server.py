@@ -11,6 +11,10 @@ Composes the service layer's three parts into one object:
   engine, and executes on a thread pool (heavy requests fan out further
   into the sharded multiprocess driver from their worker thread).
 
+Each graph object is checked and converted to its CSR once, for its
+fingerprint, and fresh requests on a bulk engine run on that CSR -- so a
+submitted graph is treated as immutable (mutate a copy instead).
+
 Identical requests *in flight* are deduplicated too: a second submission
 of a key that is still executing attaches to the first one's future
 instead of queueing a duplicate computation.  Per-request timeouts are
@@ -47,7 +51,8 @@ from typing import Any, Mapping, Sequence
 import networkx as nx
 
 from repro.analysis.stats import latency_summary
-from repro.api import AUTO, RunReport, get_spec
+from repro.api import AUTO, AlgorithmSpec, RunReport, get_spec, resolve_backend
+from repro.core.vectorized import SHARDED, VECTORIZED, resolve_bulk_input
 from repro.service.cache import ResultCache
 from repro.service.keys import cache_key, coalesce_key, graph_fingerprint
 from repro.service.scheduler import (
@@ -58,6 +63,25 @@ from repro.service.scheduler import (
 from repro.simulator.bulk import BulkGraph
 
 __all__ = ["SolveService", "ServiceClosedError"]
+
+
+def _run_graph(
+    spec: AlgorithmSpec, graph, csr: BulkGraph | None, backend: str, params
+) -> nx.Graph | BulkGraph:
+    """The graph a fresh request runs on.
+
+    The fingerprint's CSR wherever a bulk engine of ``spec`` runs the
+    request (backend parity makes it the same run), else ``graph``.
+    """
+    if csr is None or not spec.accepts_bulk:
+        return graph
+    try:
+        backend = resolve_backend(
+            spec, graph, backend, params.get("collect_trace"), params.get("shards")
+        )
+    except ValueError:
+        return graph  # solve() raises it, from the request's future
+    return csr if backend in (VECTORIZED, SHARDED) else graph
 
 
 class SolveService:
@@ -94,9 +118,9 @@ class SolveService:
         )
         self.default_timeout = default_timeout
         self._pending: dict[str, ServiceRequest] = {}
-        self._graph_hashes: "weakref.WeakKeyDictionary[Any, str]" = (
-            weakref.WeakKeyDictionary()
-        )
+        self._graph_hashes: (
+            "weakref.WeakKeyDictionary[Any, tuple[str, BulkGraph | None]]"
+        ) = weakref.WeakKeyDictionary()
         self._started = False
         self._closed = False
         self._requests = 0
@@ -148,14 +172,27 @@ class SolveService:
     # Submission                                                         #
     # ------------------------------------------------------------------ #
 
-    def _graph_hash(self, graph: nx.Graph | BulkGraph) -> str:
-        """Memoized :func:`graph_fingerprint` (one CSR digest per object)."""
+    def _graph_hash(self, graph: nx.Graph | BulkGraph) -> tuple[str, BulkGraph | None]:
+        """Memoized ``(fingerprint, csr)``: one check and one CSR per object.
+
+        A valid networkx graph's CSR is kept next to its digest and lives
+        as long as the graph object, which is why a submitted graph is
+        treated as immutable.  A :class:`BulkGraph` keeps only its digest
+        (a value holding the key would pin it), and an invalid graph is
+        digested as submitted and runs that way, so ``solve()`` rejects it.
+        """
         try:
             cached = self._graph_hashes.get(graph)
         except TypeError:  # unhashable/weakref-less graph type
-            return graph_fingerprint(graph)
+            cached = None
         if cached is None:
-            cached = graph_fingerprint(graph)
+            csr = None
+            if not isinstance(graph, BulkGraph):
+                try:
+                    csr = resolve_bulk_input(graph, VECTORIZED)
+                except ValueError:
+                    pass
+            cached = (graph_fingerprint(graph if csr is None else csr), csr)
             try:
                 self._graph_hashes[graph] = cached
             except TypeError:
@@ -184,7 +221,7 @@ class SolveService:
         self._requests += 1
         spec = get_spec(algorithm)
         params = dict(params)
-        graph_hash = self._graph_hash(graph)
+        graph_hash, csr = self._graph_hash(graph)
         key = cache_key(spec, graph, seed=seed, params=params, graph_hash=graph_hash)
         cached = self.cache.get(key)
         if cached is not None:
@@ -196,7 +233,7 @@ class SolveService:
             return ("wait", request, started)
         request = ServiceRequest(
             algorithm=spec.name,
-            graph=graph,
+            graph=_run_graph(spec, graph, csr, backend, params),
             backend=backend,
             seed=seed,
             params=params,

@@ -329,16 +329,28 @@ class BulkGraph:
     def from_graph(cls, graph: nx.Graph) -> "BulkGraph":
         """Build a :class:`BulkGraph` from a networkx graph (sorted nodes).
 
-        The edges map to node positions and go through :meth:`from_edges`.
+        Each row comes from a neighbour dict of ``graph.adjacency()`` (a
+        multigraph's parallel edges share one key).  With the owners taken
+        in order, counting-sorting the entries by neighbour lists every row
+        ascending, as the adjacency is symmetric; a digraph's successor
+        rows go through :meth:`from_edges`, which symmetrises them.  The
+        CSR and the errors (no nodes, self loops) are :meth:`from_edges`'s.
         """
         nodes: tuple[Hashable, ...] = tuple(sorted(graph.nodes()))
-        index = {node: position for position, node in enumerate(nodes)}
-        ends = np.fromiter(
-            (index[end] for edge in graph.edges() for end in edge),
-            dtype=np.int64,
-            count=2 * graph.number_of_edges(),
+        n = len(nodes)
+        index = dict(zip(nodes, range(n)))
+        rows = list(map(dict(graph.adjacency()).__getitem__, nodes))
+        owners = np.repeat(
+            np.arange(n, dtype=np.int64), np.fromiter(map(len, rows), np.int64, n)
         )
-        return cls.from_edges(len(nodes), ends[0::2], ends[1::2], nodes=nodes)
+        neighbors = np.fromiter(
+            map(index.__getitem__, itertools.chain.from_iterable(rows)),
+            np.int64,
+            owners.size,
+        )
+        if graph.is_directed() or n == 0 or np.any(owners == neighbors):
+            return cls.from_edges(n, owners, neighbors, nodes=nodes)
+        return cls._from_entries(n, neighbors, owners, nodes)
 
     @classmethod
     def from_edges(
@@ -380,17 +392,29 @@ class BulkGraph:
             keys = np.sort(keys)
             keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
             lo, hi = np.divmod(keys, n)
-        # One stable counting sort (scipy's coo_tocsr, O(n + m)) of the
-        # entries (hi, lo) followed by (lo, hi): each row lists its lower
-        # neighbours ascending, then its upper neighbours ascending.
+        # The entries (hi, lo) followed by (lo, hi): each row lists its
+        # lower neighbours ascending, then its upper neighbours ascending.
+        return cls._from_entries(
+            n, np.concatenate((hi, lo)), np.concatenate((lo, hi)), nodes
+        )
+
+    @classmethod
+    def _from_entries(
+        cls, n: int, rows: np.ndarray, cols: np.ndarray, nodes
+    ) -> "BulkGraph":
+        """The graph whose row ``rows[j]`` lists ``cols[j]``, in entry order.
+
+        One stable counting sort (scipy's ``coo_tocsr``, O(n + m)).  The
+        callers hand in entries that make a valid CSR, so :meth:`__init__`'s
+        checks are skipped.
+        """
         from scipy.sparse import _sparsetools
 
-        entries = 2 * keys.size
+        entries = rows.size
         indptr = np.empty(n + 1, dtype=np.int64)
         col = np.empty(entries, dtype=np.int64)
         _sparsetools.coo_tocsr(
-            n, n, entries, np.concatenate((hi, lo)), np.concatenate((lo, hi)),
-            np.zeros(entries, dtype=bool), indptr, col,
+            n, n, entries, rows, cols, np.zeros(entries, dtype=bool), indptr, col,
             np.empty(entries, dtype=bool),
         )
         graph = cls.__new__(cls)
@@ -437,9 +461,34 @@ class BulkGraph:
             self._index = dict(zip(self.nodes, range(self.n)))
         return self._index
 
+    def _label_positions(self, members: Collection) -> np.ndarray | None:
+        """``members``' positions read off the labels, or ``None``.
+
+        Only the interned labels ``0..n-1`` are their own positions, and
+        only plain ``int`` members in range qualify: ``True`` and ``1.0``
+        hash like ``1``, so anything else takes the label dict, errors too.
+        """
+        if list(map(type, members)).count(int) != len(members) or (
+            self.nodes is not range_labels(self.n)
+        ):
+            return None
+        try:
+            positions = np.fromiter(members, np.int64, len(members))
+        except OverflowError:
+            return None
+        if positions.size and (positions.min() < 0 or positions.max() >= self.n):
+            return None
+        return positions
+
     def index_of(self, items: Iterable[Hashable]) -> np.ndarray:
         """Map node identifiers to their array positions."""
-        return np.fromiter(map(self._positions().__getitem__, items), dtype=np.int64)
+        members = items if isinstance(items, Collection) else list(items)
+        positions = self._label_positions(members)
+        if positions is None:
+            positions = np.fromiter(
+                map(self._positions().__getitem__, members), np.int64, len(members)
+            )
+        return positions
 
     def member_mask(
         self, candidate: Iterable[Hashable], ignore_unknown: bool = False
@@ -449,16 +498,18 @@ class BulkGraph:
         A node not in the graph raises ``ValueError`` (a stale set from
         another graph is a bug worth surfacing) unless ``ignore_unknown``.
         """
-        positions = self._positions()
         members = candidate if isinstance(candidate, Collection) else list(candidate)
-        found = np.fromiter(
-            map(positions.get, members, itertools.repeat(-1)), np.int64, len(members)
-        )
-        if not ignore_unknown and found.min(initial=0) < 0:
-            unknown = sorted({node for node in members if node not in positions})
-            raise ValueError(
-                f"candidate contains nodes not in the graph: {unknown[:5]}"
+        found = self._label_positions(members)
+        if found is None:
+            positions = self._positions()
+            found = np.fromiter(
+                map(positions.get, members, itertools.repeat(-1)), np.int64, len(members)
             )
+            if not ignore_unknown and found.min(initial=0) < 0:
+                unknown = sorted({node for node in members if node not in positions})
+                raise ValueError(
+                    f"candidate contains nodes not in the graph: {unknown[:5]}"
+                )
         flags = np.zeros(self.n, dtype=bool)
         flags[found[found >= 0]] = True
         return flags

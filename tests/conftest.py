@@ -8,12 +8,21 @@ reused across modules:
 * ``star`` / ``path`` / ``clique`` / ``grid`` -- structured graphs with
   known optimal dominating sets,
 * ``tiny_suite`` -- the whole tiny graph collection used for sweep tests.
+
+``conversions`` counts the input checks and networkx -> CSR conversions a
+test makes.
 """
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
+
 import networkx as nx
 import pytest
+
+import repro.graphs.utils as graph_utils
+from repro.simulator.bulk import BulkGraph
 
 from repro.graphs.generators import (
     caterpillar_graph,
@@ -72,3 +81,28 @@ def caterpillar() -> nx.Graph:
 def tiny_suite() -> dict[str, nx.Graph]:
     """The tiny benchmark suite (used by slower sweep-style tests)."""
     return graph_suite("tiny", seed=5)
+
+
+@pytest.fixture
+def conversions(monkeypatch) -> Counter:
+    """Count ``validate_simple_graph`` and ``BulkGraph.from_graph`` calls."""
+    counts: Counter = Counter()
+    check = graph_utils.validate_simple_graph
+
+    def counted_check(graph):
+        counts["validate"] += 1
+        return check(graph)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and (
+            getattr(module, "validate_simple_graph", None) is check
+        ):
+            monkeypatch.setattr(module, "validate_simple_graph", counted_check)
+    from_graph = BulkGraph.from_graph.__func__
+
+    def counted_from_graph(cls, graph):
+        counts["from_graph"] += 1
+        return from_graph(cls, graph)
+
+    monkeypatch.setattr(BulkGraph, "from_graph", classmethod(counted_from_graph))
+    return counts

@@ -243,14 +243,25 @@ class TestBuildersPassTheValidatingConstructor:
     adjacency checks: the validating constructor must accept every CSR it
     assembles and rebuild it field for field."""
 
-    @settings(max_examples=100, deadline=None)
-    @given(edge_lists())
-    def test_from_graph(self, case):
+    @settings(max_examples=150, deadline=None)
+    @given(
+        edge_lists(),
+        st.sampled_from(["str", "tuple"]),
+        st.sampled_from([nx.Graph, nx.MultiGraph]),
+        st.randoms(use_true_random=False),
+    )
+    def test_from_graph(self, case, label_kind, graph_class, rng):
         n, u, v = case
-        # String labels sort differently from their numbers ("v10" < "v2").
-        labels = [f"v{i}" for i in range(n)]
-        graph = nx.Graph()
-        graph.add_nodes_from(labels)
+        # String labels sort differently from their numbers ("v10" < "v2"),
+        # tuple labels by their first field; nodes are inserted shuffled, so
+        # the adjacency dicts come in neither label nor position order.  A
+        # multigraph keeps the repeated edges as parallel edges.
+        if label_kind == "str":
+            labels = [f"v{i}" for i in range(n)]
+        else:
+            labels = [(i % 3, f"v{i}") for i in range(n)]
+        graph = graph_class()
+        graph.add_nodes_from(rng.sample(labels, n))
         graph.add_edges_from((labels[a], labels[b]) for a, b in zip(u, v))
         built = BulkGraph.from_graph(graph)
         assert built.nodes == tuple(sorted(labels))
@@ -266,6 +277,15 @@ class TestBuildersPassTheValidatingConstructor:
             BulkGraph.from_graph(nx.Graph())
         with pytest.raises(ValueError, match="self loops"):
             BulkGraph.from_graph(nx.Graph([(0, 1), (2, 2)]))
+        with pytest.raises(ValueError, match="self loops"):
+            BulkGraph.from_graph(nx.MultiGraph([(0, 1), (1, 1), (1, 1)]))
+
+    def test_from_graph_symmetrises_a_digraph(self):
+        directed = nx.DiGraph([(2, 0), (0, 1), (1, 0)])
+        assert_same_csr(
+            BulkGraph.from_graph(directed),
+            BulkGraph.from_graph(directed.to_undirected()),
+        )
 
     def test_from_edges_checks_the_node_labels(self):
         with pytest.raises(ValueError, match="one identifier per CSR row"):

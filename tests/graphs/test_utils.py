@@ -136,6 +136,24 @@ class TestValidation:
         with pytest.raises(ValueError):
             validate_simple_graph(nx.DiGraph([(0, 1)]))
 
+    @pytest.mark.parametrize(
+        "graph,message",
+        [
+            (nx.Graph(), "graph has no nodes"),
+            (nx.DiGraph([(0, 1), (1, 1)]), "graph must be undirected"),
+            (nx.Graph([(0, 1), (2, 2)]), "graph must not contain self loops"),
+            (nx.MultiGraph([(0, 1), (1, 1)]), "graph must not contain self loops"),
+        ],
+    )
+    def test_messages(self, graph, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            validate_simple_graph(graph)
+
+    def test_accepts_parallel_edges_and_isolated_nodes(self):
+        graph = nx.MultiGraph([(0, 1), (0, 1)])
+        graph.add_node(2)
+        validate_simple_graph(graph)
+
     def test_relabel_to_integers_preserves_structure(self):
         graph = nx.Graph([("a", "b"), ("b", "c")])
         relabeled = relabel_to_integers(graph)

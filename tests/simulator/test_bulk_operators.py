@@ -434,6 +434,42 @@ class TestLabelsAndRow:
             True, False, False, False, False,
         ]
 
+    def test_interned_labels_are_their_own_positions(self):
+        bulk = BulkGraph.from_edges(6, np.array([0, 2]), np.array([1, 3]))
+        # The same labels in a tuple of their own go through the label dict.
+        twin = BulkGraph.from_edges(
+            6, np.array([0, 2]), np.array([1, 3]), nodes=tuple(range(6))
+        )
+        assert bulk.nodes is range_labels(6) and twin.nodes is not bulk.nodes
+        for candidate in ({1, 4}, [5, 5, 0], frozenset(), (3,)):
+            assert bulk.member_mask(candidate).tolist() == (
+                twin.member_mask(candidate).tolist()
+            )
+        assert np.flatnonzero(bulk.member_mask(iter([2, 2]))).tolist() == [2]
+        assert bulk.index_of([4, 0, 4]).tolist() == [4, 0, 4]
+        assert bulk.index_of(iter([1])).tolist() == [1]
+        assert bulk._index is None  # no label dict for plain ints in range
+        # True, 1.0 and numpy ints hash like 1, and the dict answers them.
+        for candidate in ([True], [1.0, 3], [np.int64(3)], {0, True}):
+            assert bulk.member_mask(candidate).tolist() == (
+                twin.member_mask(candidate).tolist()
+            )
+            assert bulk.index_of(candidate).tolist() == (
+                twin.index_of(candidate).tolist()
+            )
+        # Anything else takes the dict path too, with its errors.
+        for candidate in ([6], [-1], [2**70], ["1"], [1.5], [1, 7]):
+            with pytest.raises(ValueError) as fast:
+                bulk.member_mask(candidate)
+            with pytest.raises(ValueError) as reference:
+                twin.member_mask(candidate)
+            assert str(fast.value) == str(reference.value)
+            assert bulk.member_mask(candidate, ignore_unknown=True).tolist() == (
+                twin.member_mask(candidate, ignore_unknown=True).tolist()
+            )
+            with pytest.raises(KeyError):
+                bulk.index_of(candidate)
+
 
 def broadcast_cases() -> list[np.ndarray]:
     edgeless = BulkGraph.from_edges(4, np.empty(0, dtype=np.int64), np.empty(0))

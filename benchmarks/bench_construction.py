@@ -13,8 +13,9 @@ claims of the CSR-native substrate:
   fraction of the cost, keeping the reference point comparable at scale,
   and
 * the ``solve-er`` instance, ``bulk_erdos_renyi_graph(200_000, 10/(n-1))``,
-  builds through the one counting-sort CSR builder into the CSR that
-  Python sets give for the generator's edges (median of 5 builds), and
+  writes its adjacency entries in place for the one counting-sort CSR
+  builder, into the CSR that Python sets give for those entries (median
+  of 5 builds), and
 * ``BulkGraph.from_graph`` -- the networkx → CSR conversion every
   networkx request pays once -- turns G(n, p) at n = 1024 (mean degree
   4, the ``service-mixed`` misses) and n = 20 000 (mean degree 10) into
@@ -93,17 +94,17 @@ def _er_build(seed: int, monkeypatch) -> dict:
         _timed(lambda: bulk_erdos_renyi_graph(N_ER, p, seed=seed))[1]
         for _ in range(ER_BUILDS)
     ]
-    edges = []
-    from_edges = BulkGraph.from_edges.__func__
+    entries = []
+    from_entries = BulkGraph._from_entries.__func__
 
-    def recording(cls, n, u, v, nodes=None):
-        edges.append((np.asarray(u).tolist(), np.asarray(v).tolist()))
-        return from_edges(cls, n, u, v, nodes)
+    def recording(cls, n, rows, cols, nodes):
+        entries.append((rows.tolist(), cols.tolist()))
+        return from_entries(cls, n, rows, cols, nodes)
 
     with monkeypatch.context() as patch:
-        patch.setattr(BulkGraph, "from_edges", classmethod(recording))
+        patch.setattr(BulkGraph, "_from_entries", classmethod(recording))
         built = bulk_erdos_renyi_graph(N_ER, p, seed=seed)
-    (u, v), = edges
+    (u, v), = entries
     return {
         "n": N_ER,
         "edges": built.number_of_edges,

@@ -57,7 +57,7 @@ import enum
 import inspect
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Any, Callable, Hashable, Iterator, Mapping, Sequence
 
 import networkx as nx
@@ -87,6 +87,7 @@ from repro.core.vectorized import (
     SIMULATED,
     VECTORIZED,
     CapabilityError,
+    resolve_bulk_input,
 )
 from repro.core.weighted import weighted_kuhn_wattenhofer_dominating_set
 from repro.simulator.bulk import BulkGraph
@@ -307,6 +308,17 @@ class AlgorithmSpec:
         """Whether ``collect_trace=True`` is available on ``backend``."""
         return backend in self.trace_backends
 
+    @cached_property
+    def _accepted_params(self) -> dict[str, Any]:
+        """The runner's algorithm parameters and their defaults (read once)."""
+        return {
+            name: parameter.default
+            for name, parameter in inspect.signature(self.runner).parameters.items()
+            if name not in _RUNNER_CONTEXT
+            and parameter.kind
+            in (parameter.POSITIONAL_OR_KEYWORD, parameter.KEYWORD_ONLY)
+        }
+
     @property
     def has_backend_twins(self) -> bool:
         """Both engines implement the algorithm (equivalence-gateable)."""
@@ -485,14 +497,7 @@ def normalized_params(
     """
     spec = get_spec(algorithm)
     params = dict(params or {})
-    signature = inspect.signature(spec.runner)
-    accepted = {
-        name: parameter.default
-        for name, parameter in signature.parameters.items()
-        if name not in _RUNNER_CONTEXT
-        and parameter.kind
-        in (parameter.POSITIONAL_OR_KEYWORD, parameter.KEYWORD_ONLY)
-    }
+    accepted = spec._accepted_params
     unknown = sorted(set(params) - set(accepted))
     if unknown and strict:
         raise TypeError(
@@ -636,7 +641,7 @@ def _is_connected(graph: nx.Graph | BulkGraph) -> bool:
         from repro.cds.bulk import bulk_is_connected
 
         return bulk_is_connected(graph)
-    return graph.number_of_nodes() > 0 and nx.is_connected(graph)
+    return nx.is_connected(graph)
 
 
 def solve(
@@ -709,6 +714,10 @@ def solve(
         params["collect_trace"] = report_params["collect_trace"] = True
     if resolved == SHARDED:
         params["shards"] = report_params["shards"] = shards
+    if spec.requires_connected:
+        # The gate follows the one input check, whose errors every spec
+        # shares; a bulk engine then runs on the CSR the check built.
+        graph = resolve_bulk_input(graph, resolved) or graph
     if spec.requires_connected and not _is_connected(graph):
         raise ValueError(
             f"algorithm {spec.name!r} requires a connected graph (a "

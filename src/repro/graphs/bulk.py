@@ -75,16 +75,21 @@ def bulk_erdos_renyi_graph(n: int, p: float, seed: int | None = None) -> BulkGra
         linear = linear[: np.searchsorted(linear, total_pairs)]
 
     # Invert the triangular flattening: pair t belongs to row u with
-    # offsets[u] ≤ t < offsets[u+1], then v = u + 1 + (t − offsets[u]).
+    # offsets[u] ≤ t < offsets[u+1], then v = t − (offsets[u] − u − 1).
     # ``linear`` is sorted, so n searches for the row starts in it give
     # each row's pair count (m searches into ``offsets`` give the same u).
+    # Strictly increasing pairs give 0 ≤ u < v < n without duplicates, so
+    # the entries (v, u) then (u, v) skip from_edges for the counting sort.
+    m = linear.size
     offsets = _row_offsets(n)
-    row_starts = np.searchsorted(linear, offsets)
-    u = np.repeat(
-        np.arange(n, dtype=np.int64), np.diff(row_starts, append=linear.size)
-    )
-    v = linear - offsets[u] + u + 1
-    return BulkGraph.from_edges(n, u, v)
+    counts = np.diff(np.searchsorted(linear, offsets), append=m)
+    arange = np.arange(n, dtype=np.int64)
+    rows = np.empty(2 * m, dtype=np.int64)
+    cols = np.empty(2 * m, dtype=np.int64)
+    rows[m:] = cols[:m] = np.repeat(arange, counts)
+    np.subtract(linear, np.repeat(offsets - arange - 1, counts), out=rows[:m])
+    cols[m:] = rows[:m]
+    return BulkGraph._from_entries(n, rows, cols, None)
 
 
 def _row_offsets(n: int) -> np.ndarray:

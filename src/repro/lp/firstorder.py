@@ -329,7 +329,7 @@ def _solve_pdhg(lp: "DominatingSetLP", tol: float, budget: int) -> FirstOrderSol
     matrix = lp.neighborhood_matrix()
     n = lp.size
     weights = lp.weights
-    delta_one = lp.bulk.closed_max(lp.bulk.degrees.astype(np.float64))
+    delta_one = lp.bulk.degree_maxima()[0]
     inverse_closed = 1.0 / (delta_one + 1.0)
     x = inverse_closed.copy()
     x[weights <= 0.0] = 1.0

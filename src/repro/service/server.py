@@ -179,7 +179,8 @@ class SolveService:
         as long as the graph object, which is why a submitted graph is
         treated as immutable.  A :class:`BulkGraph` keeps only its digest
         (a value holding the key would pin it), and an invalid graph is
-        digested as submitted and runs that way, so ``solve()`` rejects it.
+        digested as submitted and runs that way, so ``solve()`` rejects it;
+        one that cannot be digested (self loops) raises the check's error.
         """
         try:
             cached = self._graph_hashes.get(graph)
@@ -190,9 +191,12 @@ class SolveService:
             if not isinstance(graph, BulkGraph):
                 try:
                     csr = resolve_bulk_input(graph, VECTORIZED)
-                except ValueError:
-                    pass
-            cached = (graph_fingerprint(graph if csr is None else csr), csr)
+                except ValueError as error:
+                    invalid = error
+            try:
+                cached = (graph_fingerprint(graph if csr is None else csr), csr)
+            except ValueError:
+                raise invalid from None
             try:
                 self._graph_hashes[graph] = cached
             except TypeError:
@@ -207,7 +211,8 @@ class SolveService:
         seed: int | None,
         params: Mapping[str, Any],
     ) -> tuple:
-        """Resolve one submission to a hit, a join, or a fresh request.
+        """Resolve one submission to a hit, a join, a fresh request, or
+        the error of a graph that cannot be keyed.
 
         Awaits only on queue backpressure, so a caller enqueueing a burst
         (:meth:`solve_many`) keeps the whole burst inside one batching
@@ -221,7 +226,12 @@ class SolveService:
         self._requests += 1
         spec = get_spec(algorithm)
         params = dict(params)
-        graph_hash, csr = self._graph_hash(graph)
+        try:
+            graph_hash, csr = self._graph_hash(graph)
+        except ValueError as error:
+            # Fails through the request, like every error solve() raises.
+            self._failed += 1
+            return ("error", error, started)
         key = cache_key(spec, graph, seed=seed, params=params, graph_hash=graph_hash)
         cached = self.cache.get(key)
         if cached is not None:
@@ -276,6 +286,8 @@ class SolveService:
         self, outcome: tuple, timeout: float | None
     ) -> RunReport:
         kind, payload, started = outcome
+        if kind == "error":
+            raise payload
         if kind == "hit":
             self._completed += 1
             self._latencies_s.append(time.perf_counter() - started)

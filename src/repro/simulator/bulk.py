@@ -9,9 +9,12 @@ neighbours / receive" step of the paper's algorithms is one whole-graph
 array operation over a CSR view of the adjacency structure.
 
 Inputs are checked once, at the boundary: the constructor validates a raw
-``(indptr, col)`` CSR, and :meth:`BulkGraph.from_edges` (behind
-``from_graph`` and every generator) checks its edge arrays, then assembles
-the CSR its counting sort builds, valid by construction, without a re-check.
+``(indptr, col)`` CSR, and :meth:`BulkGraph.from_edges` (behind the
+generators) checks its edge arrays.  Both it and the builders whose
+entries are valid by construction -- :meth:`BulkGraph.from_graph` on a
+simple undirected graph and
+:func:`~repro.graphs.bulk.bulk_erdos_renyi_graph` -- hand their adjacency
+entries to one counting sort, whose CSR is assembled without a re-check.
 
 Four invariants tie this module to the simulator so the two backends stay
 numerically interchangeable:
@@ -71,9 +74,9 @@ FLOAT_PAYLOAD_BITS = 32
 # 2m adjacency entries; pull every row above it.  The crossovers were
 # measured on ER graphs with n = 2·10⁵ and mean degree 10 against the
 # split pull (CHANGES.md): a pushed count wins below ≈ 30% of the entries,
-# a pushed maximum below ≈ 50%.
+# a pushed maximum below ≈ 20% against the radix-encoded sum.
 _PUSH_COUNT_FRACTION = 0.3
-_PUSH_MAX_FRACTION = 0.5
+_PUSH_MAX_FRACTION = 0.2
 
 # A neighbour sum over a row subset gathers those rows while their degree
 # sum is below this fraction of the 2m entries, and runs the full pass and
@@ -698,29 +701,39 @@ class BulkGraph:
         participates (the per-node programs seed their running maximum
         with it before reading the inbox).
 
-        Unmasked non-negative integer values whose non-zero entries have a
-        small degree sum are pushed from those sources into their rows
-        (``np.maximum.at``); a zero never raises a non-negative maximum,
-        so this equals pulling every row.
+        Unmasked non-negative integers whose non-zero entries have a small
+        degree sum are pushed from those sources into their rows
+        (``np.maximum.at``).  Other ones with ``max·b ≤ 1022 − b``, where
+        ``b = Δ.bit_length() + 1``, are pulled as the two-core neighbour
+        sum of the terms ``2^(b·v)``: at most Δ < 2^(b−1) terms, whose
+        partial sums never decrease, sum into ``[2^(b·M), 2^(b·(M+1)))``,
+        so the binary exponent gives the neighbours' maximum ``M`` exactly
+        (−1 for an empty row).  Floats, negatives and larger values take
+        the take/reduceat pull.
         """
         values = np.asarray(values)
         result = values.copy()
         if not self.col.size:
             return result
-        if (
-            senders is None
-            and edge_mask is None
-            and np.issubdtype(values.dtype, np.integer)
-            and values.min() >= 0
-        ):
-            sources = np.flatnonzero(values)
-            frontier = self._frontier_entries(sources, _PUSH_MAX_FRACTION)
-            if frontier is not None:
-                neighbours, lengths = frontier
-                np.maximum.at(
-                    result, neighbours, np.repeat(values[sources], lengths)
+        if np.issubdtype(values.dtype, np.integer) and values.min() >= 0:
+            if senders is None and edge_mask is None:
+                sources = np.flatnonzero(values)
+                frontier = self._frontier_entries(sources, _PUSH_MAX_FRACTION)
+                if frontier is not None:
+                    neighbours, lengths = frontier
+                    np.maximum.at(
+                        result, neighbours, np.repeat(values[sources], lengths)
+                    )
+                    return result
+            base = self.max_degree.bit_length() + 1
+            if int(values.max()) * base <= 1022 - base:
+                terms = np.ldexp(1.0, np.multiply(values, base, dtype=np.int32))
+                if senders is not None:
+                    terms *= np.asarray(senders, dtype=bool)
+                _, exponent = np.frexp(self._matvec(terms, edge_mask))
+                return np.maximum(values, (exponent - 1) // base).astype(
+                    values.dtype, copy=False
                 )
-                return result
         # Pull: gather every entry's value, drop the masked entries to the
         # dtype's floor, and reduce each non-empty row.  A row range
         # handles its own entries and rows, into the caller's buffers.

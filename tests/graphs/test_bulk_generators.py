@@ -225,16 +225,25 @@ class TestFromEdgesMatchesSetReference:
         ids=["erdos-renyi", "unit-disk", "grid", "caterpillar"],
     )
     def test_generators_match_set_reference(self, build, monkeypatch):
+        # The generators hand their edges to from_edges, except the ER one,
+        # whose edges are valid by construction: it writes its 2m entries
+        # straight into _from_entries.  The outermost call is the input.
         calls = []
         from_edges = BulkGraph.from_edges.__func__
+        from_entries = BulkGraph._from_entries.__func__
 
         def recording(cls, n, u, v, nodes=None):
             calls.append((n, np.asarray(u).tolist(), np.asarray(v).tolist()))
             return from_edges(cls, n, u, v, nodes)
 
+        def recording_entries(cls, n, rows, cols, nodes):
+            calls.append((n, rows.tolist(), cols.tolist()))
+            return from_entries(cls, n, rows, cols, nodes)
+
         monkeypatch.setattr(BulkGraph, "from_edges", classmethod(recording))
+        monkeypatch.setattr(BulkGraph, "_from_entries", classmethod(recording_entries))
         built = build()
-        (n, u, v), = calls
+        n, u, v = calls[0]
         assert (built.indptr.tolist(), built.col.tolist()) == set_reference_csr(n, u, v)
 
 
@@ -271,6 +280,15 @@ class TestBuildersPassTheValidatingConstructor:
         assert (built.indptr.tolist(), built.col.tolist()) == set_reference_csr(
             n, relabel[u].tolist(), relabel[v].tolist()
         )
+
+    @pytest.mark.parametrize(
+        "n,p,seed",
+        [(1, 0.5, 0), (2, 1.0, 0), (30, 1.0, 0), (500, 0.02, 9), (3000, 0.003, 5)],
+    )
+    def test_erdos_renyi(self, n, p, seed):
+        # The generator's entries skip from_edges' checks as well.
+        built = bulk_erdos_renyi_graph(n, p, seed=seed)
+        assert_same_fields(built, BulkGraph(built.indptr, built.col))
 
     def test_from_graph_keeps_its_errors(self):
         with pytest.raises(ValueError, match="at least one node"):

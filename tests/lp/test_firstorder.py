@@ -311,6 +311,20 @@ class TestRestartedHalpern:
         assert check_primal_feasible(lp, solution.x, tolerance=1e-9)
         assert check_dual_feasible(lp, solution.y, tolerance=1e-9)
 
+    def test_warm_start_reads_the_cached_delta_one(self, monkeypatch):
+        bulk = bulk_graph_suite("large")["erdos_renyi_n2000"]
+        bulk.degree_maxima()
+        pulled = []
+        closed_max = BulkGraph.closed_max
+
+        def spy(self, values, *args, **kwargs):
+            pulled.append(np.asarray(values))
+            return closed_max(self, values, *args, **kwargs)
+
+        monkeypatch.setattr(BulkGraph, "closed_max", spy)
+        assert solve_covering_lp(build_lp(bulk), tol=1e-1).certificate.certified
+        assert not any(np.array_equal(values, bulk.degrees) for values in pulled)
+
     def test_restarts_cut_iterations(self, monkeypatch):
         # Restarts on erdos_renyi_n60 at tol 10⁻⁴ take the anchored
         # iteration from 8,550 iterations down to 500.

@@ -366,3 +366,13 @@ class TestOneCsrPerGraph:
         for requests in (MIXED[:1], MIXED[1:5], MIXED[5:]):
             with pytest.raises(ValueError, match="must not contain self loops"):
                 _serve(looped, requests)
+
+    def test_self_loops_fail_through_their_requests(self, graph):
+        looped = nx.Graph(graph)
+        looped.add_edge(0, 0)
+        reports, stats = _serve(looped, MIXED, return_exceptions=True)
+        for report in reports:
+            assert isinstance(report, ValueError)
+            assert str(report) == "graph must not contain self loops"
+        assert stats["failed"] == len(MIXED)
+        assert stats["cache"]["entries"] == 0

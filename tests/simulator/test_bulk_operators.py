@@ -267,6 +267,187 @@ class TestPushMatchesPull:
         assert not delta_two.flags.writeable
 
 
+def closed_max_reference(bulk: BulkGraph, values, senders=None, edge_mask=None):
+    """Each node's own value, raised by every delivered neighbour's."""
+    expected = np.array(values, copy=True)
+    for node in range(bulk.n):
+        for j in range(bulk.indptr[node], bulk.indptr[node + 1]):
+            sender = bulk.col[j]
+            delivered = edge_mask is None or edge_mask[j]
+            if delivered and (senders is None or senders[sender]):
+                expected[node] = max(expected[node], values[sender])
+    return expected
+
+
+def radix_limit(bulk: BulkGraph) -> int:
+    """The largest value the radix pull encodes on ``bulk``."""
+    base = bulk.max_degree.bit_length() + 1
+    return (1022 - base) // base
+
+
+def closed_max_path(
+    monkeypatch, bulk, values, closed_max=BulkGraph.closed_max, **masks
+) -> tuple[np.ndarray, str]:
+    """``closed_max``'s result and the path it took.
+
+    ``push`` (frontier entries handed out), ``radix`` (a matvec),
+    ``reference`` (the take/reduceat row pass) or ``own`` (no edges).
+    """
+    taken: list[str] = []
+    frontier = BulkGraph._frontier_entries
+    matvec = bulk_module._csr_matvec
+    over_rows = bulk_module._over_row_ranges
+
+    def spy_frontier(self, sources, fraction):
+        entries = frontier(self, sources, fraction)
+        if entries is not None:
+            taken.append("push")
+        return entries
+
+    def spy_matvec(*args):
+        taken.append("radix")
+        return matvec(*args)
+
+    def spy_rows(indptr, kernel):
+        taken.append("rows")
+        return over_rows(indptr, kernel)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(BulkGraph, "_frontier_entries", spy_frontier)
+        patch.setattr(bulk_module, "_csr_matvec", spy_matvec)
+        patch.setattr(bulk_module, "_over_row_ranges", spy_rows)
+        result = closed_max(bulk, values, **masks)
+    path = {
+        (): "own",
+        ("push",): "push",
+        ("radix", "rows"): "radix",
+        ("rows",): "reference",
+    }[tuple(taken)]
+    return result, path
+
+
+def expected_path(bulk, values, masked: bool, fraction: float) -> str:
+    if not bulk.col.size:
+        return "own"
+    if values.min() < 0 or not np.issubdtype(values.dtype, np.integer):
+        return "reference"
+    if not masked and int(bulk.degrees[values > 0].sum()) < fraction * bulk.col.size:
+        return "push"
+    return "radix" if values.max() <= radix_limit(bulk) else "reference"
+
+
+@st.composite
+def radix_cases(draw):
+    """Integer values up to one above the radix limit, with both masks."""
+    bulk = draw(csr_graphs())
+    limit = radix_limit(bulk)
+    values = draw(hnp.arrays(np.int64, bulk.n, elements=st.integers(0, limit)))
+    values[draw(st.integers(0, bulk.n - 1))] = draw(
+        st.sampled_from([0, limit, limit + 1])
+    )
+    senders = draw(hnp.arrays(np.bool_, bulk.n))
+    edge_mask = draw(hnp.arrays(np.bool_, bulk.col.size))
+    return bulk, values, senders, edge_mask
+
+
+class TestRadixClosedMax:
+    """The radix-encoded pull equals the row-by-row maximum exactly."""
+
+    def check(self, monkeypatch, bulk, values, senders, edge_mask) -> None:
+        floats = values.astype(np.float64)
+        for fraction in (0.0, 2.0):
+            monkeypatch.setattr(bulk_module, "_PUSH_MAX_FRACTION", fraction)
+            for masks in (
+                {},
+                {"senders": senders},
+                {"edge_mask": edge_mask},
+                {"senders": senders, "edge_mask": edge_mask},
+            ):
+                result, path = closed_max_path(monkeypatch, bulk, values, **masks)
+                assert path == expected_path(bulk, values, bool(masks), fraction)
+                assert result.dtype == values.dtype
+                expected = closed_max_reference(bulk, values, **masks)
+                assert np.array_equal(result, expected)
+                # The take/reduceat pull, which floats take, agrees too.
+                pulled, pull_path = closed_max_path(monkeypatch, bulk, floats, **masks)
+                assert pull_path in ("reference", "own")
+                assert np.array_equal(pulled, expected.astype(np.float64))
+
+    @settings(max_examples=150, deadline=None)
+    @given(radix_cases())
+    def test_random_graphs(self, case):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.check(monkeypatch, *case)
+
+    @pytest.mark.parametrize("delta", [1, 2, 7, 8, 127, 128])
+    @pytest.mark.parametrize("above", [False, True])
+    def test_full_star_rows_at_the_limit(self, monkeypatch, delta, above):
+        # Δ = 2ʲ − 1 and 2ʲ on either side of a base change: the hub sums Δ
+        # terms that all sit at the largest encodable value (or one above).
+        bulk = star(delta)
+        limit = radix_limit(bulk)
+        values = np.full(bulk.n, limit + above, dtype=np.int64)
+        values[0] = 0
+        rng = np.random.default_rng(delta)
+        senders = rng.random(bulk.n) < 0.5
+        edge_mask = rng.random(bulk.col.size) < 0.5
+        self.check(monkeypatch, bulk, values, senders, edge_mask)
+
+    def test_narrow_and_unsigned_dtypes(self, monkeypatch, er_graph):
+        values = np.random.default_rng(5).integers(0, 60, er_graph.n)
+        expected = closed_max_reference(er_graph, values)
+        for dtype in (np.int8, np.int32, np.uint8, np.uint64):
+            result, path = closed_max_path(monkeypatch, er_graph, values.astype(dtype))
+            assert path == "radix" and result.dtype == dtype
+            assert np.array_equal(result, expected)
+
+    def test_row_split_parity(self, monkeypatch, er_graph):
+        rng = np.random.default_rng(6)
+        values = rng.integers(0, radix_limit(er_graph) + 1, er_graph.n)
+        senders = rng.random(er_graph.n) < 0.6
+        edge_mask = rng.random(er_graph.col.size) < 0.8
+        serial = closed_max_reference(er_graph, values, senders, edge_mask)
+        # A pool of this test's own: a later test may time the first split.
+        monkeypatch.setattr(bulk_module, "_row_pool", None)
+        monkeypatch.setattr(bulk_module, "_PARALLEL_MIN_ENTRIES", 0)
+        monkeypatch.setattr(bulk_module, "available_cpu_count", lambda: 2)
+        assert bulk_module._row_ranges(er_graph.indptr) != [(0, er_graph.n)]
+        for masks in ({}, {"senders": senders}, {"edge_mask": edge_mask}):
+            result, path = closed_max_path(monkeypatch, er_graph, values, **masks)
+            assert path == "radix"
+            assert np.array_equal(
+                result, closed_max_reference(er_graph, values, **masks)
+            )
+        result, _ = closed_max_path(
+            monkeypatch, er_graph, values, senders=senders, edge_mask=edge_mask
+        )
+        assert np.array_equal(result, serial)
+
+    def test_lrg_twin_equals_the_simulated_lrg(self, monkeypatch):
+        from repro.baselines.jia_rajaraman_suel import lrg_dominating_set
+
+        graph = nx.gnp_random_graph(120, 0.06, seed=8)
+        paths: list[str] = []
+        closed_max = BulkGraph.closed_max
+
+        def spy(self, values, senders=None, edge_mask=None):
+            result, path = closed_max_path(
+                monkeypatch, self, values, closed_max, senders=senders,
+                edge_mask=edge_mask,
+            )
+            paths.append(path)
+            return result
+
+        simulated = lrg_dominating_set(graph, seed=3)
+        monkeypatch.setattr(BulkGraph, "closed_max", spy)
+        vectorized = lrg_dominating_set(graph, seed=3, backend="vectorized")
+        monkeypatch.setattr(BulkGraph, "closed_max", closed_max)
+        assert simulated.dominating_set == vectorized.dominating_set
+        assert simulated.phases == vectorized.phases
+        assert simulated.metrics.total_bits == vectorized.metrics.total_bits
+        assert paths and set(paths) == {"radix"}
+
+
 class TestArrayHandOff:
     def test_accumulate_objective_equals_python_sum(self):
         rng = np.random.default_rng(11)

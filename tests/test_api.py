@@ -897,6 +897,32 @@ class TestNormalizedParams:
             "kuhn-wattenhofer", {"k": 2}
         ) != api.normalized_params("kuhn-wattenhofer", {"k": 3})
 
+    def test_signature_read_once_per_spec(self, monkeypatch):
+        def runner(graph, seed, backend, k=1, *, rule="log"):
+            return {}
+
+        spec = AlgorithmSpec(
+            name="signature-probe",
+            summary="",
+            backends=(SIMULATED,),
+            runner=runner,
+            entry_point=runner,
+        )
+        reads = []
+        signature = inspect.signature
+        monkeypatch.setattr(
+            api.inspect, "signature", lambda func: reads.append(func) or signature(func)
+        )
+        for params in ({}, {"k": 2}, {"rule": "max", "k": 3}):
+            assert api.normalized_params(spec, params)["k"] == params.get("k", 1)
+        with pytest.raises(TypeError, match="'bogus'; accepted: k, rule$"):
+            api.normalized_params(spec, {"bogus": 1})
+        assert api.normalized_params(spec, {"bogus": 1}, strict=False) == {
+            "k": 1,
+            "rule": "log",
+        }
+        assert reads == [runner]
+
     def test_runner_context_excluded(self):
         params = api.normalized_params("kuhn-wattenhofer", {"k": 2})
         for context in ("graph", "seed", "backend"):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
-from repro.api import get_spec, iter_specs, solve
+from repro.api import iter_specs, solve
 from repro.core.fractional import approximate_fractional_mds
 from repro.core.rounding import round_fractional_solution_batched
 from repro.core.vectorized import SIMULATED, VECTORIZED
@@ -66,8 +66,11 @@ def _directed(graph: nx.Graph) -> nx.DiGraph:
 
 
 def _looped(graph: nx.Graph) -> nx.Graph:
+    # Disconnected as well: the input check answers before the
+    # connected-dominating-set specs' connectivity gate.
     looped = nx.Graph(graph)
     looped.add_edge(0, 0)
+    looped.add_node(graph.number_of_nodes())
     return looped
 
 
@@ -88,14 +91,8 @@ class TestMalformedInputsRejected:
 
     @pytest.mark.parametrize("name,backend", CASES)
     def test_directed(self, name, backend, connected_graph):
-        graph = _directed(connected_graph)
-        if get_spec(name).requires_connected:
-            # solve()'s connectivity gate asks networkx first, as it did.
-            with pytest.raises(nx.NetworkXNotImplemented, match="directed"):
-                solve(name, graph, backend=backend, seed=0)
-        else:
-            with pytest.raises(ValueError, match="graph must be undirected"):
-                solve(name, graph, backend=backend, seed=0)
+        with pytest.raises(ValueError, match="graph must be undirected"):
+            solve(name, _directed(connected_graph), backend=backend, seed=0)
 
     def test_unchecked_csr_is_never_handed_down(self, connected_graph):
         # The coalesced service path builds its CSR through the boundary,

@@ -13,9 +13,9 @@ claims of the CSR-native substrate:
   fraction of the cost, keeping the reference point comparable at scale,
   and
 * the ``solve-er`` instance, ``bulk_erdos_renyi_graph(200_000, 10/(n-1))``,
-  writes its adjacency entries in place for the one counting-sort CSR
-  builder, into the CSR that Python sets give for those entries (median
-  of 5 builds), and
+  assembles its sampled upper triangle and that triangle's transpose into
+  the CSR that Python sets give for an independent redraw of the same
+  sample (median of 5 builds), and
 * ``BulkGraph.from_graph`` -- the networkx → CSR conversion every
   networkx request pays once -- turns G(n, p) at n = 1024 (mean degree
   4, the ``service-mixed`` misses) and n = 20 000 (mean degree 10) into
@@ -87,24 +87,43 @@ def _set_reference_csr(n, u, v) -> tuple[list[int], list[int]]:
     return indptr, col
 
 
-def _er_build(seed: int, monkeypatch) -> dict:
+def _redrawn_er_edges(n: int, p: float, seed: int) -> tuple[list[int], list[int]]:
+    """G(n, p)'s edges for ``seed``, redrawn without the generator's code.
+
+    The same batches of ``rng.geometric`` gaps from the same stream, summed
+    as Python ints, and each pair position below n(n−1)/2 decoded to its
+    pair (u, v) by walking the rows.
+    """
+    total = n * (n - 1) // 2
+    rng = np.random.default_rng(seed)
+    batch = max(1024, int(1.1 * p * total) + 16)
+    positions, position = [], -1
+    while position < total - 1:
+        for gap in rng.geometric(p, batch).tolist():
+            position += gap
+            if position < total:
+                positions.append(position)
+    u: list[int] = []
+    v: list[int] = []
+    row, first = 0, 0  # the row and its first pair position
+    for t in positions:
+        while t >= first + n - 1 - row:
+            first += n - 1 - row
+            row += 1
+        u.append(row)
+        v.append(row + 1 + t - first)
+    return u, v
+
+
+def _er_build(seed: int) -> dict:
     """Median build time of the ``solve-er`` graph and its set-reference check."""
     p = 10 / (N_ER - 1)
     times = [
         _timed(lambda: bulk_erdos_renyi_graph(N_ER, p, seed=seed))[1]
         for _ in range(ER_BUILDS)
     ]
-    entries = []
-    from_entries = BulkGraph._from_entries.__func__
-
-    def recording(cls, n, rows, cols, nodes):
-        entries.append((rows.tolist(), cols.tolist()))
-        return from_entries(cls, n, rows, cols, nodes)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(BulkGraph, "_from_entries", classmethod(recording))
-        built = bulk_erdos_renyi_graph(N_ER, p, seed=seed)
-    (u, v), = entries
+    built = bulk_erdos_renyi_graph(N_ER, p, seed=seed)
+    u, v = _redrawn_er_edges(N_ER, p, seed)
     return {
         "n": N_ER,
         "edges": built.number_of_edges,
@@ -137,7 +156,7 @@ def _networkx_build(n: int, mean_degree: int, seed: int) -> dict:
 
 @pytest.mark.benchmark(group="construction")
 def test_construction_speedup(
-    benchmark, bench_seed, emit_table, emit_json, monkeypatch
+    benchmark, bench_seed, emit_table, emit_json
 ):
     """Grid-bucket unit-disk construction: ≥ 20× over the pairwise scan."""
     points = random_unit_disk_positions(N_CONSTRUCTION, seed=bench_seed)
@@ -163,7 +182,7 @@ def test_construction_speedup(
     bulk_set, bulk_time = _timed(lambda: greedy_dominating_set_bulk(bulk_small))
     greedy_match = reference_set == bulk_set
 
-    er_build = _er_build(bench_seed, monkeypatch)
+    er_build = _er_build(bench_seed)
     nx_builds = [
         _networkx_build(n, mean_degree, bench_seed) for n, mean_degree in NX_SIZES
     ]

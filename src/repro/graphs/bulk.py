@@ -18,9 +18,11 @@ networkx generator).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from repro.simulator.bulk import BulkGraph
+from repro.simulator.bulk import BulkGraph, _over_ranges, _splits
 from repro.graphs.unit_disk import random_unit_disk_positions, unit_disk_edges
 
 
@@ -47,8 +49,11 @@ def bulk_erdos_renyi_graph(n: int, p: float, seed: int | None = None) -> BulkGra
 
     Instead of flipping one coin per pair, the generator draws the *gaps*
     between successive edges in the flattened upper-triangular pair order
-    (each gap is geometric with success probability p), which costs
-    O(expected edges) regardless of n.
+    (each gap is geometric with success probability p; Batagelj & Brandes,
+    Phys. Rev. E 71, 2005), which costs O(expected edges) regardless of n.
+    The sorted pairs are the upper triangle in CSR order: a row search
+    gives its row starts and one subtraction its columns, and
+    :meth:`BulkGraph._from_upper` adds the transposed lower triangle.
     """
     if n <= 0:
         raise ValueError("n must be positive")
@@ -60,36 +65,71 @@ def bulk_erdos_renyi_graph(n: int, p: float, seed: int | None = None) -> BulkGra
     if p == 1.0:
         linear = np.arange(total_pairs, dtype=np.int64)
     else:
-        rng = np.random.default_rng(seed)
-        chunks: list[np.ndarray] = []
-        position = -1
-        # Expected edges ≈ p · total_pairs; draw gaps in batches until the
-        # pair space is exhausted.
-        batch = max(1024, int(1.1 * p * total_pairs) + 16)
-        while position < total_pairs - 1:
-            gaps = rng.geometric(p, size=batch)
-            positions = position + np.cumsum(gaps)
-            chunks.append(positions)
-            position = int(positions[-1])
-        linear = np.concatenate(chunks)
-        linear = linear[: np.searchsorted(linear, total_pairs)]
+        linear = _edge_pairs(np.random.default_rng(seed), p, total_pairs)
 
     # Invert the triangular flattening: pair t belongs to row u with
     # offsets[u] ≤ t < offsets[u+1], then v = t − (offsets[u] − u − 1).
-    # ``linear`` is sorted, so n searches for the row starts in it give
-    # each row's pair count (m searches into ``offsets`` give the same u).
-    # Strictly increasing pairs give 0 ≤ u < v < n without duplicates, so
-    # the entries (v, u) then (u, v) skip from_edges for the counting sort.
+    # ``linear`` is sorted, so n searches for the row starts in it give the
+    # upper triangle's row pointer (m searches into ``offsets`` would give
+    # each pair's u).  Strictly increasing pairs give 0 ≤ u < v < n without
+    # duplicates: each row's columns ascend.
     m = linear.size
     offsets = _row_offsets(n)
-    counts = np.diff(np.searchsorted(linear, offsets), append=m)
+    indptr = np.empty(n + 1, dtype=np.int64)
+    indptr[n] = m
+
+    def row_starts(start: int, stop: int) -> None:
+        indptr[start:stop] = np.searchsorted(linear, offsets[start:stop])
+
+    _over_ranges([(0, n // 2), (n // 2, n)] if _splits(m) else [(0, n)], row_starts)
+    entries = np.empty(2 * m, dtype=np.int64)
     arange = np.arange(n, dtype=np.int64)
-    rows = np.empty(2 * m, dtype=np.int64)
-    cols = np.empty(2 * m, dtype=np.int64)
-    rows[m:] = cols[:m] = np.repeat(arange, counts)
-    np.subtract(linear, np.repeat(offsets - arange - 1, counts), out=rows[:m])
-    cols[m:] = rows[:m]
-    return BulkGraph._from_entries(n, rows, cols, None)
+    np.subtract(
+        linear, np.repeat(offsets - arange - 1, np.diff(indptr)), out=entries[m:]
+    )
+    return BulkGraph._from_upper(n, indptr, entries)
+
+
+def _edge_pairs(rng: np.random.Generator, p: float, total_pairs: int) -> np.ndarray:
+    """The sorted pair positions of a G(n, p) sample, 0 < p < 1."""
+    chunks: list[np.ndarray] = []
+    position = -1
+    # Expected edges ≈ p · total_pairs; draw gaps in batches until the
+    # pair space is exhausted.
+    batch = max(1024, int(1.1 * p * total_pairs) + 16)
+    while position < total_pairs - 1:
+        positions = np.cumsum(_geometric_gaps(rng, p, batch, total_pairs + 1))
+        positions += position
+        chunks.append(positions)
+        position = int(positions[-1])
+    linear = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    return linear[: np.searchsorted(linear, total_pairs)]
+
+
+def _geometric_gaps(
+    rng: np.random.Generator, p: float, size: int, cap: int
+) -> np.ndarray:
+    """``rng.geometric(p, size)`` with every gap above ``cap`` set to ``cap``.
+
+    For p < 1/3 numpy draws each variate as ceil(−E / log1p(−p)) from its
+    standard exponential stream E (a quotient of 2⁶³ or more gives
+    INT64_MAX): the same quotients are taken here on one float array, the
+    same bits.  Capping them before the cast keeps a huge or infinite
+    quotient (a tiny p) from wrapping the positions' cumulative sum; a gap
+    of ``cap`` = pairs + 1 already lands past the pair space.  For p ≥ 1/3
+    numpy searches instead, and its variates stay small.
+    """
+    if p >= 1 / 3:
+        return rng.geometric(p, size)
+    gaps = rng.standard_exponential(size)
+    with np.errstate(over="ignore"):
+        np.divide(gaps, -math.log1p(-p), out=gaps)
+    np.minimum(gaps, float(cap), out=gaps)
+    np.ceil(gaps, out=gaps)
+    # Cast in place: each element is read before its own slot is written.
+    whole = gaps.view(np.int64)
+    np.copyto(whole, gaps, casting="unsafe")
+    return whole
 
 
 def _row_offsets(n: int) -> np.ndarray:

@@ -10,11 +10,12 @@ array operation over a CSR view of the adjacency structure.
 
 Inputs are checked once, at the boundary: the constructor validates a raw
 ``(indptr, col)`` CSR, and :meth:`BulkGraph.from_edges` (behind the
-generators) checks its edge arrays.  Both it and the builders whose
-entries are valid by construction -- :meth:`BulkGraph.from_graph` on a
-simple undirected graph and
-:func:`~repro.graphs.bulk.bulk_erdos_renyi_graph` -- hand their adjacency
-entries to one counting sort, whose CSR is assembled without a re-check.
+generators) checks its edge arrays.  It and :meth:`BulkGraph.from_graph`
+on a simple undirected graph hand their 2m adjacency entries to one
+counting sort.  :func:`~repro.graphs.bulk.bulk_erdos_renyi_graph` samples
+the upper triangle already in CSR order, so only its m entries are
+transposed and the two triangles are merged row by row.  Either CSR is
+valid by construction and is assembled without a re-check.
 
 Four invariants tie this module to the simulator so the two backends stay
 numerically interchangeable:
@@ -121,25 +122,42 @@ def available_cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+def _splits(entries: int) -> bool:
+    """Whether a pass over ``entries`` CSR entries runs as two halves.
+
+    It does from :data:`_PARALLEL_MIN_ENTRIES` entries on, when two CPUs
+    are usable.
+    """
+    return entries >= _PARALLEL_MIN_ENTRIES and available_cpu_count() >= 2
+
+
 def _row_ranges(indptr: np.ndarray) -> list[tuple[int, int]]:
     """The row ranges of one pass over a CSR with row pointer ``indptr``.
 
-    Two halves balanced by entry count when the CSR has at least
-    :data:`_PARALLEL_MIN_ENTRIES` entries and two CPUs are usable; the one
-    full range otherwise.
+    Two halves balanced by entry count when the pass :func:`_splits`; the
+    one full range otherwise.
     """
     rows = indptr.size - 1
     entries = int(indptr[-1])
-    if entries < _PARALLEL_MIN_ENTRIES or available_cpu_count() < 2:
+    if not _splits(entries):
         return [(0, rows)]
-    middle = int(np.searchsorted(indptr, entries // 2))
+    # A key of indptr's own dtype: a Python int would convert all of a
+    # scipy int32 indptr to int64 before the search.
+    middle = int(np.searchsorted(indptr, indptr.dtype.type(entries // 2)))
     return [(0, middle), (middle, rows)]
 
 
 def _over_row_ranges(
     indptr: np.ndarray, kernel: Callable[[int, int], None]
 ) -> None:
-    """Run ``kernel(start, stop)`` over the row ranges of one CSR pass.
+    """Run ``kernel(start, stop)`` over the row ranges of one CSR pass."""
+    _over_ranges(_row_ranges(indptr), kernel)
+
+
+def _over_ranges(
+    ranges: list[tuple[int, int]], kernel: Callable[[int, int], None]
+) -> None:
+    """Run ``kernel(start, stop)`` over one or two ranges of a pass.
 
     The serial pass is the one-range case.  Split, the first half runs on
     the worker thread and the second in the caller; the kernels are numpy
@@ -149,7 +167,6 @@ def _over_row_ranges(
     buffers the caller allocated and must not start another split pass:
     the pool has one worker, so a nested submit would deadlock.
     """
-    ranges = _row_ranges(indptr)
     if len(ranges) == 1:
         kernel(*ranges[0])
         return
@@ -386,8 +403,8 @@ class BulkGraph:
             raise ValueError("bulk graph must not contain self loops")
 
         # Canonical edges lo < hi with keys lo·n + hi.  Edges that arrive
-        # in strictly increasing key order (bulk_erdos_renyi_graph's) are
-        # used as they are; any others are sorted and deduped on the m keys.
+        # in strictly increasing key order are used as they are; any others
+        # are sorted and deduped on the m keys.
         lo = np.minimum(u, v).ravel()
         hi = np.maximum(u, v).ravel()
         keys = lo * np.int64(n) + hi
@@ -407,7 +424,8 @@ class BulkGraph:
     ) -> "BulkGraph":
         """The graph whose row ``rows[j]`` lists ``cols[j]``, in entry order.
 
-        One stable counting sort (scipy's ``coo_tocsr``, O(n + m)).  The
+        One stable counting sort (scipy's ``coo_tocsr``, O(n + m)) over all
+        2m entries, for :meth:`from_edges` and :meth:`from_graph`.  The
         callers hand in entries that make a valid CSR, so :meth:`__init__`'s
         checks are skipped.
         """
@@ -422,6 +440,75 @@ class BulkGraph:
         )
         graph = cls.__new__(cls)
         graph._assemble(indptr, col, nodes)
+        return graph
+
+    @classmethod
+    def _from_upper(
+        cls, n: int, indptr: np.ndarray, entries: np.ndarray
+    ) -> "BulkGraph":
+        """The graph whose upper triangle U is the CSR ``(indptr, entries[m:])``.
+
+        Row u of U lists u's neighbours above u, strictly ascending; the
+        caller builds it valid, so :meth:`__init__`'s checks are skipped.
+        ``entries`` has 2m slots and its first m are overwritten.  The lower
+        triangle is U's transpose (scipy's ``csr_tocsc``), one block per
+        row range of U, written into the first m slots: each block's row v
+        lists the neighbours below v from its range, ascending.  Then
+        ``csr_hstack`` writes every row as [lower blocks | upper] over the
+        final CSR's row ranges.  That is each row ascending, the CSR that
+        :meth:`_from_entries` sorts out of all 2m entries.
+        """
+        from scipy.sparse import _sparsetools
+
+        m = int(indptr[-1])
+        upper = entries[m:]
+        # scipy's kernels carry a value per entry: one zero byte each.
+        values = np.zeros(2 * m, dtype=bool)
+        copied = np.empty(2 * m, dtype=bool)
+        halves = _row_ranges(indptr)
+        lower = {half: np.empty(n + 1, dtype=np.int64) for half in halves}
+
+        def transpose(start: int, stop: int) -> None:
+            first, last = indptr[start], indptr[stop]
+            # The range's rows with offsets from its first entry; the rows
+            # outside it are empty, so the block's row ids stay absolute.
+            rows = np.zeros(n + 1, dtype=np.int64)
+            np.subtract(indptr[start : stop + 1], first, out=rows[start : stop + 1])
+            rows[stop + 1 :] = last - first
+            _sparsetools.csr_tocsc(
+                n, n, rows, upper[first:last], values[first:last], lower[start, stop],
+                entries[first:last], copied[first:last],
+            )
+
+        _over_ranges(halves, transpose)
+        final = indptr.copy()
+        # Each block's row pointer as absolute offsets into ``entries``.
+        blocks = []
+        for start, stop in halves:
+            final += lower[start, stop]
+            blocks.append(lower[start, stop] + indptr[start])
+        blocks.append(indptr + m)
+        col = np.empty(2 * m, dtype=np.int64)
+        no_shift = np.zeros(len(blocks), dtype=np.int64)
+
+        def merge(start: int, stop: int) -> None:
+            # csr_hstack finds block b's entries right after block b − 1's
+            # last one in this range, so each block's pointer is rebased
+            # on that entry.
+            rebased, base = [], 0
+            for block in blocks:
+                rebased.append(block[start : stop + 1] - base)
+                base = block[stop]
+            first, last = final[start], final[stop]
+            _sparsetools.csr_hstack(
+                len(blocks), stop - start, no_shift, np.concatenate(rebased),
+                entries, values, np.empty(stop - start + 1, dtype=np.int64),
+                col[first:last], copied[first:last],
+            )
+
+        _over_row_ranges(final, merge)
+        graph = cls.__new__(cls)
+        graph._assemble(final, col, None)
         return graph
 
     def to_networkx(self) -> nx.Graph:

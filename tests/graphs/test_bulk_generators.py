@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 
 import networkx as nx
 import numpy as np
@@ -10,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.graphs.bulk as graphs_bulk
+import repro.simulator.bulk as bulk_module
 from repro.graphs.bulk import (
     bulk_caterpillar_graph,
     bulk_erdos_renyi_graph,
@@ -52,6 +58,36 @@ def set_reference_csr(n, u, v) -> tuple[list[int], list[int]]:
         col.extend(sorted(row))
         indptr.append(len(col))
     return indptr, col
+
+
+def redrawn_er_edges(n: int, p: float, seed) -> tuple[list[int], list[int]]:
+    """G(n, p)'s edges for ``seed``, redrawn without the generator's code.
+
+    The same batches of ``rng.geometric`` gaps from the same stream, summed
+    as Python ints (which do not wrap), and each pair position below
+    n(n−1)/2 decoded to its pair (u, v) by walking the rows.
+    """
+    total = n * (n - 1) // 2
+    if p == 0.0 or total == 0:
+        return [], []
+    rng = np.random.default_rng(seed)
+    batch = max(1024, int(1.1 * p * total) + 16)
+    positions, position = [], -1
+    while position < total - 1:
+        for gap in rng.geometric(p, batch).tolist():
+            position += gap
+            if position < total:
+                positions.append(position)
+    u: list[int] = []
+    v: list[int] = []
+    row, first = 0, 0  # the row and its first pair position
+    for t in positions:
+        while t >= first + n - 1 - row:
+            first += n - 1 - row
+            row += 1
+        u.append(row)
+        v.append(row + 1 + t - first)
+    return u, v
 
 
 def csr_digest(bulk: BulkGraph) -> str:
@@ -215,35 +251,32 @@ class TestFromEdgesMatchesSetReference:
         assert built.col.tolist() == []
 
     @pytest.mark.parametrize(
-        "build",
+        "build,redraw",
         [
-            lambda: bulk_erdos_renyi_graph(3000, 0.003, seed=5),
-            lambda: bulk_unit_disk_graph(500, 0.08, seed=11),
-            lambda: bulk_grid_graph(7, 9),
-            lambda: bulk_caterpillar_graph(12, 3),
+            (
+                lambda: bulk_erdos_renyi_graph(3000, 0.003, seed=5),
+                lambda: (3000, *redrawn_er_edges(3000, 0.003, 5)),
+            ),
+            (lambda: bulk_unit_disk_graph(500, 0.08, seed=11), None),
+            (lambda: bulk_grid_graph(7, 9), None),
+            (lambda: bulk_caterpillar_graph(12, 3), None),
         ],
         ids=["erdos-renyi", "unit-disk", "grid", "caterpillar"],
     )
-    def test_generators_match_set_reference(self, build, monkeypatch):
-        # The generators hand their edges to from_edges, except the ER one,
-        # whose edges are valid by construction: it writes its 2m entries
-        # straight into _from_entries.  The outermost call is the input.
+    def test_generators_match_set_reference(self, build, redraw, monkeypatch):
+        # The generators hand their edges to from_edges: the outermost call
+        # is the input.  The ER one builds its CSR from the sampled pairs,
+        # so its input is the independent redraw of the same sample.
         calls = []
         from_edges = BulkGraph.from_edges.__func__
-        from_entries = BulkGraph._from_entries.__func__
 
         def recording(cls, n, u, v, nodes=None):
             calls.append((n, np.asarray(u).tolist(), np.asarray(v).tolist()))
             return from_edges(cls, n, u, v, nodes)
 
-        def recording_entries(cls, n, rows, cols, nodes):
-            calls.append((n, rows.tolist(), cols.tolist()))
-            return from_entries(cls, n, rows, cols, nodes)
-
         monkeypatch.setattr(BulkGraph, "from_edges", classmethod(recording))
-        monkeypatch.setattr(BulkGraph, "_from_entries", classmethod(recording_entries))
         built = build()
-        n, u, v = calls[0]
+        n, u, v = calls[0] if redraw is None else redraw()
         assert (built.indptr.tolist(), built.col.tolist()) == set_reference_csr(n, u, v)
 
 
@@ -330,6 +363,176 @@ class TestBuildersPassTheValidatingConstructor:
             built = BulkGraph.from_edges(canonical.n, a, b)
             assert built.indptr.dtype == built.col.dtype == np.int64, name
             assert_same_fields(built, canonical)
+
+
+@pytest.fixture
+def own_row_pool(monkeypatch):
+    """Two usable CPUs and a worker pool of the test's own."""
+    monkeypatch.setattr(bulk_module, "_row_pool", None)
+    monkeypatch.setattr(bulk_module, "available_cpu_count", lambda: 2)
+    yield
+    if bulk_module._row_pool is not None:
+        bulk_module._row_pool.shutdown()
+
+
+@pytest.fixture
+def row_split(monkeypatch, own_row_pool):
+    """Every CSR pass split in two."""
+    monkeypatch.setattr(bulk_module, "_PARALLEL_MIN_ENTRIES", 0)
+
+
+def split_passes(monkeypatch) -> list[int]:
+    """Record how many ranges each pass of the builder runs over."""
+    ranges = []
+    over_ranges = graphs_bulk._over_ranges
+
+    def recording(halves, kernel):
+        ranges.append(len(halves))
+        over_ranges(halves, kernel)
+
+    # The row search runs through graphs.bulk's import, the transposes and
+    # the merge through simulator.bulk's.
+    monkeypatch.setattr(graphs_bulk, "_over_ranges", recording)
+    monkeypatch.setattr(bulk_module, "_over_ranges", recording)
+    return ranges
+
+
+class TestErdosRenyiBuilder:
+    """The exponential-draw gaps and the two-triangle CSR assembly."""
+
+    @pytest.mark.parametrize(
+        "p",
+        [1e-5, 1e-3, 0.01, 0.1, 0.3, np.nextafter(1 / 3, 0), 1 / 3, 0.5, 0.9],
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gaps_equal_numpy_geometric(self, p, seed):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for size in (1, 1000, 4096):
+            gaps = graphs_bulk._geometric_gaps(ours, p, size, 1 << 62)
+            assert gaps.dtype == np.int64
+            assert np.array_equal(gaps, theirs.geometric(p, size))
+        # Both consumed the same stream.
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("cap", [10, 1 << 20, 1 << 62])
+    @pytest.mark.parametrize("p", [1e-19, 1e-300, 5e-324])
+    def test_gaps_are_capped_where_numpy_saturates(self, p, cap):
+        # ceil(−E / log1p(−p)) of 2⁶³ or more (or infinity) is INT64_MAX
+        # in numpy; here every such gap is the cap.
+        ours, theirs = np.random.default_rng(2), np.random.default_rng(2)
+        reference = theirs.geometric(p, 2000)
+        assert np.any(reference == np.iinfo(np.int64).max)
+        gaps = graphs_bulk._geometric_gaps(ours, p, 2000, cap)
+        assert np.array_equal(gaps, np.minimum(reference, cap))
+
+    def test_gaps_below_a_cap_are_kept(self):
+        ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+        gaps = graphs_bulk._geometric_gaps(ours, 1e-4, 5000, 20_000)
+        reference = theirs.geometric(1e-4, 5000)
+        assert 0 < np.count_nonzero(reference > 20_000) < reference.size
+        assert np.array_equal(gaps, np.minimum(reference, 20_000))
+
+    def check_against_redraw(self, n, p, seed, sets=True) -> BulkGraph:
+        built = bulk_erdos_renyi_graph(n, p, seed=seed)
+        u, v = redrawn_er_edges(n, p, seed)
+        assert_same_fields(built, BulkGraph.from_edges(n, np.array(u), np.array(v)))
+        if sets:
+            assert (built.indptr.tolist(), built.col.tolist()) == set_reference_csr(
+                n, u, v
+            )
+        # The assembly skips __init__'s checks; they would have passed.
+        assert_same_fields(built, BulkGraph(built.indptr, built.col))
+        return built
+
+    @pytest.mark.parametrize(
+        "n,p,seed",
+        [(50, 0.1, 1), (1000, 0.01, 2), (600, 0.4, 3), (20_000, 10 / 19_999, 4)],
+    )
+    def test_serial_build_matches_the_redraw(self, monkeypatch, n, p, seed):
+        passes = split_passes(monkeypatch)
+        self.check_against_redraw(n, p, seed, sets=n <= 1000)
+        assert passes == [1, 1, 1]  # search, transposes, merge
+
+    @pytest.mark.parametrize(
+        "n,p,seed", [(2, 1.0, 0), (50, 0.1, 1), (1000, 0.01, 2), (600, 0.4, 3)]
+    )
+    def test_forced_split_matches_the_redraw(self, monkeypatch, row_split, n, p, seed):
+        passes = split_passes(monkeypatch)
+        self.check_against_redraw(n, p, seed)
+        assert passes == [2, 2, 2]
+
+    def test_split_above_the_threshold_matches_the_redraw(
+        self, monkeypatch, own_row_pool
+    ):
+        # m ≥ _PARALLEL_MIN_ENTRIES: every pass splits at its own size.
+        passes = split_passes(monkeypatch)
+        built = self.check_against_redraw(100_000, 11 / 99_999, 6, sets=False)
+        assert built.number_of_edges >= bulk_module._PARALLEL_MIN_ENTRIES
+        assert passes == [2, 2, 2]
+
+    @pytest.mark.parametrize(
+        "n,p,seed",
+        [(1, 0.5, 0), (1, 1.0, 0), (2, 0.0, 0), (2, 0.5, 0), (2, 0.5, 1),
+         (2, 1.0, 0), (30, 0.0, 0), (30, 1.0, 0), (7, 0.999, 3)],
+    )
+    def test_edge_cases_match_the_redraw(self, n, p, seed):
+        self.check_against_redraw(n, p, seed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 60),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    def test_random_builds_match_the_redraw(self, n, p, seed, split):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            if split:
+                monkeypatch.setattr(bulk_module, "_PARALLEL_MIN_ENTRIES", 0)
+                monkeypatch.setattr(bulk_module, "available_cpu_count", lambda: 2)
+            self.check_against_redraw(n, p, seed)
+
+    def test_multi_batch_draw_matches_the_redraw(self, monkeypatch):
+        # This seed's first batch of 1116 gaps stops short of the pair space.
+        batches = []
+        geometric_gaps = graphs_bulk._geometric_gaps
+
+        def counting(rng, p, size, cap):
+            batches.append(size)
+            return geometric_gaps(rng, p, size, cap)
+
+        monkeypatch.setattr(graphs_bulk, "_geometric_gaps", counting)
+        self.check_against_redraw(2000, 1 / 1999, 1514)
+        assert len(batches) >= 2
+
+    def test_tiny_p_does_not_wrap_the_positions(self):
+        # Gaps at numpy's INT64_MAX (or near it) used to wrap the cumulative
+        # sum into negative, unsorted positions that reached scipy
+        # unchecked: a ValueError for seed 0, a segmentation fault over
+        # more seeds.  The builds run in a child process for that reason.
+        cases = [(1000, p, seed) for p in (1e-17, 1e-300, 5e-324) for seed in range(50)]
+        cases += [(1000, 2e-6, seed) for seed in range(20)]
+        script = (
+            "import json, sys\n"
+            "from repro.graphs.bulk import bulk_erdos_renyi_graph\n"
+            "out = []\n"
+            "for n, p, seed in json.loads(sys.argv[1]):\n"
+            "    g = bulk_erdos_renyi_graph(n, p, seed=seed)\n"
+            "    out.append([g.indptr.tolist(), g.col.tolist()])\n"
+            "print(json.dumps(out))\n"
+        )
+        package = os.path.dirname(os.path.dirname(graphs_bulk.__file__))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(package))
+        result = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(cases)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        built = json.loads(result.stdout)
+        assert len(built) == len(cases)
+        for (n, p, seed), csr in zip(cases, built):
+            assert tuple(csr) == set_reference_csr(n, *redrawn_er_edges(n, p, seed))
+        assert any(csr[1] for csr in built)  # p = 2e-6 draws a few edges
 
 
 #: sha256 prefixes of ``indptr`` and ``col`` (little-endian int64) of the

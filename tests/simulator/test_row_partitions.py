@@ -105,6 +105,10 @@ class TestRowRanges:
     def test_halves_balance_entries(self, split, er_graph):
         (first, middle), (again, last) = bulk_module._row_ranges(er_graph.indptr)
         assert (first, again, last) == (0, middle, er_graph.n)
+        # scipy's int32 indptr splits at the same row.
+        assert bulk_module._row_ranges(er_graph.indptr.astype(np.int32)) == [
+            (first, middle), (again, last)
+        ]
         entries = er_graph.col.size
         assert abs(2 * int(er_graph.indptr[middle]) - entries) <= 2 * er_graph.max_degree
 
@@ -113,10 +117,18 @@ class TestRowRanges:
     ):
         threads: dict[int, str] = {}
         original = bulk_module._over_row_ranges
+        worker_started = threading.Event()
 
         def spy(indptr, kernel):
             def traced(start, stop):
                 threads[start] = threading.current_thread().name
+                # The caller's half waits (boundedly) for the worker's to
+                # start: an idle worker's wake-up can be slower than the
+                # caller's whole half, which then overtakes the first.
+                if start == 0:
+                    worker_started.set()
+                else:
+                    worker_started.wait(timeout=30)
                 kernel(start, stop)
 
             original(indptr, traced)

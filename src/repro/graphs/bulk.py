@@ -22,7 +22,13 @@ import math
 
 import numpy as np
 
-from repro.simulator.bulk import BulkGraph, _over_ranges, _splits
+from repro.simulator.bulk import (
+    BulkGraph,
+    _index_dtype,
+    _over_ranges,
+    _over_row_ranges,
+    _splits,
+)
 from repro.graphs.unit_disk import random_unit_disk_positions, unit_disk_edges
 
 
@@ -52,8 +58,9 @@ def bulk_erdos_renyi_graph(n: int, p: float, seed: int | None = None) -> BulkGra
     (each gap is geometric with success probability p; Batagelj & Brandes,
     Phys. Rev. E 71, 2005), which costs O(expected edges) regardless of n.
     The sorted pairs are the upper triangle in CSR order: a row search
-    gives its row starts and one subtraction its columns, and
-    :meth:`BulkGraph._from_upper` adds the transposed lower triangle.
+    gives its row starts and one subtraction its columns, both written in
+    the CSR's index dtype, and :meth:`BulkGraph._from_upper` adds the
+    transposed lower triangle.
     """
     if n <= 0:
         raise ValueError("n must be positive")
@@ -75,18 +82,32 @@ def bulk_erdos_renyi_graph(n: int, p: float, seed: int | None = None) -> BulkGra
     # duplicates: each row's columns ascend.
     m = linear.size
     offsets = _row_offsets(n)
-    indptr = np.empty(n + 1, dtype=np.int64)
+    index = _index_dtype(n, 2 * m)
+    indptr = np.empty(n + 1, dtype=index)
     indptr[n] = m
 
     def row_starts(start: int, stop: int) -> None:
         indptr[start:stop] = np.searchsorted(linear, offsets[start:stop])
 
     _over_ranges([(0, n // 2), (n // 2, n)] if _splits(m) else [(0, n)], row_starts)
-    entries = np.empty(2 * m, dtype=np.int64)
-    arange = np.arange(n, dtype=np.int64)
-    np.subtract(
-        linear, np.repeat(offsets - arange - 1, np.diff(indptr)), out=entries[m:]
-    )
+    entries = np.empty(2 * m, dtype=index)
+    upper = entries[m:]
+    shifts = offsets - np.arange(n, dtype=np.int64) - 1
+
+    def upper_columns(start: int, stop: int) -> None:
+        # The columns of rows start..stop-1; U's early rows are the long
+        # ones, so the halves balance entries, not rows.
+        first, last = indptr[start], indptr[stop]
+        np.subtract(
+            linear[first:last],
+            np.repeat(shifts[start:stop], np.diff(indptr[start : stop + 1])),
+            out=upper[first:last],
+            casting="unsafe",
+        )
+
+    _over_row_ranges(indptr, upper_columns)
+    # Free the m pair positions before the assembly allocates its buffers.
+    del linear
     return BulkGraph._from_upper(n, indptr, entries)
 
 
@@ -98,7 +119,8 @@ def _edge_pairs(rng: np.random.Generator, p: float, total_pairs: int) -> np.ndar
     # pair space is exhausted.
     batch = max(1024, int(1.1 * p * total_pairs) + 16)
     while position < total_pairs - 1:
-        positions = np.cumsum(_geometric_gaps(rng, p, batch, total_pairs + 1))
+        positions = _geometric_gaps(rng, p, batch, total_pairs + 1)
+        np.cumsum(positions, out=positions)
         positions += position
         chunks.append(positions)
         position = int(positions[-1])

@@ -197,10 +197,8 @@ def neighborhood_csr_matrix(bulk: BulkGraph):
 
     from scipy import sparse
 
-    n = bulk.n
-    data = np.ones(bulk.col.size + n)
-    rows = np.concatenate([bulk.row, np.arange(n, dtype=np.int64)])
-    cols = np.concatenate([bulk.col, np.arange(n, dtype=np.int64)])
-    matrix = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+    # scipy's canonical sum: each row's entries and the diagonal merged in
+    # ascending column order.
+    matrix = bulk.adjacency + sparse.identity(bulk.n, format="csr")
     bulk._neighborhood_csr = matrix
     return matrix

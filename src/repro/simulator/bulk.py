@@ -10,12 +10,19 @@ array operation over a CSR view of the adjacency structure.
 
 Inputs are checked once, at the boundary: the constructor validates a raw
 ``(indptr, col)`` CSR, and :meth:`BulkGraph.from_edges` (behind the
-generators) checks its edge arrays.  It and :meth:`BulkGraph.from_graph`
-on a simple undirected graph hand their 2m adjacency entries to one
-counting sort.  :func:`~repro.graphs.bulk.bulk_erdos_renyi_graph` samples
-the upper triangle already in CSR order, so only its m entries are
-transposed and the two triangles are merged row by row.  Either CSR is
-valid by construction and is assembled without a re-check.
+generators) checks its edge arrays.  Its sorted, deduplicated edges and the
+pairs :func:`~repro.graphs.bulk.bulk_erdos_renyi_graph` samples are the
+upper triangle already in CSR order, so only its m entries are transposed
+and the two triangles are merged row by row; :meth:`BulkGraph.from_graph`
+on a simple undirected graph hands its 2m adjacency entries to one
+counting sort.  Every CSR is valid by construction and is assembled
+without a re-check.
+
+A graph stores its CSR once, in the index dtype scipy itself picks (int32
+while n and 2m fit).  The scipy adjacency behind the neighbourhood
+operators wraps those arrays as they are, with a prefix of one shared,
+read-only all-ones buffer as its data.  The ``int64`` ``indptr`` / ``col``
+that code outside the kernels reads are widened from them on first use.
 
 Four invariants tie this module to the simulator so the two backends stay
 numerically interchangeable:
@@ -101,15 +108,23 @@ _PARALLEL_MIN_ENTRIES = 1 << 19
 _row_pool = None
 _row_pool_lock = threading.Lock()
 
+# The adjacency's data, 1.0 for every entry: one read-only buffer shared by
+# all graphs, grown to exactly the largest entry count asked for (a doubled
+# buffer would keep up to twice the largest graph's entries alive).
+_ones = np.ones(0)
+_ones.flags.writeable = False
+_ones_lock = threading.Lock()
 
-def _forget_row_pool() -> None:
-    global _row_pool, _row_pool_lock
+
+def _reset_after_fork() -> None:
+    global _row_pool, _row_pool_lock, _ones_lock
     _row_pool = None
     _row_pool_lock = threading.Lock()
+    _ones_lock = threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_row_pool)
+    os.register_at_fork(after_in_child=_reset_after_fork)
 
 
 def available_cpu_count() -> int:
@@ -120,6 +135,27 @@ def available_cpu_count() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0)) or 1
     return os.cpu_count() or 1
+
+
+def _all_ones(size: int) -> np.ndarray:
+    """``size`` ones (float64): a read-only prefix of the shared buffer."""
+    global _ones
+    with _ones_lock:
+        if _ones.size < size:
+            _ones = np.ones(size)
+            _ones.flags.writeable = False
+        return _ones[:size]
+
+
+def _index_dtype(n: int, entries: int) -> np.dtype:
+    """The index dtype of an n-node CSR with ``entries`` adjacency entries.
+
+    scipy's own choice for an n × n matrix: int32 while n and the entry
+    count both fit in it, int64 otherwise.  The graph stores its CSR in
+    this dtype, so the scipy adjacency wraps it without a cast.
+    """
+    limit = np.iinfo(np.int32).max
+    return np.dtype(np.int32 if max(n, entries) <= limit else np.int64)
 
 
 def _splits(entries: int) -> bool:
@@ -270,7 +306,12 @@ class BulkGraph:
         Per-node degree δ_i as an ``int64`` array.
     indptr / col:
         CSR adjacency: the neighbours of node ``i`` (as indices) are
-        ``col[indptr[i]:indptr[i+1]]``, ascending.
+        ``col[indptr[i]:indptr[i+1]]``, ascending.  Both are ``int64``
+        views of the one stored layout, which keeps the CSR once in
+        scipy's index dtype (int32 while it fits, see :func:`_index_dtype`)
+        and backs :attr:`adjacency` without a copy.  Each view is widened on
+        first read (int64 arrays handed to the constructor are kept as
+        theirs); the kernels read the stored arrays and never build them.
     row:
         ``col``'s companion: ``row[j]`` is the node that owns adjacency
         entry ``j`` (i.e. ``indptr`` expanded back to one entry per edge
@@ -295,6 +336,8 @@ class BulkGraph:
         if col.size and (col.min() < 0 or col.max() >= n):
             raise ValueError("col entries must index nodes (0..n-1)")
         self._assemble(indptr, col, nodes)
+        # Key arithmetic stays on the int64 arrays: row·n + col can pass
+        # 2³¹ where both factors fit in int32.
         if np.any(self.row == col):
             raise ValueError("bulk graph must not contain self loops")
         # Each row must list its neighbours strictly ascending -- the
@@ -315,7 +358,12 @@ class BulkGraph:
             raise ValueError("bulk graph adjacency must be symmetric")
 
     def _assemble(self, indptr: np.ndarray, col: np.ndarray, nodes) -> None:
-        """Set the fields of a valid ``int64`` CSR; checks only ``nodes``."""
+        """Set the fields of a valid CSR; checks only ``nodes``.
+
+        The CSR is stored in :func:`_index_dtype`: the builders hand it in
+        that dtype already.  ``int64`` arrays are kept as the ``indptr`` /
+        ``col`` views as well.
+        """
         n = indptr.size - 1
         self.nodes: tuple[Hashable, ...] = (
             range_labels(n) if nodes is None else tuple(nodes)
@@ -323,17 +371,25 @@ class BulkGraph:
         if len(self.nodes) != n:
             raise ValueError("nodes must provide one identifier per CSR row")
         self.n = n
-        self.degrees = np.diff(indptr)
-        self.indptr = indptr
-        self.col = col
+        index = _index_dtype(n, col.size)
+        self._indptr = indptr.astype(index, copy=False)
+        self._col = col.astype(index, copy=False)
+        self._indptr64 = indptr if indptr.dtype == np.int64 else None
+        self._col64 = col if col.dtype == np.int64 else None
+        self.degrees = np.subtract(
+            self._indptr[1:], self._indptr[:-1], dtype=np.int64
+        )
         self._row: np.ndarray | None = None
         # Row starts of the non-empty CSR rows, for reduceat-based maxima.
         self._nonempty = np.flatnonzero(self.degrees > 0)
-        self._nonempty_starts = self.indptr[self._nonempty]
+        self._nonempty_starts = self._indptr[self._nonempty].astype(
+            np.int64, copy=False
+        )
         # node -> position, built lazily by _positions.
         self._index: dict[Hashable, int] | None = None
-        # Lazy scipy CSR of the adjacency A (data = 1.0), the matrix behind
-        # neighbor_sum / neighbor_count / neighbor_any.
+        # Lazy scipy CSR of the adjacency A (data = 1.0) over the stored
+        # arrays, the matrix behind neighbor_sum / neighbor_count /
+        # neighbor_any.
         self._adjacency = None
         # Lazy fault-free (δ⁽¹⁾, δ⁽²⁾), shared by Algorithms 1 and 3.
         self._degree_maxima: tuple[np.ndarray, np.ndarray] | None = None
@@ -360,13 +416,14 @@ class BulkGraph:
         n = len(nodes)
         index = dict(zip(nodes, range(n)))
         rows = list(map(dict(graph.adjacency()).__getitem__, nodes))
-        owners = np.repeat(
-            np.arange(n, dtype=np.int64), np.fromiter(map(len, rows), np.int64, n)
-        )
+        lengths = np.fromiter(map(len, rows), np.int64, n)
+        entries = int(lengths.sum())
+        dtype = _index_dtype(n, entries)
+        owners = np.repeat(np.arange(n, dtype=dtype), lengths)
         neighbors = np.fromiter(
             map(index.__getitem__, itertools.chain.from_iterable(rows)),
-            np.int64,
-            owners.size,
+            dtype,
+            entries,
         )
         if graph.is_directed() or n == 0 or np.any(owners == neighbors):
             return cls.from_edges(n, owners, neighbors, nodes=nodes)
@@ -402,9 +459,9 @@ class BulkGraph:
         if np.any(u == v):
             raise ValueError("bulk graph must not contain self loops")
 
-        # Canonical edges lo < hi with keys lo·n + hi.  Edges that arrive
-        # in strictly increasing key order are used as they are; any others
-        # are sorted and deduped on the m keys.
+        # Canonical edges lo < hi with int64 keys lo·n + hi.  Edges that
+        # arrive in strictly increasing key order are used as they are; any
+        # others are sorted and deduped on the m keys.
         lo = np.minimum(u, v).ravel()
         hi = np.maximum(u, v).ravel()
         keys = lo * np.int64(n) + hi
@@ -412,11 +469,15 @@ class BulkGraph:
             keys = np.sort(keys)
             keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
             lo, hi = np.divmod(keys, n)
-        # The entries (hi, lo) followed by (lo, hi): each row lists its
-        # lower neighbours ascending, then its upper neighbours ascending.
-        return cls._from_entries(
-            n, np.concatenate((hi, lo)), np.concatenate((lo, hi)), nodes
-        )
+        # Increasing keys are the upper triangle in CSR order: row lo lists
+        # its upper neighbours hi ascending.
+        m = keys.size
+        dtype = _index_dtype(n, 2 * m)
+        indptr = np.zeros(n + 1, dtype=dtype)
+        np.cumsum(np.bincount(lo, minlength=n), out=indptr[1:])
+        entries = np.empty(2 * m, dtype=dtype)
+        entries[m:] = hi
+        return cls._from_upper(n, indptr, entries, nodes)
 
     @classmethod
     def _from_entries(
@@ -425,15 +486,15 @@ class BulkGraph:
         """The graph whose row ``rows[j]`` lists ``cols[j]``, in entry order.
 
         One stable counting sort (scipy's ``coo_tocsr``, O(n + m)) over all
-        2m entries, for :meth:`from_edges` and :meth:`from_graph`.  The
-        callers hand in entries that make a valid CSR, so :meth:`__init__`'s
-        checks are skipped.
+        2m entries, for :meth:`from_graph`.  The caller hands in entries in
+        the index dtype that make a valid CSR, so :meth:`__init__`'s checks
+        are skipped.
         """
         from scipy.sparse import _sparsetools
 
         entries = rows.size
-        indptr = np.empty(n + 1, dtype=np.int64)
-        col = np.empty(entries, dtype=np.int64)
+        indptr = np.empty(n + 1, dtype=rows.dtype)
+        col = np.empty(entries, dtype=rows.dtype)
         _sparsetools.coo_tocsr(
             n, n, entries, rows, cols, np.zeros(entries, dtype=bool), indptr, col,
             np.empty(entries, dtype=bool),
@@ -444,16 +505,17 @@ class BulkGraph:
 
     @classmethod
     def _from_upper(
-        cls, n: int, indptr: np.ndarray, entries: np.ndarray
+        cls, n: int, indptr: np.ndarray, entries: np.ndarray, nodes=None
     ) -> "BulkGraph":
         """The graph whose upper triangle U is the CSR ``(indptr, entries[m:])``.
 
         Row u of U lists u's neighbours above u, strictly ascending; the
-        caller builds it valid, so :meth:`__init__`'s checks are skipped.
-        ``entries`` has 2m slots and its first m are overwritten.  The lower
-        triangle is U's transpose (scipy's ``csr_tocsc``), one block per
-        row range of U, written into the first m slots: each block's row v
-        lists the neighbours below v from its range, ascending.  Then
+        caller builds it valid, in the index dtype of the 2m-entry CSR, so
+        :meth:`__init__`'s checks are skipped.  ``entries`` has 2m slots
+        and its first m are overwritten.  The lower triangle is U's
+        transpose (scipy's ``csr_tocsc``), one block per row range of U,
+        written into the first m slots: each block's row v lists the
+        neighbours below v from its range, ascending.  Then
         ``csr_hstack`` writes every row as [lower blocks | upper] over the
         final CSR's row ranges.  That is each row ascending, the CSR that
         :meth:`_from_entries` sorts out of all 2m entries.
@@ -465,14 +527,15 @@ class BulkGraph:
         # scipy's kernels carry a value per entry: one zero byte each.
         values = np.zeros(2 * m, dtype=bool)
         copied = np.empty(2 * m, dtype=bool)
+        index = indptr.dtype
         halves = _row_ranges(indptr)
-        lower = {half: np.empty(n + 1, dtype=np.int64) for half in halves}
+        lower = {half: np.empty(n + 1, dtype=index) for half in halves}
 
         def transpose(start: int, stop: int) -> None:
             first, last = indptr[start], indptr[stop]
             # The range's rows with offsets from its first entry; the rows
             # outside it are empty, so the block's row ids stay absolute.
-            rows = np.zeros(n + 1, dtype=np.int64)
+            rows = np.zeros(n + 1, dtype=index)
             np.subtract(indptr[start : stop + 1], first, out=rows[start : stop + 1])
             rows[stop + 1 :] = last - first
             _sparsetools.csr_tocsc(
@@ -488,8 +551,8 @@ class BulkGraph:
             final += lower[start, stop]
             blocks.append(lower[start, stop] + indptr[start])
         blocks.append(indptr + m)
-        col = np.empty(2 * m, dtype=np.int64)
-        no_shift = np.zeros(len(blocks), dtype=np.int64)
+        col = np.empty(2 * m, dtype=index)
+        no_shift = np.zeros(len(blocks), dtype=index)
 
         def merge(start: int, stop: int) -> None:
             # csr_hstack finds block b's entries right after block b − 1's
@@ -502,13 +565,13 @@ class BulkGraph:
             first, last = final[start], final[stop]
             _sparsetools.csr_hstack(
                 len(blocks), stop - start, no_shift, np.concatenate(rebased),
-                entries, values, np.empty(stop - start + 1, dtype=np.int64),
+                entries, values, np.empty(stop - start + 1, dtype=index),
                 col[first:last], copied[first:last],
             )
 
         _over_row_ranges(final, merge)
         graph = cls.__new__(cls)
-        graph._assemble(final, col, None)
+        graph._assemble(final, col, nodes)
         return graph
 
     def to_networkx(self) -> nx.Graph:
@@ -522,6 +585,20 @@ class BulkGraph:
             for a, b in zip(self.row[mask], self.col[mask])
         )
         return graph
+
+    @property
+    def indptr(self) -> np.ndarray:
+        """The ``int64`` row pointer, widened from the stored one on first read."""
+        if self._indptr64 is None:
+            self._indptr64 = self._indptr.astype(np.int64, copy=False)
+        return self._indptr64
+
+    @property
+    def col(self) -> np.ndarray:
+        """The ``int64`` column indices, widened from the stored ones on first read."""
+        if self._col64 is None:
+            self._col64 = self._col.astype(np.int64, copy=False)
+        return self._col64
 
     @property
     def row(self) -> np.ndarray:
@@ -543,7 +620,7 @@ class BulkGraph:
     @property
     def number_of_edges(self) -> int:
         """Number of undirected edges m."""
-        return int(self.col.size // 2)
+        return self._col.size // 2
 
     def _positions(self) -> dict[Hashable, int]:
         """node -> array position, built on first use."""
@@ -629,17 +706,23 @@ class BulkGraph:
     def adjacency(self):
         """The adjacency matrix A as a cached ``scipy.sparse`` CSR (data 1.0).
 
-        Built on first use from ``indptr`` / ``col``; scipy keeps its own
-        (int32 where it fits) copy of the indices.  Masked operators reuse
-        these indices with the delivered mask as the matrix data.
+        Built on first use around the stored arrays, which are already in
+        scipy's index dtype: no cast, no copy, no scan.  Its data is a
+        prefix of one read-only all-ones buffer shared by every graph.
+        Masked operators reuse these indices with the delivered mask as the
+        matrix data.
         """
         if self._adjacency is None:
             from scipy import sparse
 
-            self._adjacency = sparse.csr_matrix(
-                (np.ones(self.col.size), self.col, self.indptr),
-                shape=(self.n, self.n),
+            ones = _all_ones(self._col.size)
+            adjacency = sparse.csr_matrix(
+                (ones, self._col, self._indptr), shape=(self.n, self.n), copy=False
             )
+            # scipy copies a data prefix shorter than half its buffer (its
+            # ``prune``); the shared prefix serves just as well.
+            adjacency.data = ones
+            self._adjacency = adjacency
         return self._adjacency
 
     def degree_maxima(self) -> tuple[np.ndarray, np.ndarray]:
@@ -714,7 +797,7 @@ class BulkGraph:
         ``fraction`` of the 2m adjacency entries, else ``None``.
         """
         lengths = self.degrees[sources]
-        if int(lengths.sum()) >= fraction * self.col.size:
+        if int(lengths.sum()) >= fraction * self._col.size:
             return None
         return self._gather_rows(sources, lengths, self.adjacency.data)[0], lengths
 
@@ -743,8 +826,8 @@ class BulkGraph:
         lengths = self.degrees[rows]
         reach = int(lengths.sum())
         if (
-            self.col.size < _GATHER_MIN_ENTRIES
-            or reach >= _GATHER_SUM_FRACTION * self.col.size
+            self._col.size < _GATHER_MIN_ENTRIES
+            or reach >= _GATHER_SUM_FRACTION * self._col.size
         ):
             return self._matvec(values, edge_mask)[rows]
         indptr = np.zeros(lengths.size + 1, dtype=self.adjacency.indices.dtype)
@@ -796,11 +879,12 @@ class BulkGraph:
         partial sums never decrease, sum into ``[2^(b·M), 2^(b·(M+1)))``,
         so the binary exponent gives the neighbours' maximum ``M`` exactly
         (−1 for an empty row).  Floats, negatives and larger values take
-        the take/reduceat pull.
+        the gather/reduceat pull, which runs scipy's sparse kernels on the
+        values: any dtype those take (not float16).
         """
         values = np.asarray(values)
         result = values.copy()
-        if not self.col.size:
+        if not self._col.size:
             return result
         if np.issubdtype(values.dtype, np.integer) and values.min() >= 0:
             if senders is None and edge_mask is None:
@@ -825,30 +909,37 @@ class BulkGraph:
         # dtype's floor, and reduce each non-empty row.  A row range
         # handles its own entries and rows, into the caller's buffers.
         # (numpy's reduceat holds the GIL, so only the gathers overlap.)
-        drop: np.ndarray | None = None
+        from scipy.sparse import _sparsetools
+
+        floor = (
+            np.iinfo(values.dtype).min
+            if np.issubdtype(values.dtype, np.integer)
+            else -np.inf
+        )
+        # A silent sender's value reaches every row as the floor.
+        sources = values
         if senders is not None:
-            drop = ~np.take(np.asarray(senders, dtype=bool), self.col)
-        if edge_mask is not None:
-            dropped = ~np.asarray(edge_mask, dtype=bool)
-            drop = dropped if drop is None else drop | dropped
-        if drop is not None:
-            floor = (
-                np.iinfo(values.dtype).min
-                if np.issubdtype(values.dtype, np.integer)
-                else -np.inf
-            )
-        contributions = np.empty(self.col.size, dtype=values.dtype)
+            sources = values.copy()
+            np.copyto(sources, floor, where=~np.asarray(senders, dtype=bool))
+        drop = None if edge_mask is None else ~np.asarray(edge_mask, dtype=bool)
+        contributions = np.empty(self._col.size, dtype=values.dtype)
         row_max = np.empty(self._nonempty.size, dtype=values.dtype)
-        indptr, col = self.indptr, self.col
+        indptr, col = self._indptr, self._col
         nonempty, starts = self._nonempty, self._nonempty_starts
 
         def rows_max(start: int, stop: int) -> None:
             low, high = int(indptr[start]), int(indptr[stop])
-            # mode="clip" writes into ``out`` directly (the default
-            # "raise" copies it); every col entry is in range anyway.
-            np.take(values, col[low:high], out=contributions[low:high], mode="clip")
+            # The range's entries as one CSR row of ones whose columns are
+            # scaled by ``sources``: each entry becomes its sender's value,
+            # read through the stored indices (a take would widen them).
+            gathered = contributions[low:high]
+            gathered.fill(1)
+            _sparsetools.csr_scale_columns(
+                1, sources.size, np.array([0, high - low], dtype=col.dtype),
+                col[low:high], gathered, sources,
+            )
             if drop is not None:
-                np.copyto(contributions[low:high], floor, where=drop[low:high])
+                np.copyto(gathered, floor, where=drop[low:high])
             first = int(np.searchsorted(nonempty, start))
             last = int(np.searchsorted(nonempty, stop))
             # The last row's reduction runs to the end of the array passed,

@@ -432,8 +432,9 @@ class TestErdosRenyiBuilder:
         assert 0 < np.count_nonzero(reference > 20_000) < reference.size
         assert np.array_equal(gaps, np.minimum(reference, 20_000))
 
-    def check_against_redraw(self, n, p, seed, sets=True) -> BulkGraph:
-        built = bulk_erdos_renyi_graph(n, p, seed=seed)
+    def check_against_redraw(self, n, p, seed, sets=True, built=None) -> BulkGraph:
+        if built is None:
+            built = bulk_erdos_renyi_graph(n, p, seed=seed)
         u, v = redrawn_er_edges(n, p, seed)
         assert_same_fields(built, BulkGraph.from_edges(n, np.array(u), np.array(v)))
         if sets:
@@ -450,25 +451,28 @@ class TestErdosRenyiBuilder:
     )
     def test_serial_build_matches_the_redraw(self, monkeypatch, n, p, seed):
         passes = split_passes(monkeypatch)
-        self.check_against_redraw(n, p, seed, sets=n <= 1000)
-        assert passes == [1, 1, 1]  # search, transposes, merge
+        built = bulk_erdos_renyi_graph(n, p, seed=seed)
+        assert passes == [1, 1, 1, 1]  # search, upper columns, transposes, merge
+        self.check_against_redraw(n, p, seed, sets=n <= 1000, built=built)
 
     @pytest.mark.parametrize(
         "n,p,seed", [(2, 1.0, 0), (50, 0.1, 1), (1000, 0.01, 2), (600, 0.4, 3)]
     )
     def test_forced_split_matches_the_redraw(self, monkeypatch, row_split, n, p, seed):
         passes = split_passes(monkeypatch)
-        self.check_against_redraw(n, p, seed)
-        assert passes == [2, 2, 2]
+        built = bulk_erdos_renyi_graph(n, p, seed=seed)
+        assert passes == [2, 2, 2, 2]
+        self.check_against_redraw(n, p, seed, built=built)
 
     def test_split_above_the_threshold_matches_the_redraw(
         self, monkeypatch, own_row_pool
     ):
         # m ≥ _PARALLEL_MIN_ENTRIES: every pass splits at its own size.
         passes = split_passes(monkeypatch)
-        built = self.check_against_redraw(100_000, 11 / 99_999, 6, sets=False)
+        built = bulk_erdos_renyi_graph(100_000, 11 / 99_999, seed=6)
         assert built.number_of_edges >= bulk_module._PARALLEL_MIN_ENTRIES
-        assert passes == [2, 2, 2]
+        assert passes == [2, 2, 2, 2]
+        self.check_against_redraw(100_000, 11 / 99_999, 6, sets=False, built=built)
 
     @pytest.mark.parametrize(
         "n,p,seed",
@@ -558,6 +562,115 @@ def test_generators_byte_identical_to_pinned_csr():
     built["erdos_renyi_complete_n30"] = bulk_erdos_renyi_graph(30, 1.0)
     built["erdos_renyi_empty_n30"] = bulk_erdos_renyi_graph(30, 0.0)
     assert {name: csr_digest(g) for name, g in built.items()} == PINNED_CSR_DIGESTS
+
+
+def layout_digest(bulk: BulkGraph) -> str:
+    """sha256 prefix of the public ``indptr``, ``col`` and ``degrees``."""
+    digest = hashlib.sha256()
+    for array in (bulk.indptr, bulk.col, bulk.degrees):
+        assert array.dtype == np.int64
+        digest.update(array.astype("<i8").tobytes())
+    return digest.hexdigest()[:16]
+
+
+def layout_builders() -> dict:
+    """One graph from every way of building a :class:`BulkGraph`."""
+    rng = np.random.default_rng(7)
+    u, v = rng.integers(0, 300, (2, 2000))
+    keep = u != v
+    grid = bulk_grid_graph(6, 7)
+    return {
+        "erdos_renyi": lambda: bulk_erdos_renyi_graph(3000, 0.003, seed=5),
+        "unit_disk": lambda: bulk_unit_disk_graph(500, 0.08, seed=11),
+        "grid": lambda: bulk_grid_graph(45, 45),
+        "caterpillar": lambda: bulk_caterpillar_graph(500, 3),
+        "from_edges": lambda: BulkGraph.from_edges(300, u[keep], v[keep]),
+        "from_graph": lambda: BulkGraph.from_graph(
+            random_unit_disk_graph(400, 0.1, seed=2)
+        ),
+        "init": lambda: BulkGraph(grid.indptr.tolist(), grid.col.tolist()),
+    }
+
+
+#: ``layout_digest`` of each ``layout_builders`` graph, recorded while the
+#: CSR was stored as int64 arrays: the one stored layout must give the
+#: same public arrays byte for byte.
+PINNED_LAYOUT_DIGESTS = {
+    "erdos_renyi": "a6c6265eeac6302a",
+    "unit_disk": "f21b17de875d6010",
+    "grid": "ecc731ab303f0aa7",
+    "caterpillar": "19bf81eb8472e116",
+    "from_edges": "4916620d0855e988",
+    "from_graph": "30541142c357c24a",
+    "init": "900fb5d77dcee578",
+}
+
+
+class TestOneStoredLayout:
+    """Each graph stores its CSR once, in scipy's index dtype; the public
+    ``indptr`` / ``col`` are int64 views of it and the adjacency wraps it."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_LAYOUT_DIGESTS))
+    def test_public_arrays_are_int64_and_unchanged(self, name):
+        bulk = layout_builders()[name]()
+        assert bulk._indptr.dtype == bulk._col.dtype == np.int32
+        assert bulk._nonempty_starts.dtype == np.int64
+        assert layout_digest(bulk) == PINNED_LAYOUT_DIGESTS[name]
+        assert np.array_equal(bulk.indptr, bulk._indptr)
+        assert np.array_equal(bulk.col, bulk._col)
+        assert bulk.indptr is bulk.indptr and bulk.col is bulk.col
+
+    @pytest.mark.parametrize("name", sorted(PINNED_LAYOUT_DIGESTS))
+    def test_adjacency_wraps_the_stored_arrays(self, name):
+        bulk = layout_builders()[name]()
+        adjacency = bulk.adjacency
+        assert np.shares_memory(adjacency.indices, bulk._col)
+        assert np.shares_memory(adjacency.indptr, bulk._indptr)
+        assert adjacency.data.dtype == np.float64
+        assert not adjacency.data.flags.writeable
+        assert np.all(adjacency.data == 1.0)
+        # Wrapping the stored arrays reads no int64 view.
+        assert bulk._indptr64 is None or name == "init"
+        assert bulk._col64 is None or name == "init"
+
+    def test_constructor_keeps_the_callers_int64_arrays(self):
+        grid = bulk_grid_graph(5, 4)
+        indptr, col = grid.indptr.copy(), grid.col.copy()
+        bulk = BulkGraph(indptr, col)
+        assert bulk.indptr is indptr and bulk.col is col
+        assert bulk._col.dtype == np.int32
+        assert np.array_equal(bulk._col, col)
+        assert_same_fields(
+            BulkGraph(indptr.astype(np.int32), col.astype(np.int32)), bulk
+        )
+
+    def test_from_edges_assembles_its_upper_triangle(self, monkeypatch):
+        # Sorted, deduplicated edges are the upper triangle in CSR order:
+        # from_edges no longer sorts all 2m entries.
+        def no_counting_sort(*args):
+            raise AssertionError("from_edges ran the 2m-entry counting sort")
+
+        monkeypatch.setattr(BulkGraph, "_from_entries", no_counting_sort)
+        for name in ("unit_disk", "grid", "caterpillar", "from_edges"):
+            bulk = layout_builders()[name]()
+            assert layout_digest(bulk) == PINNED_LAYOUT_DIGESTS[name]
+
+    @pytest.mark.parametrize(
+        "n,entries,expected",
+        [
+            (1, 0, np.int32),
+            (2**31 - 1, 2**31 - 1, np.int32),
+            (2**31, 0, np.int64),
+            (5, 2**31, np.int64),
+            (2**40, 2**40, np.int64),
+        ],
+    )
+    def test_index_dtype_rule(self, n, entries, expected):
+        from scipy.sparse._sputils import get_index_dtype
+
+        # The rule's inputs only: nothing of that size is allocated.
+        assert bulk_module._index_dtype(n, entries) == expected
+        assert get_index_dtype(maxval=max(n, entries)) == expected
 
 
 class TestDirectGenerators:

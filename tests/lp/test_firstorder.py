@@ -13,7 +13,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.graphs.bulk import bulk_graph_suite
+from repro.graphs.bulk import bulk_erdos_renyi_graph, bulk_graph_suite
 from repro.graphs.generators import graph_suite
 from repro.lp.duality import certified_lower_bound_lp, lemma1_lower_bound
 from repro.lp.feasibility import check_dual_feasible, check_primal_feasible
@@ -495,6 +495,33 @@ class TestCsrCache:
             matrix = lp.neighborhood_matrix()
             x = np.linspace(0.1, 1.0, lp.size)
             np.testing.assert_allclose(matrix @ x, lp.coverage(x), rtol=1e-12)
+
+    @pytest.mark.parametrize("n,seed", [(1, 0), (2, 1), (300, 2), (2000, 3)])
+    def test_matrix_equals_the_coordinate_build(self, n, seed):
+        # N = A + I as scipy's canonical sum: the same index, pointer and
+        # value bytes as the COO round trip over (row, col) and the diagonal
+        # it replaced, without reading the int64 views.
+        from scipy import sparse
+
+        bulk = bulk_erdos_renyi_graph(n, min(1.0, 8 / max(n - 1, 1)), seed=seed)
+        matrix = neighborhood_csr_matrix(bulk)
+        if bulk.number_of_edges:  # the edgeless build is the validated one
+            assert bulk._indptr64 is None and bulk._col64 is None
+        diagonal = np.arange(n, dtype=np.int64)
+        reference = sparse.csr_matrix(
+            (
+                np.ones(bulk.col.size + n),
+                (
+                    np.concatenate([bulk.row, diagonal]),
+                    np.concatenate([bulk.col, diagonal]),
+                ),
+            ),
+            shape=(n, n),
+        )
+        for name in ("indptr", "indices", "data"):
+            ours, theirs = getattr(matrix, name), getattr(reference, name)
+            assert ours.dtype == theirs.dtype, name
+            assert ours.tobytes() == theirs.tobytes(), name
 
     def test_distinct_graphs_get_distinct_matrices(self):
         a = BulkGraph.from_graph(nx.path_graph(5))

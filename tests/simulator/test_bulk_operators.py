@@ -652,6 +652,128 @@ class TestLabelsAndRow:
                 bulk.index_of(candidate)
 
 
+class TestStoredLayout:
+    def test_pipeline_and_checks_leave_the_int64_views_unbuilt(self):
+        graph = bulk_erdos_renyi_graph(20_000, 10 / 19_999, seed=2)
+        report = solve("kuhn-wattenhofer", graph, seed=2, k=2)
+        assert is_dominating_set(graph, report.dominating_set)
+        assert 0 < lemma1_lower_bound(graph) <= report.size
+        assert graph._indptr64 is None and graph._col64 is None
+        assert graph._indptr.dtype == graph._col.dtype == np.int32
+        assert np.array_equal(graph.col, graph._col)
+
+    def test_float_pull_reads_the_stored_columns(self, er_graph):
+        # A strided float vector and a non-finite value take the pull; the
+        # gather through the int32 columns equals the int64 take.
+        values = np.random.default_rng(4).random(2 * er_graph.n)[::2]
+        values[7] = -np.inf
+        reference = values.copy()
+        nonempty = er_graph.degrees > 0
+        gathered = values[er_graph.col]
+        reference[nonempty] = np.maximum(
+            values[nonempty],
+            np.maximum.reduceat(gathered, er_graph.indptr[:-1][nonempty]),
+        )
+        assert np.array_equal(bits(er_graph.closed_max(values)), bits(reference))
+
+
+@pytest.fixture
+def fresh_ones(monkeypatch):
+    """An empty all-ones buffer of the test's own."""
+    empty = np.ones(0)
+    empty.flags.writeable = False
+    monkeypatch.setattr(bulk_module, "_ones", empty)
+
+
+def check_operators(bulk: BulkGraph, seed: int) -> bool:
+    """Sums and counts on ``bulk`` equal the bincount references bitwise."""
+    rng = np.random.default_rng(seed)
+    values = rng.random(bulk.n)
+    flags = rng.random(bulk.n) < 0.5
+    return np.array_equal(
+        bits(bulk.neighbor_sum(values)), bits(bincount_sum(bulk, values))
+    ) and np.array_equal(bulk.neighbor_count(flags), bincount_count(bulk, flags))
+
+
+class TestSharedOnesBuffer:
+    def test_buffer_is_read_only(self, fresh_ones):
+        ones = bulk_module._all_ones(5)
+        assert ones.tolist() == [1.0] * 5 and not ones.flags.writeable
+        with pytest.raises(ValueError):
+            ones[0] = 2.0
+        graph = bulk_erdos_renyi_graph(200, 0.05, seed=1)
+        assert np.shares_memory(graph.adjacency.data, bulk_module._ones)
+        with pytest.raises(ValueError):
+            graph.adjacency.data[0] = 0.0
+
+    def test_small_graphs_after_the_buffer_grew(self, fresh_ones):
+        small = bulk_erdos_renyi_graph(300, 0.02, seed=1)
+        assert check_operators(small, 0)
+        large = bulk_erdos_renyi_graph(3000, 0.01, seed=2)
+        assert check_operators(large, 1)
+        # Grown to exactly the largest entry count, not doubled.
+        assert bulk_module._ones.size == large._col.size > small._col.size
+        later = bulk_erdos_renyi_graph(300, 0.02, seed=3)
+        assert np.shares_memory(later.adjacency.data, bulk_module._ones)
+        assert later.adjacency.data.size == later._col.size
+        for seed, graph in enumerate((small, later, large)):
+            assert check_operators(graph, seed + 2)
+
+    def test_concurrent_first_reads_grow_it_safely(self, fresh_ones):
+        graphs = [
+            bulk_erdos_renyi_graph(400 * (i + 1), 8 / (400 * (i + 1)), seed=i)
+            for i in range(8)
+        ]
+        start = threading.Barrier(len(graphs))
+        seen: list[bool] = []
+
+        def first_read(graph, seed):
+            start.wait(timeout=30)
+            seen.append(check_operators(graph, seed))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=first_read, args=(graph, seed))
+                for seed, graph in enumerate(graphs)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == [True] * len(graphs)
+        assert bulk_module._ones.size == max(g._col.size for g in graphs)
+
+    def test_two_service_workers_build_adjacencies_concurrently(self, fresh_ones):
+        import asyncio
+
+        from repro.service import SolveService
+
+        sizes = [(3000, 1), (6000, 2), (1500, 3), (4500, 4)]
+
+        def build(n, seed):
+            return bulk_erdos_renyi_graph(n, 8 / (n - 1), seed=seed)
+
+        async def run():
+            async with SolveService(workers=2) as service:
+                return await asyncio.gather(
+                    *(
+                        service.solve("kuhn-wattenhofer", build(n, seed), seed=seed, k=2)
+                        for n, seed in sizes
+                    )
+                )
+
+        reports = asyncio.run(run())
+        for (n, seed), report in zip(sizes, reports):
+            direct = solve("kuhn-wattenhofer", build(n, seed), seed=seed, k=2)
+            assert report.dominating_set == direct.dominating_set
+            assert (report.rounds, report.messages) == (direct.rounds, direct.messages)
+
+
 def broadcast_cases() -> list[np.ndarray]:
     edgeless = BulkGraph.from_edges(4, np.empty(0, dtype=np.int64), np.empty(0))
     return [

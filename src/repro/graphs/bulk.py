@@ -22,13 +22,7 @@ import math
 
 import numpy as np
 
-from repro.simulator.bulk import (
-    BulkGraph,
-    _index_dtype,
-    _over_ranges,
-    _over_row_ranges,
-    _splits,
-)
+from repro.simulator.bulk import BulkGraph, _index_dtype
 from repro.graphs.unit_disk import random_unit_disk_positions, unit_disk_edges
 
 
@@ -57,9 +51,9 @@ def bulk_erdos_renyi_graph(n: int, p: float, seed: int | None = None) -> BulkGra
     between successive edges in the flattened upper-triangular pair order
     (each gap is geometric with success probability p; Batagelj & Brandes,
     Phys. Rev. E 71, 2005), which costs O(expected edges) regardless of n.
-    The sorted pairs are the upper triangle in CSR order: a row search
-    gives its row starts and one subtraction its columns, both written in
-    the CSR's index dtype, and :meth:`BulkGraph._from_upper` adds the
+    The sorted pairs are the upper triangle in CSR order: one search gives
+    its row starts and one subtraction its columns, both written in the
+    CSR's index dtype, and :meth:`BulkGraph._from_upper` adds the
     transposed lower triangle.
     """
     if n <= 0:
@@ -84,28 +78,13 @@ def bulk_erdos_renyi_graph(n: int, p: float, seed: int | None = None) -> BulkGra
     offsets = _row_offsets(n)
     index = _index_dtype(n, 2 * m)
     indptr = np.empty(n + 1, dtype=index)
+    indptr[:n] = np.searchsorted(linear, offsets)
     indptr[n] = m
-
-    def row_starts(start: int, stop: int) -> None:
-        indptr[start:stop] = np.searchsorted(linear, offsets[start:stop])
-
-    _over_ranges([(0, n // 2), (n // 2, n)] if _splits(m) else [(0, n)], row_starts)
     entries = np.empty(2 * m, dtype=index)
-    upper = entries[m:]
     shifts = offsets - np.arange(n, dtype=np.int64) - 1
-
-    def upper_columns(start: int, stop: int) -> None:
-        # The columns of rows start..stop-1; U's early rows are the long
-        # ones, so the halves balance entries, not rows.
-        first, last = indptr[start], indptr[stop]
-        np.subtract(
-            linear[first:last],
-            np.repeat(shifts[start:stop], np.diff(indptr[start : stop + 1])),
-            out=upper[first:last],
-            casting="unsafe",
-        )
-
-    _over_row_ranges(indptr, upper_columns)
+    np.subtract(
+        linear, np.repeat(shifts, np.diff(indptr)), out=entries[m:], casting="unsafe"
+    )
     # Free the m pair positions before the assembly allocates its buffers.
     del linear
     return BulkGraph._from_upper(n, indptr, entries)

@@ -10,13 +10,12 @@ array operation over a CSR view of the adjacency structure.
 
 Inputs are checked once, at the boundary: the constructor validates a raw
 ``(indptr, col)`` CSR, and :meth:`BulkGraph.from_edges` (behind the
-generators) checks its edge arrays.  Its sorted, deduplicated edges and the
-pairs :func:`~repro.graphs.bulk.bulk_erdos_renyi_graph` samples are the
-upper triangle already in CSR order, so only its m entries are transposed
-and the two triangles are merged row by row; :meth:`BulkGraph.from_graph`
-on a simple undirected graph hands its 2m adjacency entries to one
-counting sort.  Every CSR is valid by construction and is assembled
-without a re-check.
+generators and :meth:`BulkGraph.from_graph`) checks its edge arrays.  Its
+sorted, deduplicated edges and the pairs
+:func:`~repro.graphs.bulk.bulk_erdos_renyi_graph` samples are the upper
+triangle already in CSR order, so one assembler builds every CSR: it
+transposes the m upper entries and merges the two triangles row by row.
+Every CSR is valid by construction and is assembled without a re-check.
 
 A graph stores its CSR once, in the index dtype scipy itself picks (int32
 while n and 2m fit).  The scipy adjacency behind the neighbourhood
@@ -43,13 +42,11 @@ numerically interchangeable:
   the 2m adjacency entries, and *pull* every row otherwise.  Counts and
   maxima do not depend on the order of their terms, so both paths return
   the same integers.
-* **Row partitions.**  Every CSR row is one node's local computation, so
-  a pass may run its rows in any partition: :func:`_over_row_ranges`
-  splits a large pass into two row halves balanced by entry count (one on
-  a worker thread, one in the caller), and :meth:`BulkGraph.neighbor_sum`
-  sums only the ``rows`` a kernel reads.  Each row is still computed by
-  the same kernel, left to right from ``0.0``, so a split or frontier pass
-  is bitwise equal to the serial full pass.
+* **Row subsets.**  Every CSR row is one node's local computation, so a
+  pass need not visit every row: :meth:`BulkGraph.neighbor_sum` sums only
+  the ``rows`` a kernel reads.  Each row is still computed by the same
+  kernel, left to right from ``0.0``, so a frontier pass is bitwise equal
+  to the full pass.  Every pass is one serial call in the caller's thread.
 * **Metrics.**  :class:`BulkMetricsBuilder` models the messages a
   fault-free simulated execution would have sent (one payload broadcast per
   node per exchange) and lays the per-round counters out exactly like
@@ -65,7 +62,7 @@ import functools
 import itertools
 import os
 import threading
-from typing import Callable, Collection, Hashable, Iterable, Sequence
+from typing import Collection, Hashable, Iterable, Sequence
 
 import networkx as nx
 import numpy as np
@@ -79,34 +76,26 @@ BOOL_PAYLOAD_BITS = 1
 FLOAT_PAYLOAD_BITS = 32
 
 # Push from the frontier while its degree sum is below this fraction of the
-# 2m adjacency entries; pull every row above it.  The crossovers were
-# measured on ER graphs with n = 2·10⁵ and mean degree 10 against the
-# split pull (CHANGES.md): a pushed count wins below ≈ 30% of the entries,
-# a pushed maximum below ≈ 20% against the radix-encoded sum.
+# 2m adjacency entries; pull every row above it.  On ER graphs with
+# n = 2·10⁵ and mean degree 10 (CHANGES.md), a pushed count beats the
+# serial pull below ≈ 40–45% of the entries, and a pushed maximum beats the
+# radix-encoded sum below ≈ 30–35%.  Two row halves on two threads gave
+# the same crossovers there, so the constants stay where they were set
+# against such a split pull on an earlier host: lower, and at them the push
+# still wins by ≥ 20%.
 _PUSH_COUNT_FRACTION = 0.3
 _PUSH_MAX_FRACTION = 0.2
 
 # A neighbour sum over a row subset gathers those rows while their degree
 # sum is below this fraction of the 2m entries, and runs the full pass and
-# picks the rows above it.  Measured on the same graphs (CHANGES.md), the
-# gather wins below ≈ 30% of the entries against a split full pass and
-# below ≈ 45% against a serial one.  On graphs with fewer than
+# picks the rows above it.  On the same graphs the gather beats the serial
+# full pass below ≈ 45–55% of the entries, as it beat a split one; the
+# constant stays at the lower crossover a split pass gave on an earlier
+# host, where the gather wins by ≥ 30%.  On graphs with fewer than
 # _GATHER_MIN_ENTRIES entries the whole pass costs less than the gather's
 # fixed overhead (≈ 15 µs), so they always take the full pass.
 _GATHER_SUM_FRACTION = 0.3
 _GATHER_MIN_ENTRIES = 1 << 14
-
-# A CSR pass over at least this many entries runs as two row halves on two
-# cores; smaller passes run serially.  Measured crossover (CHANGES.md): the
-# split matvec wins from ≈ 10⁵ entries alone, but inside Algorithm 3's loop
-# it pays only from ≈ 2¹⁹ entries.
-_PARALLEL_MIN_ENTRIES = 1 << 19
-
-# The one worker thread that runs the first half of a split pass: created
-# on the first split call, dropped in a forked child (which inherits the
-# executor but not its thread).
-_row_pool = None
-_row_pool_lock = threading.Lock()
 
 # The adjacency's data, 1.0 for every entry: one read-only buffer shared by
 # all graphs, grown to exactly the largest entry count asked for (a doubled
@@ -117,9 +106,7 @@ _ones_lock = threading.Lock()
 
 
 def _reset_after_fork() -> None:
-    global _row_pool, _row_pool_lock, _ones_lock
-    _row_pool = None
-    _row_pool_lock = threading.Lock()
+    global _ones_lock
     _ones_lock = threading.Lock()
 
 
@@ -156,75 +143,6 @@ def _index_dtype(n: int, entries: int) -> np.dtype:
     """
     limit = np.iinfo(np.int32).max
     return np.dtype(np.int32 if max(n, entries) <= limit else np.int64)
-
-
-def _splits(entries: int) -> bool:
-    """Whether a pass over ``entries`` CSR entries runs as two halves.
-
-    It does from :data:`_PARALLEL_MIN_ENTRIES` entries on, when two CPUs
-    are usable.
-    """
-    return entries >= _PARALLEL_MIN_ENTRIES and available_cpu_count() >= 2
-
-
-def _row_ranges(indptr: np.ndarray) -> list[tuple[int, int]]:
-    """The row ranges of one pass over a CSR with row pointer ``indptr``.
-
-    Two halves balanced by entry count when the pass :func:`_splits`; the
-    one full range otherwise.
-    """
-    rows = indptr.size - 1
-    entries = int(indptr[-1])
-    if not _splits(entries):
-        return [(0, rows)]
-    # A key of indptr's own dtype: a Python int would convert all of a
-    # scipy int32 indptr to int64 before the search.
-    middle = int(np.searchsorted(indptr, indptr.dtype.type(entries // 2)))
-    return [(0, middle), (middle, rows)]
-
-
-def _over_row_ranges(
-    indptr: np.ndarray, kernel: Callable[[int, int], None]
-) -> None:
-    """Run ``kernel(start, stop)`` over the row ranges of one CSR pass."""
-    _over_ranges(_row_ranges(indptr), kernel)
-
-
-def _over_ranges(
-    ranges: list[tuple[int, int]], kernel: Callable[[int, int], None]
-) -> None:
-    """Run ``kernel(start, stop)`` over one or two ranges of a pass.
-
-    The serial pass is the one-range case.  Split, the first half runs on
-    the worker thread and the second in the caller; the kernels are numpy
-    and scipy calls that release the GIL.  If the worker has not started
-    its half when the caller finishes, the caller runs it, so a split pass
-    never waits on a descheduled thread.  ``kernel`` writes only into
-    buffers the caller allocated and must not start another split pass:
-    the pool has one worker, so a nested submit would deadlock.
-    """
-    if len(ranges) == 1:
-        kernel(*ranges[0])
-        return
-    global _row_pool
-    with _row_pool_lock:
-        if _row_pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _row_pool = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-rows"
-            )
-        future = _row_pool.submit(kernel, *ranges[0])
-    try:
-        kernel(*ranges[1])
-    finally:
-        # A worker that has not started its half by now (a busy host, a
-        # slow wake-up) loses it: the caller runs that half as well.
-        overtaken = future.cancel()
-        if not overtaken:
-            future.result()
-    if overtaken:
-        kernel(*ranges[0])
 
 
 def int_payload_bits(values: np.ndarray) -> np.ndarray:
@@ -268,23 +186,14 @@ def range_labels(n: int) -> tuple[int, ...]:
 def _csr_matvec(
     indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, vector
 ) -> np.ndarray:
-    """scipy's ``csr_matvec``: each row summed left to right from ``0.0``.
-
-    A row range passes its slice of ``indptr`` (the offsets stay absolute
-    into ``indices`` / ``data``) and writes its slice of the result.
-    """
+    """scipy's ``csr_matvec``: each row summed left to right from ``0.0``."""
     from scipy.sparse import _sparsetools
 
     vector = np.ascontiguousarray(vector, dtype=np.float64)
     result = np.zeros(indptr.size - 1)
-
-    def rows_matvec(start: int, stop: int) -> None:
-        _sparsetools.csr_matvec(
-            stop - start, vector.size, indptr[start : stop + 1], indices, data,
-            vector, result[start:stop],
-        )
-
-    _over_row_ranges(indptr, rows_matvec)
+    _sparsetools.csr_matvec(
+        result.size, vector.size, indptr, indices, data, vector, result
+    )
     return result
 
 
@@ -406,28 +315,28 @@ class BulkGraph:
         """Build a :class:`BulkGraph` from a networkx graph (sorted nodes).
 
         Each row comes from a neighbour dict of ``graph.adjacency()`` (a
-        multigraph's parallel edges share one key).  With the owners taken
-        in order, counting-sorting the entries by neighbour lists every row
-        ascending, as the adjacency is symmetric; a digraph's successor
-        rows go through :meth:`from_edges`, which symmetrises them.  The
-        CSR and the errors (no nodes, self loops) are :meth:`from_edges`'s.
+        multigraph's parallel edges share one key).  An undirected graph
+        lists every edge from both ends, so only the entries whose owner
+        is not above their neighbour go on: each edge once, and every self
+        loop.  A digraph's successor rows go on whole, to be symmetrised.
+        The CSR and the errors (no nodes, self loops) are
+        :meth:`from_edges`'s.
         """
         nodes: tuple[Hashable, ...] = tuple(sorted(graph.nodes()))
         n = len(nodes)
         index = dict(zip(nodes, range(n)))
         rows = list(map(dict(graph.adjacency()).__getitem__, nodes))
         lengths = np.fromiter(map(len, rows), np.int64, n)
-        entries = int(lengths.sum())
-        dtype = _index_dtype(n, entries)
-        owners = np.repeat(np.arange(n, dtype=dtype), lengths)
+        owners = np.repeat(np.arange(n, dtype=np.int64), lengths)
         neighbors = np.fromiter(
             map(index.__getitem__, itertools.chain.from_iterable(rows)),
-            dtype,
-            entries,
+            np.int64,
+            owners.size,
         )
-        if graph.is_directed() or n == 0 or np.any(owners == neighbors):
-            return cls.from_edges(n, owners, neighbors, nodes=nodes)
-        return cls._from_entries(n, neighbors, owners, nodes)
+        if not graph.is_directed():
+            upper = owners <= neighbors
+            owners, neighbors = owners[upper], neighbors[upper]
+        return cls.from_edges(n, owners, neighbors, nodes=nodes)
 
     @classmethod
     def from_edges(
@@ -480,30 +389,6 @@ class BulkGraph:
         return cls._from_upper(n, indptr, entries, nodes)
 
     @classmethod
-    def _from_entries(
-        cls, n: int, rows: np.ndarray, cols: np.ndarray, nodes
-    ) -> "BulkGraph":
-        """The graph whose row ``rows[j]`` lists ``cols[j]``, in entry order.
-
-        One stable counting sort (scipy's ``coo_tocsr``, O(n + m)) over all
-        2m entries, for :meth:`from_graph`.  The caller hands in entries in
-        the index dtype that make a valid CSR, so :meth:`__init__`'s checks
-        are skipped.
-        """
-        from scipy.sparse import _sparsetools
-
-        entries = rows.size
-        indptr = np.empty(n + 1, dtype=rows.dtype)
-        col = np.empty(entries, dtype=rows.dtype)
-        _sparsetools.coo_tocsr(
-            n, n, entries, rows, cols, np.zeros(entries, dtype=bool), indptr, col,
-            np.empty(entries, dtype=bool),
-        )
-        graph = cls.__new__(cls)
-        graph._assemble(indptr, col, nodes)
-        return graph
-
-    @classmethod
     def _from_upper(
         cls, n: int, indptr: np.ndarray, entries: np.ndarray, nodes=None
     ) -> "BulkGraph":
@@ -512,64 +397,30 @@ class BulkGraph:
         Row u of U lists u's neighbours above u, strictly ascending; the
         caller builds it valid, in the index dtype of the 2m-entry CSR, so
         :meth:`__init__`'s checks are skipped.  ``entries`` has 2m slots
-        and its first m are overwritten.  The lower triangle is U's
-        transpose (scipy's ``csr_tocsc``), one block per row range of U,
-        written into the first m slots: each block's row v lists the
-        neighbours below v from its range, ascending.  Then
-        ``csr_hstack`` writes every row as [lower blocks | upper] over the
-        final CSR's row ranges.  That is each row ascending, the CSR that
-        :meth:`_from_entries` sorts out of all 2m entries.
+        and its first m are overwritten with the lower triangle, U's
+        transpose (scipy's ``csr_tocsc``): its row v lists the neighbours
+        below v, ascending.  Then ``csr_hstack`` writes every row as
+        [lower | upper], which is each row ascending.
         """
         from scipy.sparse import _sparsetools
 
         m = int(indptr[-1])
-        upper = entries[m:]
+        index = indptr.dtype
         # scipy's kernels carry a value per entry: one zero byte each.
         values = np.zeros(2 * m, dtype=bool)
         copied = np.empty(2 * m, dtype=bool)
-        index = indptr.dtype
-        halves = _row_ranges(indptr)
-        lower = {half: np.empty(n + 1, dtype=index) for half in halves}
-
-        def transpose(start: int, stop: int) -> None:
-            first, last = indptr[start], indptr[stop]
-            # The range's rows with offsets from its first entry; the rows
-            # outside it are empty, so the block's row ids stay absolute.
-            rows = np.zeros(n + 1, dtype=index)
-            np.subtract(indptr[start : stop + 1], first, out=rows[start : stop + 1])
-            rows[stop + 1 :] = last - first
-            _sparsetools.csr_tocsc(
-                n, n, rows, upper[first:last], values[first:last], lower[start, stop],
-                entries[first:last], copied[first:last],
-            )
-
-        _over_ranges(halves, transpose)
-        final = indptr.copy()
-        # Each block's row pointer as absolute offsets into ``entries``.
-        blocks = []
-        for start, stop in halves:
-            final += lower[start, stop]
-            blocks.append(lower[start, stop] + indptr[start])
-        blocks.append(indptr + m)
+        lower = np.empty(n + 1, dtype=index)
+        _sparsetools.csr_tocsc(
+            n, n, indptr, entries[m:], values[m:], lower, entries[:m], copied[:m]
+        )
+        final = np.empty(n + 1, dtype=index)
         col = np.empty(2 * m, dtype=index)
-        no_shift = np.zeros(len(blocks), dtype=index)
-
-        def merge(start: int, stop: int) -> None:
-            # csr_hstack finds block b's entries right after block b − 1's
-            # last one in this range, so each block's pointer is rebased
-            # on that entry.
-            rebased, base = [], 0
-            for block in blocks:
-                rebased.append(block[start : stop + 1] - base)
-                base = block[stop]
-            first, last = final[start], final[stop]
-            _sparsetools.csr_hstack(
-                len(blocks), stop - start, no_shift, np.concatenate(rebased),
-                entries, values, np.empty(stop - start + 1, dtype=index),
-                col[first:last], copied[first:last],
-            )
-
-        _over_row_ranges(final, merge)
+        # Each block's row pointer is relative to its first entry: the
+        # upper block follows the lower one in ``entries``.
+        _sparsetools.csr_hstack(
+            2, n, np.zeros(2, dtype=index), np.concatenate((lower, indptr)),
+            entries, values, final, col, copied,
+        )
         graph = cls.__new__(cls)
         graph._assemble(final, col, nodes)
         return graph
@@ -874,8 +725,8 @@ class BulkGraph:
         Unmasked non-negative integers whose non-zero entries have a small
         degree sum are pushed from those sources into their rows
         (``np.maximum.at``).  Other ones with ``max·b ≤ 1022 − b``, where
-        ``b = Δ.bit_length() + 1``, are pulled as the two-core neighbour
-        sum of the terms ``2^(b·v)``: at most Δ < 2^(b−1) terms, whose
+        ``b = Δ.bit_length() + 1``, are pulled as the neighbour sum of
+        the terms ``2^(b·v)``: at most Δ < 2^(b−1) terms, whose
         partial sums never decrease, sum into ``[2^(b·M), 2^(b·(M+1)))``,
         so the binary exponent gives the neighbours' maximum ``M`` exactly
         (−1 for an empty row).  Floats, negatives and larger values take
@@ -906,9 +757,7 @@ class BulkGraph:
                     values.dtype, copy=False
                 )
         # Pull: gather every entry's value, drop the masked entries to the
-        # dtype's floor, and reduce each non-empty row.  A row range
-        # handles its own entries and rows, into the caller's buffers.
-        # (numpy's reduceat holds the GIL, so only the gathers overlap.)
+        # dtype's floor, and reduce each non-empty row.
         from scipy.sparse import _sparsetools
 
         floor = (
@@ -921,34 +770,21 @@ class BulkGraph:
         if senders is not None:
             sources = values.copy()
             np.copyto(sources, floor, where=~np.asarray(senders, dtype=bool))
-        drop = None if edge_mask is None else ~np.asarray(edge_mask, dtype=bool)
-        contributions = np.empty(self._col.size, dtype=values.dtype)
-        row_max = np.empty(self._nonempty.size, dtype=values.dtype)
-        indptr, col = self._indptr, self._col
-        nonempty, starts = self._nonempty, self._nonempty_starts
-
-        def rows_max(start: int, stop: int) -> None:
-            low, high = int(indptr[start]), int(indptr[stop])
-            # The range's entries as one CSR row of ones whose columns are
-            # scaled by ``sources``: each entry becomes its sender's value,
-            # read through the stored indices (a take would widen them).
-            gathered = contributions[low:high]
-            gathered.fill(1)
-            _sparsetools.csr_scale_columns(
-                1, sources.size, np.array([0, high - low], dtype=col.dtype),
-                col[low:high], gathered, sources,
+        # All entries as one CSR row of ones whose columns are scaled by
+        # ``sources``: each entry becomes its sender's value, read through
+        # the stored indices (a take would widen them).
+        col = self._col
+        contributions = np.ones(col.size, dtype=values.dtype)
+        _sparsetools.csr_scale_columns(
+            1, sources.size, np.array([0, col.size], dtype=col.dtype), col,
+            contributions, sources,
+        )
+        if edge_mask is not None:
+            np.copyto(
+                contributions, floor, where=~np.asarray(edge_mask, dtype=bool)
             )
-            if drop is not None:
-                np.copyto(gathered, floor, where=drop[low:high])
-            first = int(np.searchsorted(nonempty, start))
-            last = int(np.searchsorted(nonempty, stop))
-            # The last row's reduction runs to the end of the array passed,
-            # so pass the prefix that ends with this range's entries.
-            np.maximum.reduceat(
-                contributions[:high], starts[first:last], out=row_max[first:last]
-            )
-
-        _over_row_ranges(indptr, rows_max)
+        row_max = np.maximum.reduceat(contributions, self._nonempty_starts)
+        nonempty = self._nonempty
         result[nonempty] = np.maximum(values[nonempty], row_max)
         return result
 

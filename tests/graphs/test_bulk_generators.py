@@ -365,38 +365,6 @@ class TestBuildersPassTheValidatingConstructor:
             assert_same_fields(built, canonical)
 
 
-@pytest.fixture
-def own_row_pool(monkeypatch):
-    """Two usable CPUs and a worker pool of the test's own."""
-    monkeypatch.setattr(bulk_module, "_row_pool", None)
-    monkeypatch.setattr(bulk_module, "available_cpu_count", lambda: 2)
-    yield
-    if bulk_module._row_pool is not None:
-        bulk_module._row_pool.shutdown()
-
-
-@pytest.fixture
-def row_split(monkeypatch, own_row_pool):
-    """Every CSR pass split in two."""
-    monkeypatch.setattr(bulk_module, "_PARALLEL_MIN_ENTRIES", 0)
-
-
-def split_passes(monkeypatch) -> list[int]:
-    """Record how many ranges each pass of the builder runs over."""
-    ranges = []
-    over_ranges = graphs_bulk._over_ranges
-
-    def recording(halves, kernel):
-        ranges.append(len(halves))
-        over_ranges(halves, kernel)
-
-    # The row search runs through graphs.bulk's import, the transposes and
-    # the merge through simulator.bulk's.
-    monkeypatch.setattr(graphs_bulk, "_over_ranges", recording)
-    monkeypatch.setattr(bulk_module, "_over_ranges", recording)
-    return ranges
-
-
 class TestErdosRenyiBuilder:
     """The exponential-draw gaps and the two-triangle CSR assembly."""
 
@@ -449,29 +417,12 @@ class TestErdosRenyiBuilder:
         "n,p,seed",
         [(50, 0.1, 1), (1000, 0.01, 2), (600, 0.4, 3), (20_000, 10 / 19_999, 4)],
     )
-    def test_serial_build_matches_the_redraw(self, monkeypatch, n, p, seed):
-        passes = split_passes(monkeypatch)
-        built = bulk_erdos_renyi_graph(n, p, seed=seed)
-        assert passes == [1, 1, 1, 1]  # search, upper columns, transposes, merge
-        self.check_against_redraw(n, p, seed, sets=n <= 1000, built=built)
+    def test_serial_build_matches_the_redraw(self, n, p, seed):
+        self.check_against_redraw(n, p, seed, sets=n <= 1000)
 
-    @pytest.mark.parametrize(
-        "n,p,seed", [(2, 1.0, 0), (50, 0.1, 1), (1000, 0.01, 2), (600, 0.4, 3)]
-    )
-    def test_forced_split_matches_the_redraw(self, monkeypatch, row_split, n, p, seed):
-        passes = split_passes(monkeypatch)
-        built = bulk_erdos_renyi_graph(n, p, seed=seed)
-        assert passes == [2, 2, 2, 2]
-        self.check_against_redraw(n, p, seed, built=built)
-
-    def test_split_above_the_threshold_matches_the_redraw(
-        self, monkeypatch, own_row_pool
-    ):
-        # m ≥ _PARALLEL_MIN_ENTRIES: every pass splits at its own size.
-        passes = split_passes(monkeypatch)
+    def test_large_build_matches_the_redraw(self):
         built = bulk_erdos_renyi_graph(100_000, 11 / 99_999, seed=6)
-        assert built.number_of_edges >= bulk_module._PARALLEL_MIN_ENTRIES
-        assert passes == [2, 2, 2, 2]
+        assert built.col.size >= 1 << 20
         self.check_against_redraw(100_000, 11 / 99_999, 6, sets=False, built=built)
 
     @pytest.mark.parametrize(
@@ -487,14 +438,9 @@ class TestErdosRenyiBuilder:
         st.integers(1, 60),
         st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
         st.integers(0, 2**32 - 1),
-        st.booleans(),
     )
-    def test_random_builds_match_the_redraw(self, n, p, seed, split):
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            if split:
-                monkeypatch.setattr(bulk_module, "_PARALLEL_MIN_ENTRIES", 0)
-                monkeypatch.setattr(bulk_module, "available_cpu_count", lambda: 2)
-            self.check_against_redraw(n, p, seed)
+    def test_random_builds_match_the_redraw(self, n, p, seed):
+        self.check_against_redraw(n, p, seed)
 
     def test_multi_batch_draw_matches_the_redraw(self, monkeypatch):
         # This seed's first batch of 1116 gaps stops short of the pair space.
@@ -541,8 +487,7 @@ class TestErdosRenyiBuilder:
 
 #: sha256 prefixes of ``indptr`` and ``col`` (little-endian int64) of the
 #: generators' CSR for fixed seeds, recorded with ``np.unique``-based
-#: deduplication; the counting-sort builder must reproduce them byte for
-#: byte.
+#: deduplication; the CSR assembler must reproduce them byte for byte.
 PINNED_CSR_DIGESTS = {
     "erdos_renyi_n2000": "42ee264c53d8c45a",
     "unit_disk_n2000": "9d015c09a3b23bd2",
@@ -646,14 +591,20 @@ class TestOneStoredLayout:
 
     def test_from_edges_assembles_its_upper_triangle(self, monkeypatch):
         # Sorted, deduplicated edges are the upper triangle in CSR order:
-        # from_edges no longer sorts all 2m entries.
-        def no_counting_sort(*args):
-            raise AssertionError("from_edges ran the 2m-entry counting sort")
+        # every builder but __init__ assembles it once, from_graph too.
+        assembled: list[int] = []
+        from_upper = BulkGraph._from_upper.__func__
 
-        monkeypatch.setattr(BulkGraph, "_from_entries", no_counting_sort)
-        for name in ("unit_disk", "grid", "caterpillar", "from_edges"):
-            bulk = layout_builders()[name]()
+        def counting(cls, n, *args):
+            assembled.append(n)
+            return from_upper(cls, n, *args)
+
+        monkeypatch.setattr(BulkGraph, "_from_upper", classmethod(counting))
+        for name, build in layout_builders().items():
+            assembled.clear()
+            bulk = build()
             assert layout_digest(bulk) == PINNED_LAYOUT_DIGESTS[name]
+            assert assembled == ([] if name == "init" else [bulk.n]), name
 
     @pytest.mark.parametrize(
         "n,entries,expected",

@@ -4,6 +4,9 @@
   the row-ordered ``bincount`` reference bit for bit, masked or not.
 * ``neighbor_count`` / ``closed_max`` push from small frontiers and pull
   otherwise; both paths must agree on every frontier size.
+* ``neighbor_sum(..., rows=...)`` sums only the listed rows, bitwise as
+  the full pass does.  Every pass is serial: a large solve starts no
+  thread, and a forked child runs the operators.
 * The bulk fractional results keep their x-vector and per-node message
   counts as arrays; the lazily built mappings must equal the eager ones.
 * The rounding results keep their joined sets as masks, graphs build
@@ -15,7 +18,10 @@
 from __future__ import annotations
 
 import gc
+import multiprocessing
+import os
 import pickle
+import subprocess
 import sys
 import threading
 import weakref
@@ -293,10 +299,12 @@ def closed_max_path(
     ``push`` (frontier entries handed out), ``radix`` (a matvec),
     ``reference`` (the take/reduceat row pass) or ``own`` (no edges).
     """
+    from scipy.sparse import _sparsetools
+
     taken: list[str] = []
     frontier = BulkGraph._frontier_entries
     matvec = bulk_module._csr_matvec
-    over_rows = bulk_module._over_row_ranges
+    scale_columns = _sparsetools.csr_scale_columns
 
     def spy_frontier(self, sources, fraction):
         entries = frontier(self, sources, fraction)
@@ -308,20 +316,20 @@ def closed_max_path(
         taken.append("radix")
         return matvec(*args)
 
-    def spy_rows(indptr, kernel):
-        taken.append("rows")
-        return over_rows(indptr, kernel)
+    def spy_gather(*args):
+        taken.append("gather")
+        return scale_columns(*args)
 
     with monkeypatch.context() as patch:
         patch.setattr(BulkGraph, "_frontier_entries", spy_frontier)
         patch.setattr(bulk_module, "_csr_matvec", spy_matvec)
-        patch.setattr(bulk_module, "_over_row_ranges", spy_rows)
+        patch.setattr(_sparsetools, "csr_scale_columns", spy_gather)
         result = closed_max(bulk, values, **masks)
     path = {
         (): "own",
         ("push",): "push",
-        ("radix", "rows"): "radix",
-        ("rows",): "reference",
+        ("radix",): "radix",
+        ("gather",): "reference",
     }[tuple(taken)]
     return result, path
 
@@ -400,28 +408,6 @@ class TestRadixClosedMax:
             result, path = closed_max_path(monkeypatch, er_graph, values.astype(dtype))
             assert path == "radix" and result.dtype == dtype
             assert np.array_equal(result, expected)
-
-    def test_row_split_parity(self, monkeypatch, er_graph):
-        rng = np.random.default_rng(6)
-        values = rng.integers(0, radix_limit(er_graph) + 1, er_graph.n)
-        senders = rng.random(er_graph.n) < 0.6
-        edge_mask = rng.random(er_graph.col.size) < 0.8
-        serial = closed_max_reference(er_graph, values, senders, edge_mask)
-        # A pool of this test's own: a later test may time the first split.
-        monkeypatch.setattr(bulk_module, "_row_pool", None)
-        monkeypatch.setattr(bulk_module, "_PARALLEL_MIN_ENTRIES", 0)
-        monkeypatch.setattr(bulk_module, "available_cpu_count", lambda: 2)
-        assert bulk_module._row_ranges(er_graph.indptr) != [(0, er_graph.n)]
-        for masks in ({}, {"senders": senders}, {"edge_mask": edge_mask}):
-            result, path = closed_max_path(monkeypatch, er_graph, values, **masks)
-            assert path == "radix"
-            assert np.array_equal(
-                result, closed_max_reference(er_graph, values, **masks)
-            )
-        result, _ = closed_max_path(
-            monkeypatch, er_graph, values, senders=senders, edge_mask=edge_mask
-        )
-        assert np.array_equal(result, serial)
 
     def test_lrg_twin_equals_the_simulated_lrg(self, monkeypatch):
         from repro.baselines.jia_rajaraman_suel import lrg_dominating_set
@@ -675,6 +661,120 @@ class TestStoredLayout:
             np.maximum.reduceat(gathered, er_graph.indptr[:-1][nonempty]),
         )
         assert np.array_equal(bits(er_graph.closed_max(values)), bits(reference))
+
+
+class TestFrontierRows:
+    """``neighbor_sum(..., rows=...)`` sums only the listed rows; each sum
+    must equal the full pass's, masked or not, on its gather and full
+    paths."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(operator_cases(), st.data())
+    def test_rows_match_the_full_pass(self, case, data):
+        bulk, values, flags, edge_mask = case
+        rows = np.flatnonzero(flags)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(bulk_module, "_GATHER_MIN_ENTRIES", 0)
+            for fraction in (0.0, 2.0, bulk_module._GATHER_SUM_FRACTION):
+                monkeypatch.setattr(bulk_module, "_GATHER_SUM_FRACTION", fraction)
+                for mask in (None, edge_mask):
+                    full = bulk.neighbor_sum(values, edge_mask=mask)
+                    picked = bulk.neighbor_sum(values, edge_mask=mask, rows=rows)
+                    assert picked.shape == rows.shape
+                    assert np.array_equal(bits(picked), bits(full[rows]))
+
+    def test_both_paths_on_a_large_graph(self, monkeypatch, er_graph):
+        assert er_graph.col.size >= bulk_module._GATHER_MIN_ENTRIES
+        rng = np.random.default_rng(5)
+        values = rng.random(er_graph.n)
+        mask = rng.random(er_graph.col.size) < 0.8
+        for share in (0.0, 0.01, 0.2, 0.6, 1.0):
+            rows = np.flatnonzero(rng.random(er_graph.n) < share)
+            for edge_mask in (None, mask):
+                full = er_graph.neighbor_sum(values, edge_mask=edge_mask)[rows]
+                for fraction in (0.0, 2.0):
+                    monkeypatch.setattr(bulk_module, "_GATHER_SUM_FRACTION", fraction)
+                    assert np.array_equal(
+                        bits(er_graph.neighbor_sum(values, edge_mask, rows)),
+                        bits(full),
+                    )
+
+    def test_small_graphs_take_the_full_pass(self, monkeypatch):
+        bulk = bulk_erdos_renyi_graph(200, 0.05, seed=3)
+        assert bulk.col.size < bulk_module._GATHER_MIN_ENTRIES
+        passes: list[int] = []
+        original = bulk_module._csr_matvec
+
+        def spy(indptr, indices, data, vector):
+            passes.append(indptr.size - 1)
+            return original(indptr, indices, data, vector)
+
+        monkeypatch.setattr(bulk_module, "_csr_matvec", spy)
+        values = np.arange(bulk.n, dtype=np.float64)
+        rows = np.arange(3)
+        picked = bulk.neighbor_sum(values, rows=rows)
+        assert passes == [bulk.n]
+        assert np.array_equal(picked, bulk.neighbor_sum(values)[rows])
+
+
+class TestOneThread:
+    def test_available_cpu_count_lives_here(self):
+        from repro.simulator import sharded
+
+        assert sharded.available_cpu_count is bulk_module.available_cpu_count
+        assert bulk_module.available_cpu_count() >= 1
+
+    def test_large_passes_start_no_thread(self):
+        # Every CSR pass is one serial call: a fresh process that builds and
+        # solves an instance of more than 2¹⁹ entries starts no thread.
+        script = (
+            "import threading\n"
+            "from repro.api import solve\n"
+            "from repro.graphs.bulk import bulk_erdos_renyi_graph\n"
+            "before = threading.active_count()\n"
+            "graph = bulk_erdos_renyi_graph(60_000, 10 / 59_999, seed=1)\n"
+            "assert graph.col.size >= 1 << 19, graph.col.size\n"
+            "solve('kuhn-wattenhofer', graph, k=2)\n"
+            "assert threading.active_count() == before, threading.enumerate()\n"
+        )
+        package = os.path.dirname(os.path.dirname(bulk_module.__file__))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(package))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr.decode()
+
+
+def _operators_in_child(bulk: BulkGraph, values, expected_sum, expected_max) -> None:
+    same = np.array_equal(
+        bits(bulk.neighbor_sum(values)), bits(expected_sum)
+    ) and np.array_equal(bulk.closed_max(bulk.degrees), expected_max)
+    os._exit(0 if same else 3)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs the fork start method",
+)
+@pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
+def test_forked_child_runs_the_operators(er_graph):
+    # The child forks while the parent holds the all-ones buffer's lock (as
+    # a thread growing it would); its first adjacency takes a fresh lock.
+    values = np.random.default_rng(8).random(er_graph.n)
+    twin = BulkGraph(er_graph.indptr, er_graph.col)
+    expected = (twin.neighbor_sum(values), twin.closed_max(twin.degrees))
+    assert er_graph._adjacency is None
+    child = multiprocessing.get_context("fork").Process(
+        target=_operators_in_child, args=(er_graph, values, *expected)
+    )
+    with bulk_module._ones_lock:
+        child.start()
+    child.join(timeout=30)
+    if child.is_alive():
+        child.kill()
+        child.join(timeout=10)
+        pytest.fail("a forked child hung on the operators")
+    assert child.exitcode == 0
 
 
 @pytest.fixture

@@ -78,23 +78,20 @@ FLOAT_PAYLOAD_BITS = 32
 # Push from the frontier while its degree sum is below this fraction of the
 # 2m adjacency entries; pull every row above it.  On ER graphs with
 # n = 2·10⁵ and mean degree 10 (CHANGES.md), a pushed count beats the
-# serial pull below ≈ 40–45% of the entries, and a pushed maximum beats the
-# radix-encoded sum below ≈ 30–35%.  Two row halves on two threads gave
-# the same crossovers there, so the constants stay where they were set
-# against such a split pull on an earlier host: lower, and at them the push
-# still wins by ≥ 20%.
-_PUSH_COUNT_FRACTION = 0.3
-_PUSH_MAX_FRACTION = 0.2
+# serial pull below ≈ 45–50% of the entries, and a pushed maximum beats the
+# radix-encoded sum below ≈ 35%; each constant sits one 0.05 step below
+# its crossover, where the push still wins by ≈ 10%.
+_PUSH_COUNT_FRACTION = 0.4
+_PUSH_MAX_FRACTION = 0.3
 
 # A neighbour sum over a row subset gathers those rows while their degree
 # sum is below this fraction of the 2m entries, and runs the full pass and
 # picks the rows above it.  On the same graphs the gather beats the serial
-# full pass below ≈ 45–55% of the entries, as it beat a split one; the
-# constant stays at the lower crossover a split pass gave on an earlier
-# host, where the gather wins by ≥ 30%.  On graphs with fewer than
-# _GATHER_MIN_ENTRIES entries the whole pass costs less than the gather's
-# fixed overhead (≈ 15 µs), so they always take the full pass.
-_GATHER_SUM_FRACTION = 0.3
+# full pass below ≈ 50% of the entries; the constant sits one 0.05 step
+# below that.  On graphs with fewer than _GATHER_MIN_ENTRIES entries the
+# whole pass costs less than the gather's fixed overhead (≈ 15 µs), so
+# they always take the full pass.
+_GATHER_SUM_FRACTION = 0.45
 _GATHER_MIN_ENTRIES = 1 << 14
 
 # The adjacency's data, 1.0 for every entry: one read-only buffer shared by

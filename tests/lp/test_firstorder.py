@@ -9,6 +9,10 @@ layer of the dispatch stack (``solve_covering_lp``, the solver entry
 points on both graph types, the rounding baseline, the registry).
 """
 
+import hashlib
+import json
+import re
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from repro.lp.firstorder import (
     ConvergenceError,
     DualityCertificate,
     _PairTracker,
+    _degree_ordered,
     _feasible_primal_candidates,
     solve_covering_lp,
 )
@@ -272,6 +277,19 @@ class TestDegenerateInputs:
         lp = build_lp(nx.path_graph(5))
         with pytest.raises(ValueError, match="unknown first-order method 'mwu'"):
             solve_covering_lp(lp, method="mwu", tol=0.05)
+
+    @pytest.mark.parametrize("budget", [0, -3, 2.5, True, False, "50", 50.0])
+    def test_budget_must_be_a_positive_int(self, budget):
+        lp = build_lp(nx.path_graph(5))
+        message = f"max_iterations must be a positive int (got {budget!r})"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            solve_covering_lp(lp, tol=1e-3, max_iterations=budget)
+
+    @pytest.mark.parametrize("budget", [1, 50, np.int64(50)])
+    def test_positive_int_budgets_accepted(self, budget):
+        lp = build_lp(dict(SUITE)["erdos_renyi_n60"])
+        with pytest.raises(ConvergenceError, match=f"within {int(budget)} iterations"):
+            solve_covering_lp(lp, tol=1e-12, max_iterations=budget)
 
     def test_budget_exhaustion_raises_with_best_certificate(self):
         lp = build_lp(dict(SUITE)["erdos_renyi_n60"])
@@ -527,3 +545,171 @@ class TestCsrCache:
         a = BulkGraph.from_graph(nx.path_graph(5))
         b = BulkGraph.from_graph(nx.path_graph(5))
         assert neighborhood_csr_matrix(a) is not neighborhood_csr_matrix(b)
+
+
+def solution_digest(*parts) -> str:
+    """sha256 prefix of float64 vectors and certificate payloads, in order."""
+    digest = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, dict):
+            digest.update(json.dumps(part, sort_keys=True).encode())
+        else:
+            assert part.dtype == np.float64
+            digest.update(part.astype("<f8").tobytes())
+    return digest.hexdigest()[:16]
+
+
+def pinned_lps() -> dict:
+    """The formulations whose PDHG solves are pinned byte for byte."""
+    lps = {
+        name: build_lp(bulk) for name, bulk in bulk_graph_suite("large").items()
+    }
+    bulk = bulk_erdos_renyi_graph(500, 0.01, seed=4)
+    lps["erdos_renyi_zero_weights"] = build_lp(
+        bulk, weights={node: float(node % 5 != 0) for node in bulk.nodes}
+    )
+    bulk = bulk_erdos_renyi_graph(600, 0.002, seed=2)
+    assert np.count_nonzero(bulk.degrees == 0) > 0
+    lps["erdos_renyi_isolates"] = build_lp(bulk)
+    return lps
+
+
+#: ``solution_digest(x, y, certificate.as_dict())`` of each ``pinned_lps``
+#: solve at tol 1e-3, recorded with the iteration on N's canonical row
+#: order: every iterate, restart and certificate must stay bitwise equal.
+PINNED_SOLUTION_DIGESTS = {
+    "erdos_renyi_n2000": "b694b709399b90be",
+    "unit_disk_n2000": "97f9d0dfb6855b70",
+    "grid_45x45": "9e2d8c40294670c9",
+    "caterpillar_500x3": "e4a6f9d7a1556bc0",
+    "erdos_renyi_zero_weights": "b9428a7d03bbe92d",
+    "erdos_renyi_isolates": "f8b8d070a213007f",
+}
+
+#: ``solution_digest(x, y, certificate.as_dict())`` of an n = 2·10⁴ ER
+#: solve (mean degree 10) at tol 1e-2, the size where the iterate
+#: vectors stay in cache and the row order matters most.
+PINNED_LARGE_ER_DIGEST = "74bbf4917286a073"
+
+#: ``solution_digest(certificate.as_dict())`` of the best certificate a
+#: 50-iteration budget leaves on the ``ConvergenceError`` at tol 1e-12.
+PINNED_CONVERGENCE_DIGEST = "98907c972ed778c7"
+
+
+class TestByteIdenticalSolves:
+    def test_solutions_match_the_pinned_digests(self):
+        digests = {}
+        for name, lp in pinned_lps().items():
+            solution = solve_covering_lp(lp, tol=1e-3)
+            assert solution.certificate.certified, name
+            digests[name] = solution_digest(
+                solution.x, solution.y, solution.certificate.as_dict()
+            )
+        assert digests == PINNED_SOLUTION_DIGESTS
+
+    def test_large_er_solution_matches_the_pinned_digest(self):
+        bulk = bulk_erdos_renyi_graph(20_000, 10 / 19_999, seed=1)
+        solution = solve_covering_lp(build_lp(bulk), tol=1e-2)
+        assert solution.certificate.certified
+        digest = solution_digest(
+            solution.x, solution.y, solution.certificate.as_dict()
+        )
+        assert digest == PINNED_LARGE_ER_DIGEST
+
+    def test_convergence_error_certificate_matches_the_pinned_digest(self):
+        lp = build_lp(bulk_graph_suite("large")["erdos_renyi_n2000"])
+        with pytest.raises(ConvergenceError) as excinfo:
+            solve_covering_lp(lp, tol=1e-12, max_iterations=50)
+        best = excinfo.value.certificate
+        assert best is not None and best.iterations == 50
+        assert solution_digest(best.as_dict()) == PINNED_CONVERGENCE_DIGEST
+
+
+def operator_cases() -> dict:
+    """N = A + I of graphs with irregular, equal and degenerate row lengths."""
+    graphs = dict(bulk_graph_suite("large"))
+    graphs["edgeless"] = bulk_erdos_renyi_graph(30, 0.0)
+    graphs["single_node"] = BulkGraph.from_graph(nx.empty_graph(1))
+    graphs["isolates"] = bulk_erdos_renyi_graph(600, 0.002, seed=2)
+    return {name: neighborhood_csr_matrix(bulk) for name, bulk in graphs.items()}
+
+
+def with_int64_indices(matrix):
+    """A copy of ``matrix`` whose index arrays are int64."""
+    wide = matrix.copy()
+    wide.indptr = matrix.indptr.astype(np.int64)
+    wide.indices = matrix.indices.astype(np.int64)
+    return wide
+
+
+class TestDegreeOrderedOperator:
+    """PDHG iterates on M, N's rows in ascending length order (relabelled)."""
+
+    @pytest.mark.parametrize("name", sorted(operator_cases()))
+    def test_rows_sorted_by_length_with_canonical_entries(self, name):
+        matrix = operator_cases()[name]
+        ordered, order, inverse = _degree_ordered(matrix)
+        n = matrix.shape[0]
+        np.testing.assert_array_equal(np.sort(order), np.arange(n))
+        np.testing.assert_array_equal(inverse[order], np.arange(n))
+        assert np.all(np.diff(np.diff(ordered.indptr)) >= 0)
+        for r, row in enumerate(order):
+            canonical = matrix.indices[matrix.indptr[row] : matrix.indptr[row + 1]]
+            listed = ordered.indices[ordered.indptr[r] : ordered.indptr[r + 1]]
+            np.testing.assert_array_equal(listed, inverse[canonical])
+        assert ordered.data is matrix.data
+
+    @pytest.mark.parametrize("name", sorted(operator_cases()))
+    def test_matvec_is_bitwise_the_permuted_canonical_one(self, name):
+        matrix = operator_cases()[name]
+        ordered, order, _ = _degree_ordered(matrix)
+        v = np.random.default_rng(3).uniform(-1.0, 1.0, matrix.shape[0])
+        assert (ordered @ v[order]).tobytes() == (matrix @ v)[order].tobytes()
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_index_dtype_is_kept(self, wide):
+        matrix = operator_cases()["erdos_renyi_n2000"]
+        assert matrix.indices.dtype == np.int32
+        if wide:
+            matrix = with_int64_indices(matrix)
+        ordered, order, inverse = _degree_ordered(matrix)
+        dtype = np.int64 if wide else np.int32
+        for array in (ordered.indptr, ordered.indices, order, inverse):
+            assert array.dtype == dtype
+        v = np.linspace(0.0, 1.0, matrix.shape[0])
+        assert (ordered @ v[order]).tobytes() == (matrix @ v)[order].tobytes()
+
+    def test_every_in_loop_matvec_runs_on_the_ordered_copy(self, monkeypatch):
+        import repro.lp.firstorder as firstorder
+
+        bulk = bulk_graph_suite("large")["unit_disk_n2000"]
+        canonical = neighborhood_csr_matrix(bulk)
+        before = [
+            getattr(canonical, name).tobytes()
+            for name in ("indptr", "indices", "data")
+        ]
+        operands = []
+        matvec = firstorder._matvec
+
+        def spy(matrix, vector, out):
+            operands.append(matrix)
+            return matvec(matrix, vector, out)
+
+        monkeypatch.setattr(firstorder, "_matvec", spy)
+        certificate = solve_covering_lp(build_lp(bulk), tol=1e-3).certificate
+        assert certificate.certified
+        # One warm-start coverage on N, then two matvecs per iteration and
+        # one coverage per check, all on the ordered copy.
+        iterations = certificate.iterations
+        assert len(operands) == 1 + 2 * iterations + iterations // 50
+        assert operands[0] is canonical
+        ordered = operands[1]
+        assert ordered is not canonical
+        assert all(operand is ordered for operand in operands[1:])
+        assert np.all(np.diff(np.diff(ordered.indptr)) >= 0)
+        assert neighborhood_csr_matrix(bulk) is canonical
+        after = [
+            getattr(canonical, name).tobytes()
+            for name in ("indptr", "indices", "data")
+        ]
+        assert after == before
